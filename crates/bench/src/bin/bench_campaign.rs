@@ -24,9 +24,10 @@ use chunkpoint_campaign::{
 use chunkpoint_core::{MitigationScheme, SystemConfig};
 use chunkpoint_workloads::Benchmark;
 
-/// Timed samples per thread count; the median is reported (shared
-/// machines are noisy, and the median is robust against interference).
-const SAMPLES: usize = 3;
+/// Timed samples per thread count; the median is reported with the
+/// min and max (shared machines are noisy, and the median is robust
+/// against interference).
+const SAMPLES: usize = 7;
 /// Thread counts of the scaling ladder.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -107,6 +108,9 @@ fn main() {
             rates.push(result.results.len() as f64 / secs);
             elapsed.push(secs);
         }
+        let (min, max) = rates.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &r| {
+            (lo.min(r), hi.max(r))
+        });
         let rate = median(rates);
         if threads == 1 {
             base_rate = rate;
@@ -117,12 +121,16 @@ fn main() {
             1.0
         };
         println!(
-            "{threads:>2} threads: {rate:>10.1} scenarios/s  ({speedup:.2}x vs 1 thread, median of {SAMPLES})"
+            "{threads:>2} threads: {rate:>10.1} scenarios/s  (median of {SAMPLES}, \
+             min {min:.1}, max {max:.1}; {speedup:.2}x vs 1 thread)"
         );
         rows.push(
             JsonValue::object()
                 .field("threads", threads)
+                .field("samples", SAMPLES)
                 .field("scenarios_per_sec", rate)
+                .field("scenarios_per_sec_min", min)
+                .field("scenarios_per_sec_max", max)
                 .field("elapsed_secs", median(elapsed))
                 .field("speedup_vs_1_thread", speedup),
         );

@@ -466,9 +466,31 @@ pub fn run_campaign_streaming(
     threads: usize,
     cancel: &CancelToken,
     skip: &HashSet<usize>,
+    on_result: impl FnMut(&ScenarioResult),
+) -> Vec<ScenarioResult> {
+    run_grid_streaming(spec, &spec.scenarios(), threads, cancel, skip, on_result)
+}
+
+/// [`run_campaign_streaming`] over a grid the caller has already
+/// enumerated, for callers that need the grid themselves (a progress
+/// total, a journal check) and should not pay for a second enumeration
+/// (on an optimizer-backed scheme axis, one optimizer search per
+/// benchmark).
+///
+/// `scenarios` must be `spec.scenarios()`: the full grid, whatever the
+/// spec's range restriction.
+///
+/// # Panics
+///
+/// Panics if a scenario's simulation panics.
+pub fn run_grid_streaming(
+    spec: &CampaignSpec,
+    scenarios: &[Scenario],
+    threads: usize,
+    cancel: &CancelToken,
+    skip: &HashSet<usize>,
     mut on_result: impl FnMut(&ScenarioResult),
 ) -> Vec<ScenarioResult> {
-    let scenarios = spec.scenarios();
     let pending: Vec<usize> = spec
         .active_range(scenarios.len())
         .filter(|index| !skip.contains(index))

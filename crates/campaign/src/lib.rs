@@ -75,8 +75,8 @@ pub mod telemetry;
 pub use cli::{write_json_report, CampaignArgs};
 pub use diff::{contexts_match, diff_specs, translate_rows, SpecDiff};
 pub use engine::{
-    canonical_report_json, run_campaign, run_campaign_streaming, run_cell, CampaignResult,
-    ScenarioResult,
+    canonical_report_json, run_campaign, run_campaign_streaming, run_cell, run_grid_streaming,
+    CampaignResult, ScenarioResult,
 };
 pub use json::{JsonParseError, JsonValue};
 pub use pool::CancelToken;

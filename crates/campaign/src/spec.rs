@@ -9,7 +9,7 @@
 //! [`crate::seed::scenario_seed`], so the spec alone fully determines
 //! every random stream in the campaign.
 
-use chunkpoint_core::{optimize, suboptimal, MitigationScheme, SystemConfig};
+use chunkpoint_core::{optimize, DesignPoint, MitigationScheme, SystemConfig};
 use chunkpoint_scenario::{parse_scenarios, ScenarioDef, TimelineEvent};
 use chunkpoint_workloads::Benchmark;
 
@@ -42,27 +42,39 @@ impl SchemeSpec {
     /// benchmark (the paper's constraints always admit one).
     #[must_use]
     pub fn resolve(&self, benchmark: Benchmark, config: &SystemConfig) -> MitigationScheme {
+        self.resolve_with(&mut None, benchmark, config)
+    }
+
+    /// [`SchemeSpec::resolve`] sharing one optimizer search across a
+    /// benchmark's scheme axis: the first entry that needs the optimum
+    /// stores it in `optimum`, and later entries derive from it.
+    fn resolve_with(
+        &self,
+        optimum: &mut Option<DesignPoint>,
+        benchmark: Benchmark,
+        config: &SystemConfig,
+    ) -> MitigationScheme {
+        let infeasible = "campaign scheme axis: no feasible design point";
+        let mut best =
+            || *optimum.get_or_insert_with(|| optimize(benchmark, config).expect(infeasible));
         match *self {
             SchemeSpec::Fixed(scheme) => scheme,
             SchemeSpec::Optimal => {
-                let best = optimize(benchmark, config)
-                    .expect("campaign scheme axis: no feasible design point");
+                let best = best();
                 MitigationScheme::Hybrid {
                     chunk_words: best.chunk_words,
                     l1_prime_t: best.l1_prime_t,
                 }
             }
             SchemeSpec::Suboptimal => {
-                let sub = suboptimal(benchmark, config)
-                    .expect("campaign scheme axis: no feasible design point");
+                let sub = best().suboptimal(config).expect(infeasible);
                 MitigationScheme::Hybrid {
                     chunk_words: sub.chunk_words,
                     l1_prime_t: sub.l1_prime_t,
                 }
             }
             SchemeSpec::OptimalSingleParity => {
-                let best = optimize(benchmark, config)
-                    .expect("campaign scheme axis: no feasible design point");
+                let best = best();
                 MitigationScheme::HybridSingleParity {
                     chunk_words: best.chunk_words,
                     l1_prime_t: best.l1_prime_t,
@@ -410,8 +422,9 @@ impl CampaignSpec {
         };
         let mut scenarios = Vec::new();
         for &benchmark in &self.benchmarks {
+            let mut optimum = None;
             for (label, spec) in &self.schemes {
-                let resolved = spec.resolve(benchmark, &self.base);
+                let resolved = spec.resolve_with(&mut optimum, benchmark, &self.base);
                 let variants: Vec<MitigationScheme> = match (resolved, self.chunk_words.as_slice())
                 {
                     (MitigationScheme::Hybrid { l1_prime_t, .. }, chunks) if !chunks.is_empty() => {

@@ -6,7 +6,7 @@
 //! error-recovery work), and the cycle overhead `D(S_CH)` used by
 //! constraint (5). The optimizer minimises `J = C_store + C_comp`.
 
-use chunkpoint_ecc::{BchCode, CodeOverhead, EccKind, EccScheme};
+use chunkpoint_ecc::{CodeOverhead, EccKind};
 use chunkpoint_sim::{Platform, SramModel};
 use chunkpoint_workloads::Benchmark;
 
@@ -50,9 +50,9 @@ pub struct CostModel {
     benchmark: Benchmark,
     scale: f64,
     error_rate: f64,
-    /// L1′ BCH check bits (cached: generator construction is not free).
+    /// L1′ BCH check bits.
     prime_check_bits: usize,
-    /// L1′ codec logic size, gate equivalents (cached).
+    /// L1′ codec logic size, gate equivalents.
     prime_logic_gates: u64,
     l1_read_pj: f64,
 }
@@ -71,17 +71,15 @@ impl CostModel {
         scale: f64,
         l1_prime_t: u8,
     ) -> Self {
-        let code = BchCode::for_word(l1_prime_t as usize)
-            .unwrap_or_else(|e| panic!("invalid L1' strength t={l1_prime_t}: {e}"));
         let overhead = CodeOverhead::for_kind(EccKind::Bch { t: l1_prime_t })
-            .expect("strength already validated");
+            .unwrap_or_else(|e| panic!("invalid L1' strength t={l1_prime_t}: {e}"));
         let l1_read_pj = platform.l1_model().read_energy_pj();
         Self {
             platform: platform.clone(),
             benchmark,
             scale,
             error_rate,
-            prime_check_bits: code.check_bits(),
+            prime_check_bits: overhead.check_bits,
             prime_logic_gates: overhead.logic_gates(),
             l1_read_pj,
         }

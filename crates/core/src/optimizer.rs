@@ -6,6 +6,7 @@
 //! optimum by exhaustive search over (K, t) and also exposes the
 //! area-feasibility region of Fig. 4.
 
+use chunkpoint_ecc::{CodeOverhead, EccKind};
 use chunkpoint_sim::Platform;
 use chunkpoint_workloads::Benchmark;
 
@@ -126,11 +127,19 @@ pub fn optimize(benchmark: Benchmark, config: &SystemConfig) -> Option<DesignPoi
 /// trigger and buffering overhead.
 #[must_use]
 pub fn suboptimal(benchmark: Benchmark, config: &SystemConfig) -> Option<DesignPoint> {
-    let best = optimize(benchmark, config)?;
-    let model = model_for(benchmark, best.l1_prime_t, config);
-    (1..=best.chunk_words)
-        .map(|k| evaluate_with_model(&model, benchmark, k, best.l1_prime_t, config))
-        .find(|p| p.is_feasible(config))
+    optimize(benchmark, config)?.suboptimal(config)
+}
+
+impl DesignPoint {
+    /// The [`suboptimal`] point of this optimum: the smallest feasible
+    /// chunk at its code strength, without searching the optimum again.
+    #[must_use]
+    pub fn suboptimal(&self, config: &SystemConfig) -> Option<DesignPoint> {
+        let model = model_for(self.benchmark, self.l1_prime_t, config);
+        (1..=self.chunk_words)
+            .map(|k| evaluate_with_model(&model, self.benchmark, k, self.l1_prime_t, config))
+            .find(|p| p.is_feasible(config))
+    }
 }
 
 /// Sweeps the objective over every chunk size at a fixed code strength
@@ -151,45 +160,25 @@ pub fn sweep(benchmark: Benchmark, l1_prime_t: u8, config: &SystemConfig) -> Vec
 /// means even t = 1 does not fit.
 #[must_use]
 pub fn feasible_region(config: &SystemConfig) -> Vec<(u32, u8)> {
-    let l1_area = config.platform.l1_model().area_um2();
-    let budget = config.constraints.area_overhead * l1_area;
-    // Cache the per-strength code geometry (generator construction is not
-    // free and this sweep probes 512 × 18 points).
-    let geometry: Vec<(usize, u64)> = (1..=MAX_L1_PRIME_T)
-        .map(|t| bch_geometry(t).expect("strength in supported range"))
-        .collect();
+    let budget = config.constraints.area_overhead * config.platform.l1_model().area_um2();
     (1..=MAX_CHUNK_WORDS)
         .map(|words| {
-            let mut max_t = 0u8;
-            for t in 1..=MAX_L1_PRIME_T {
-                let (check_bits, gates) = geometry[t as usize - 1];
-                let area = config
-                    .platform
-                    .l1_prime_model(words as usize, check_bits)
-                    .area_um2()
-                    + chunkpoint_sim::logic_area_um2(gates);
-                if area <= budget {
-                    max_t = t;
-                }
-            }
+            let max_t = (1..=MAX_L1_PRIME_T)
+                .rev()
+                .find(|&t| buffer_area_um2(&config.platform, words, t) <= budget)
+                .unwrap_or(0);
             (words, max_t)
         })
         .collect()
 }
 
-/// Check bits and codec gate count for a word-level BCH of strength `t`.
-fn bch_geometry(t: u8) -> Option<(usize, u64)> {
-    let code = chunkpoint_ecc::BchCode::for_word(t as usize).ok()?;
-    let overhead =
-        chunkpoint_ecc::CodeOverhead::for_kind(chunkpoint_ecc::EccKind::Bch { t }).ok()?;
-    use chunkpoint_ecc::EccScheme;
-    Some((code.check_bits(), overhead.logic_gates()))
-}
-
 /// Area of an L1′ of `words` words with strength-`t` BCH (array + codec).
 #[must_use]
 pub fn buffer_area_um2(platform: &Platform, words: u32, t: u8) -> f64 {
-    let (check_bits, gates) = bch_geometry(t).unwrap_or((0, 0));
+    let (check_bits, gates) = CodeOverhead::for_kind(EccKind::Bch { t })
+        .map_or((0, 0), |overhead| {
+            (overhead.check_bits, overhead.logic_gates())
+        });
     platform
         .l1_prime_model(words as usize, check_bits)
         .area_um2()

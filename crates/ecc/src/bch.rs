@@ -25,7 +25,7 @@
 //! rate the paper studies.
 
 use crate::bitbuf::BitBuf;
-use crate::gf2m::Gf2m;
+use crate::gf2m::{cyclotomic_coset, Gf2m};
 use crate::scheme::{BuildSchemeError, Decoded, EccScheme};
 
 /// Maximum supported correction strength for a 32-bit word.
@@ -200,19 +200,7 @@ impl BchCode {
     ///
     /// Returns an error when `t` is zero or above [`MAX_WORD_T`].
     pub fn for_word(t: usize) -> Result<Self, BuildSchemeError> {
-        if t == 0 || t > MAX_WORD_T {
-            return Err(BuildSchemeError::new(format!(
-                "word-level bch supports 1 <= t <= {MAX_WORD_T}, got {t}"
-            )));
-        }
-        for m in 6..=10u32 {
-            if let Ok(code) = Self::new(m, t, 32) {
-                return Ok(code);
-            }
-        }
-        Err(BuildSchemeError::new(format!(
-            "no field in 6..=10 supports t = {t} with 32 payload bits"
-        )))
+        Self::new(BchGeometry::for_word(t)?.m, t, 32)
     }
 
     /// Correction strength t.
@@ -867,6 +855,67 @@ impl EccScheme for BchCode {
     }
 }
 
+/// The shape of a word-level BCH code: its field degree and check-bit
+/// count, which is all a cost model needs of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BchGeometry {
+    /// Field degree m of GF(2^m).
+    pub(crate) m: u32,
+    /// Check bits r per word: the degree of the generator polynomial.
+    pub(crate) check_bits: usize,
+}
+
+impl BchGeometry {
+    /// The geometry of [`BchCode::for_word`]`(t)` without building the
+    /// code: r is the total size of the distinct cyclotomic cosets of
+    /// 1, 3, …, 2t−1 (the degrees of the generator's minimal-polynomial
+    /// factors), so no field, generator or codec table is constructed.
+    /// Memoised per strength.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `t` is zero or above [`MAX_WORD_T`].
+    pub(crate) fn for_word(t: usize) -> Result<Self, BuildSchemeError> {
+        static WORD: std::sync::OnceLock<[Option<BchGeometry>; MAX_WORD_T]> =
+            std::sync::OnceLock::new();
+        if t == 0 || t > MAX_WORD_T {
+            return Err(BuildSchemeError::new(format!(
+                "word-level bch supports 1 <= t <= {MAX_WORD_T}, got {t}"
+            )));
+        }
+        let memo = WORD.get_or_init(|| std::array::from_fn(|i| Self::smallest_field(i + 1)));
+        memo[t - 1].ok_or_else(|| {
+            BuildSchemeError::new(format!(
+                "no field in 6..=10 supports t = {t} with 32 payload bits"
+            ))
+        })
+    }
+
+    /// The first degree in 6..=10 that [`BchCode::new`] accepts for `t`
+    /// errors over 32 payload bits, with the same checks.
+    fn smallest_field(t: usize) -> Option<Self> {
+        (6..=10u32).find_map(|m| {
+            let n = (1u32 << m) - 1;
+            if 2 * t >= n as usize {
+                return None;
+            }
+            // Same coset walk as `compute_generator`, summing degrees.
+            let mut covered: Vec<u32> = Vec::new();
+            let mut check_bits = 0;
+            for i in (1..2 * t as u32).step_by(2) {
+                let coset = cyclotomic_coset(i, n);
+                let rep = *coset.iter().min().expect("nonempty coset");
+                if !covered.contains(&rep) {
+                    covered.push(rep);
+                    check_bits += coset.len();
+                }
+            }
+            (n as usize - check_bits >= 32 && check_bits + 32 <= crate::bitbuf::BITBUF_CAPACITY)
+                .then_some(Self { m, check_bits })
+        })
+    }
+}
+
 /// Builds the generator polynomial: lcm of the minimal polynomials of
 /// α, α^3, …, α^(2t-1).
 fn compute_generator(field: &Gf2m, t: usize) -> Result<Vec<u8>, BuildSchemeError> {
@@ -956,6 +1005,32 @@ mod tests {
         assert!(BchCode::new(6, 6, 32).is_err()); // k too small
         assert!(BchCode::for_word(0).is_err());
         assert!(BchCode::for_word(MAX_WORD_T + 1).is_err());
+    }
+
+    #[test]
+    fn word_geometry_matches_the_built_code() {
+        for t in 1..=MAX_WORD_T {
+            let geometry = BchGeometry::for_word(t).unwrap();
+            let code = BchCode::for_word(t).unwrap();
+            assert_eq!(
+                (geometry.m, geometry.check_bits),
+                (code.m(), code.check_bits()),
+                "t={t}"
+            );
+            // The smallest field any full construction accepts.
+            let searched = (6..=10u32)
+                .find_map(|m| BchCode::new(m, t, 32).ok())
+                .unwrap();
+            assert_eq!(
+                (geometry.m, geometry.check_bits),
+                (searched.m(), searched.check_bits()),
+                "t={t}"
+            );
+        }
+        for t in [0, MAX_WORD_T + 1] {
+            assert!(BchGeometry::for_word(t).is_err(), "t={t}");
+            assert!(BchCode::for_word(t).is_err(), "t={t}");
+        }
     }
 
     #[test]

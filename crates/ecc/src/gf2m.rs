@@ -224,14 +224,20 @@ impl Gf2m {
     /// The cyclotomic coset of `i` modulo 2^m - 1: `{i, 2i, 4i, ...}`.
     #[must_use]
     pub fn cyclotomic_coset(&self, i: u32) -> Vec<u32> {
-        let mut coset = vec![i % self.order];
-        let mut next = (2 * i) % self.order;
-        while next != coset[0] {
-            coset.push(next);
-            next = (2 * next) % self.order;
-        }
-        coset
+        cyclotomic_coset(i, self.order)
     }
+}
+
+/// The cyclotomic coset of `i` modulo `order`, which needs no field
+/// tables.
+pub(crate) fn cyclotomic_coset(i: u32, order: u32) -> Vec<u32> {
+    let mut coset = vec![i % order];
+    let mut next = (2 * i) % order;
+    while next != coset[0] {
+        coset.push(next);
+        next = (2 * next) % order;
+    }
+    coset
 }
 
 #[cfg(test)]

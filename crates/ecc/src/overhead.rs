@@ -9,8 +9,8 @@
 //! Chien search, growing ≈ t·m²); they only need to be *monotone and
 //! correctly shaped* for the feasibility region of Fig. 4 to reproduce.
 
-use crate::bch::BchCode;
-use crate::scheme::{build_scheme, BuildSchemeError, EccKind, EccScheme};
+use crate::bch::BchGeometry;
+use crate::scheme::{build_scheme, BuildSchemeError, EccKind};
 
 /// Static hardware cost of one protection scheme instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,12 +108,12 @@ impl CodeOverhead {
                 }
             }
             EccKind::Bch { t } => {
-                let code = BchCode::for_word(t as usize)?;
-                let r = code.check_bits() as u64;
-                let m = u64::from(code.m());
+                let geometry = BchGeometry::for_word(t as usize)?;
+                let r = geometry.check_bits as u64;
+                let m = u64::from(geometry.m);
                 let t64 = u64::from(t);
                 Self {
-                    check_bits: code.check_bits(),
+                    check_bits: geometry.check_bits,
                     // Parallel LFSR encoder: r parity trees over ~w/2 taps.
                     encoder_gates: r * 16,
                     // Syndrome network (2t GF multipliers over the stored

@@ -4,16 +4,15 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use chunkpoint_campaign::{run_campaign_streaming, CampaignSpec};
+use chunkpoint_campaign::{run_grid_streaming, CampaignSpec, CancelToken};
 
 use crate::event::{CampaignEvent, CampaignRun, ExecError};
-use crate::handle::{spawn_worker, CampaignHandle};
+use crate::handle::{spawn_worker, CampaignHandle, EventSink};
 use crate::util::{check_coverage, enumerate_grid, render_report};
 use crate::CampaignExecutor;
 
 /// Runs campaigns in-process on the engine's work-stealing pool
-/// (wrapping [`run_campaign_streaming`] with the handle's
-/// [`CancelToken`](chunkpoint_campaign::CancelToken)).
+/// (wrapping [`run_grid_streaming`] with the handle's [`CancelToken`]).
 ///
 /// Events are fully live: every scenario emits
 /// [`CampaignEvent::ScenarioDone`] and a [`CampaignEvent::Progress`]
@@ -39,37 +38,42 @@ impl CampaignExecutor for LocalExecutor {
         let spec = spec.clone();
         let threads = self.threads;
         spawn_worker("local", move |sink, cancel| {
-            let started = Instant::now();
-            // The engine re-enumerates internally; this up-front pass
-            // buys the typed infeasible-spec rejection and the progress
-            // total, and is startup-only (bench_exec puts the whole
-            // abstraction's overhead at ~0).
-            let grid = enumerate_grid(&spec)?;
-            let active = spec.active_range(grid.len());
-            let total = active.len();
-            drop(grid);
-            sink.emit(CampaignEvent::Progress { done: 0, total });
-            let mut done = 0usize;
-            let results =
-                run_campaign_streaming(&spec, threads, cancel, &HashSet::new(), |result| {
-                    done += 1;
-                    sink.emit(CampaignEvent::ScenarioDone(result.clone()));
-                    sink.emit(CampaignEvent::Progress { done, total });
-                });
-            if cancel.is_cancelled() {
-                return Err(ExecError::Cancelled);
-            }
-            check_coverage(&results, &active)?;
-            Ok(CampaignRun {
-                report: render_report(spec.campaign_seed, &results),
-                results,
-                scenarios: total,
-                elapsed: started.elapsed(),
-                dispatches: 0,
-                failures: 0,
-            })
+            run_local(&spec, threads, sink, cancel)
         })
     }
+}
+
+/// The local executor's worker body: enumerate once (the typed
+/// infeasible-spec rejection and the progress total), then run that grid.
+fn run_local(
+    spec: &CampaignSpec,
+    threads: usize,
+    sink: &EventSink,
+    cancel: &CancelToken,
+) -> Result<CampaignRun, ExecError> {
+    let started = Instant::now();
+    let grid = enumerate_grid(spec)?;
+    let active = spec.active_range(grid.len());
+    let total = active.len();
+    sink.emit(CampaignEvent::Progress { done: 0, total });
+    let mut done = 0usize;
+    let results = run_grid_streaming(spec, &grid, threads, cancel, &HashSet::new(), |result| {
+        done += 1;
+        sink.emit(CampaignEvent::ScenarioDone(result.clone()));
+        sink.emit(CampaignEvent::Progress { done, total });
+    });
+    if cancel.is_cancelled() {
+        return Err(ExecError::Cancelled);
+    }
+    check_coverage(&results, &active)?;
+    Ok(CampaignRun {
+        report: render_report(spec.campaign_seed, &results),
+        results,
+        scenarios: total,
+        elapsed: started.elapsed(),
+        dispatches: 0,
+        failures: 0,
+    })
 }
 
 #[cfg(test)]
@@ -114,17 +118,21 @@ mod tests {
 
     #[test]
     fn cancel_surfaces_as_the_typed_error() {
+        // The worker waits at a gate until the cancel has landed, so the
+        // run cannot finish first however fast its scenarios are.
         let spec = small_spec(24);
-        let handle = LocalExecutor::new(1).submit(&spec);
-        let mut seen = 0;
-        for event in handle.events() {
-            if matches!(event, CampaignEvent::ScenarioDone(_)) {
-                seen += 1;
-                if seen == 2 {
-                    handle.cancel();
-                }
-            }
-        }
+        let (open, gate) = std::sync::mpsc::channel::<()>();
+        let handle = spawn_worker("local", move |sink, cancel| {
+            gate.recv().expect("the test opens the gate");
+            run_local(&spec, 1, sink, cancel)
+        });
+        handle.cancel();
+        open.send(()).expect("the worker waits at the gate");
+        let finished = handle
+            .events()
+            .filter(|e| matches!(e, CampaignEvent::ScenarioDone(_)))
+            .count();
+        assert_eq!(finished, 0, "a cancelled run starts no scenario");
         match handle.wait() {
             Err(ExecError::Cancelled) => {}
             other => panic!("expected Cancelled, got {other:?}"),

@@ -2,7 +2,7 @@
 //! checkpoint store.
 //!
 //! Submissions enqueue job ids; `max_jobs` runner threads pull from the
-//! queue and drive [`run_campaign_streaming`] with three hooks wired in:
+//! queue and drive [`run_grid_streaming`] with three hooks wired in:
 //! the job's [`CancelToken`] (DELETE and shutdown stop a grid between
 //! scenarios), the journal's skip set (restarted services resume instead
 //! of recomputing), and an `on_result` sink that appends every completed
@@ -18,7 +18,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use chunkpoint_campaign::{
-    canonical_report_json, run_campaign_streaming, Axis, CampaignSpec, CancelToken, JsonValue,
+    canonical_report_json, run_grid_streaming, Axis, CampaignSpec, CancelToken, JsonValue,
 };
 
 use crate::metrics::metrics;
@@ -638,8 +638,9 @@ impl JobManager {
             .open_journal(id)
             .map_err(|e| format!("job {id}: opening journal: {e}"))?;
         let mut io_error: Option<String> = None;
-        let fresh = run_campaign_streaming(
+        let fresh = run_grid_streaming(
             &spec,
+            &scenarios,
             self.campaign_threads,
             &cancel,
             &journal.done,

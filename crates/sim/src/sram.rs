@@ -6,6 +6,8 @@
 //! physical array. Fault exposure is materialised lazily at access time
 //! from the elapsed cycles since the word was last written/read, which is
 //! statistically identical to a per-cycle process but costs O(accesses).
+//! Storage is lazy too: the array holds codewords only up to the highest
+//! address touched, and every word above it is the blank codeword of 0.
 
 use chunkpoint_ecc::{build_scheme, BitBuf, Decoded, EccKind, EccScheme};
 
@@ -47,8 +49,15 @@ pub struct Sram {
     name: String,
     kind: EccKind,
     scheme: Box<dyn EccScheme>,
+    /// Addressable words.
+    len: usize,
+    /// The codeword of 0 every word holds until first written.
+    blank: BitBuf,
+    /// Stored codewords up to the highest address touched so far; the
+    /// words above it are still `blank`.
     words: Vec<BitBuf>,
-    /// Cycle at which each word's stored bits were last materialised.
+    /// Cycle at which each word's stored bits were last materialised,
+    /// over the same prefix as `words` (untouched words: cycle 0).
     last_touch: Vec<u64>,
     faults: FaultProcess,
     stats: SramStats,
@@ -76,12 +85,13 @@ impl Sram {
     ) -> Result<Self, chunkpoint_ecc::BuildSchemeError> {
         assert!(words > 0, "SRAM needs at least one word");
         let scheme = build_scheme(kind)?;
-        let blank = scheme.encode(0);
         Ok(Self {
             name: name.into(),
             kind,
-            words: vec![blank; words],
-            last_touch: vec![0; words],
+            len: words,
+            blank: scheme.encode(0),
+            words: Vec::new(),
+            last_touch: Vec::new(),
             scheme,
             faults,
             stats: SramStats::default(),
@@ -105,13 +115,22 @@ impl Sram {
     /// Number of addressable words.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.len
     }
 
     /// Whether the array has zero words (never true by construction).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.len == 0
+    }
+
+    /// Materialises the blank words below `end` (an address bound already
+    /// checked against [`Sram::len`]).
+    fn grow(&mut self, end: usize) {
+        if end > self.words.len() {
+            self.words.resize(end, self.blank);
+            self.last_touch.resize(end, 0);
+        }
     }
 
     /// Stored bits per word, check bits included.
@@ -167,7 +186,8 @@ impl Sram {
     ///
     /// Panics if `addr` is out of range.
     pub fn read(&mut self, addr: usize, now: u64) -> Decoded {
-        assert!(addr < self.words.len(), "read past end of {}", self.name);
+        assert!(addr < self.len, "read past end of {}", self.name);
+        self.grow(addr + 1);
         self.expose(addr, now);
         self.stats.reads += 1;
         let outcome = self.scheme.decode(&self.words[addr]);
@@ -195,7 +215,8 @@ impl Sram {
     ///
     /// Panics if `addr` is out of range.
     pub fn write(&mut self, addr: usize, value: u32, now: u64) {
-        assert!(addr < self.words.len(), "write past end of {}", self.name);
+        assert!(addr < self.len, "write past end of {}", self.name);
+        self.grow(addr + 1);
         self.words[addr] = self.scheme.encode(value);
         self.last_touch[addr] = now;
         self.stats.writes += 1;
@@ -210,10 +231,11 @@ impl Sram {
     /// Panics if the block exceeds the array.
     pub fn write_block(&mut self, addr: usize, values: &[u32], now: u64) {
         assert!(
-            addr + values.len() <= self.words.len(),
+            addr + values.len() <= self.len,
             "block write past end of {}",
             self.name
         );
+        self.grow(addr + values.len());
         self.scheme
             .encode_block(values, &mut self.words[addr..addr + values.len()]);
         for touch in &mut self.last_touch[addr..addr + values.len()] {
@@ -248,10 +270,11 @@ impl Sram {
         sink: &mut Vec<u32>,
     ) -> Result<(), usize> {
         assert!(
-            addr + count <= self.words.len(),
+            addr + count <= self.len,
             "block read past end of {}",
             self.name
         );
+        self.grow(addr + count);
         for i in addr..addr + count {
             self.expose(i, now);
         }
@@ -302,17 +325,18 @@ impl Sram {
     /// Panics if `addr` is out of range.
     #[must_use]
     pub fn peek(&self, addr: usize) -> u32 {
-        assert!(addr < self.words.len(), "peek past end of {}", self.name);
+        assert!(addr < self.len, "peek past end of {}", self.name);
+        let word = self.words.get(addr).unwrap_or(&self.blank);
         let r = self.scheme.check_bits();
         // Payload location depends on the scheme's layout; NoCode/Parity/
         // SECDED keep data in the low bits, BCH keeps it above the parity.
         match self.kind {
-            EccKind::Bch { .. } => self.words[addr].extract_u32(r),
-            EccKind::InterleavedSecded { .. } => match self.scheme.decode(&self.words[addr]) {
+            EccKind::Bch { .. } => word.extract_u32(r),
+            EccKind::InterleavedSecded { .. } => match self.scheme.decode(word) {
                 Decoded::Clean { data } | Decoded::Corrected { data, .. } => data,
                 Decoded::DetectedUncorrectable => 0,
             },
-            _ => self.words[addr].extract_u32(0),
+            _ => word.extract_u32(0),
         }
     }
 
@@ -323,7 +347,8 @@ impl Sram {
     ///
     /// Panics if the burst exceeds the stored word.
     pub fn inject(&mut self, addr: usize, first_bit: usize, width: usize) {
-        assert!(addr < self.words.len(), "inject past end of {}", self.name);
+        assert!(addr < self.len, "inject past end of {}", self.name);
+        self.grow(addr + 1);
         let word = &mut self.words[addr];
         assert!(first_bit + width <= word.len(), "burst exceeds stored word");
         for bit in first_bit..first_bit + width {
@@ -464,6 +489,41 @@ mod tests {
         let mem = quiet(256, EccKind::Secded);
         assert_eq!(mem.model().bits_per_word(), 39);
         assert_eq!(mem.model().words(), 256);
+    }
+
+    #[test]
+    fn untouched_top_word_behaves_like_a_blank_word() {
+        for kind in [EccKind::None, EccKind::Secded, EccKind::Bch { t: 8 }] {
+            let mut mem = quiet(4096, kind);
+            let top = mem.len() - 1;
+            assert_eq!(mem.len(), 4096, "{kind}");
+            assert_eq!(mem.model().words(), 4096, "{kind}");
+            assert_eq!(mem.peek(top), 0, "{kind}");
+            assert_eq!(mem.read(top, 5), Decoded::Clean { data: 0 }, "{kind}");
+            mem.write(top - 1, 0x5EED, 6);
+            let mut sink = Vec::new();
+            mem.read_block(top - 1, 2, 7, &mut sink).unwrap();
+            assert_eq!(sink, vec![0x5EED, 0], "{kind}");
+            assert_eq!(mem.peek(top - 1), 0x5EED, "{kind}");
+            // Touching the top word leaves the logical size unchanged.
+            assert_eq!(mem.len(), 4096, "{kind}");
+            assert_eq!(mem.model().words(), 4096, "{kind}");
+        }
+        // A flip injected into an untouched word is caught on its read.
+        let mut mem = quiet(64, EccKind::Secded);
+        mem.inject(63, 2, 1);
+        assert_eq!(
+            mem.read(63, 1),
+            Decoded::Corrected {
+                data: 0,
+                bits_corrected: 1
+            }
+        );
+        let mut mem = quiet(64, EccKind::Secded);
+        mem.inject(63, 2, 2);
+        let mut sink = Vec::new();
+        assert_eq!(mem.read_block(60, 4, 1, &mut sink), Err(3));
+        assert_eq!(sink, vec![0, 0, 0]);
     }
 
     #[test]

@@ -319,8 +319,15 @@ fn update(state: &mut G726State, y: i32, wi: i32, fi: i32, dq: i32, sr: i32, dqs
                 state.a[0] -= 192;
             }
         }
+        // The reference's if-chain, not `clamp`: a corrupted a[1] can
+        // push a2p above 15360, crossing the bounds, which the reference
+        // tolerates and `clamp` panics on.
         let a1ul = 15360 - a2p;
-        state.a[0] = state.a[0].clamp(-a1ul, a1ul);
+        if state.a[0] < -a1ul {
+            state.a[0] = -a1ul;
+        } else if state.a[0] > a1ul {
+            state.a[0] = a1ul;
+        }
 
         // Zero predictor adaptation.
         for i in 0..6 {
@@ -526,6 +533,22 @@ mod tests {
         let mut s = state;
         for &x in &speech_pcm(200, 4) {
             let _ = encode_sample(&mut s, x);
+        }
+    }
+
+    #[test]
+    fn corrupted_pole_coefficient_does_not_cross_the_a1_bounds() {
+        // a[1] = 0x7FFF gives a2p > 15360 on the silent (dqsez == 0) path,
+        // so a[0]'s limit 15360 − a2p is negative.
+        let mut words = G726State::new().to_words();
+        words[6] = 0x7FFF;
+        let mut state = G726State::from_words(&words);
+        for _ in 0..64 {
+            let _ = encode_sample(&mut state, 0);
+        }
+        let mut state = G726State::from_words(&words);
+        for _ in 0..64 {
+            let _ = decode_sample(&mut state, 0);
         }
     }
 

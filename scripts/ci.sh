@@ -14,6 +14,11 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+# perfbench is a workspace of its own, so the tests above never build it:
+# without this, a break in a public API it calls would pass the gate.
+echo "== perfbench self-tests =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== smoke campaign (parallel path + determinism) =="
 cargo run --release -p chunkpoint_bench --bin bench_campaign -- --smoke --seeds 2 --threads 2
 

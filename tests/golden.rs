@@ -54,7 +54,7 @@ fn check(name: &str, actual: &str) {
             expected.len(),
             actual.len(),
             context(&expected),
-            context(&actual),
+            context(actual),
         );
     }
 }
