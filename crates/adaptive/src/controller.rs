@@ -2,11 +2,10 @@
 //! rounds driven over any [`CampaignExecutor`].
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use chunkpoint_campaign::{
-    canonical_report_json, CampaignSpec, CancelToken, JsonValue, Scenario, ScenarioResult,
+    canonical_report_json, CampaignSpec, CancelToken, JsonValue, ScenarioResult,
 };
 use chunkpoint_exec::{CampaignEvent, CampaignExecutor, ExecError};
 use chunkpoint_serve::REPORT_AXES;
@@ -21,7 +20,8 @@ pub struct CellOutcome {
     /// Dense cell index in grid-enumeration order.
     pub cell: usize,
     /// Human-readable cell key (`benchmark · scheme · error_rate ·
-    /// chunk`), from [`Scenario::cell_key`].
+    /// chunk`), from
+    /// [`Scenario::cell_key`](chunkpoint_campaign::Scenario::cell_key).
     pub key: String,
     /// The stop decision: round, replicates spent, CI at stop.
     pub stop: CellStop,
@@ -147,7 +147,11 @@ impl<E: CampaignExecutor> AdaptiveController<E> {
             });
         }
         let started = Instant::now();
-        let grid = enumerate_grid(spec)?;
+        let grid = spec.try_scenarios().map_err(|detail| ExecError::Rejected {
+            backend: None,
+            status: None,
+            detail,
+        })?;
         let replicates = spec.replicate_count();
         let stride = replicates as usize;
         let budget = grid.len();
@@ -379,17 +383,6 @@ impl<E: CampaignExecutor> AdaptiveController<E> {
     }
 }
 
-/// Enumerates the spec's grid, turning the optimizer's "no feasible
-/// design point" panic into the typed rejection every backend would
-/// answer with (mirrors the executors' own enumeration guard).
-fn enumerate_grid(spec: &CampaignSpec) -> Result<Vec<Scenario>, ExecError> {
-    catch_unwind(AssertUnwindSafe(|| spec.scenarios())).map_err(|_| ExecError::Rejected {
-        backend: None,
-        status: None,
-        detail: "spec enumerates no feasible grid (optimizer found no design point)".to_owned(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,12 +404,24 @@ mod tests {
     #[test]
     fn ranged_specs_are_rejected() {
         let controller = AdaptiveController::new(LocalExecutor::new(1), AdaptivePolicy::new());
-        let spec = small_spec().scenario_range(0, 2);
-        match controller.run(&spec) {
-            Err(ExecError::Rejected { detail, .. }) => {
-                assert!(detail.contains("scenario_range"), "{detail}");
+        let mut config = SystemConfig::paper(0);
+        config.scale = 0.25;
+        config.constraints.area_overhead = 0.0;
+        let infeasible = CampaignSpec::new(config, 1)
+            .benchmarks(&[Benchmark::AdpcmEncode])
+            .scheme("Optimal", SchemeSpec::Optimal);
+        // An optimizer axis with no feasible design point is refused the
+        // same way, before any sub-campaign runs.
+        for (spec, why) in [
+            (small_spec().scenario_range(0, 2), "scenario_range"),
+            (infeasible, "feasible"),
+        ] {
+            match controller.run(&spec) {
+                Err(ExecError::Rejected { detail, .. }) => {
+                    assert!(detail.contains(why), "{detail}");
+                }
+                other => panic!("expected Rejected, got {other:?}"),
             }
-            other => panic!("expected Rejected, got {other:?}"),
         }
     }
 

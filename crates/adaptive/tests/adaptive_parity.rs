@@ -16,9 +16,7 @@ use chunkpoint_adaptive::{AdaptiveController, AdaptivePolicy, AdaptiveRun};
 use chunkpoint_campaign::{CampaignSpec, SchemeSpec};
 use chunkpoint_chaos::{ChaosProxy, FaultPlan};
 use chunkpoint_core::{MitigationScheme, SystemConfig};
-use chunkpoint_exec::{
-    CampaignEvent, LocalExecutor, RemoteConfig, RemoteExecutor, ShardConfig, ShardedExecutor,
-};
+use chunkpoint_exec::{CampaignEvent, LocalExecutor, RemoteExecutor, ShardConfig, ShardedExecutor};
 use chunkpoint_workloads::Benchmark;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -193,9 +191,9 @@ fn three_executors_one_adaptive_report() {
 
     // Remote, against one real serve process.
     let backend = ServeProcess::start("remote");
-    let remote_exec = RemoteExecutor::new(backend.addr.clone()).with_config(RemoteConfig {
+    let remote_exec = RemoteExecutor::new(backend.addr.clone()).with_config(ShardConfig {
         poll_interval: Duration::from_millis(10),
-        ..RemoteConfig::default()
+        ..ShardConfig::default()
     });
     let remote = AdaptiveController::new(remote_exec, policy.clone())
         .run(&spec)
@@ -273,13 +271,14 @@ fn chaos_faults_leave_adaptive_bytes_identical() {
     let plan = FaultPlan::new(0xC4A0, 0.35);
     #[allow(clippy::cast_possible_truncation)]
     let strikes = plan.max_fault_run(512) as u32 + 2;
-    let config = RemoteConfig {
+    let config = ShardConfig {
         poll_interval: Duration::from_millis(10),
         request_timeout: Duration::from_secs(10),
-        strikes,
-        submit_attempts: strikes.max(5),
+        backend_strikes: strikes,
+        shard_attempts: strikes.max(5),
         poll_max: Duration::from_millis(200),
         backoff_seed: plan.seed,
+        ..ShardConfig::default()
     };
     let mut proxy = ChaosProxy::start(&backend.addr, plan).expect("start proxy");
     let run = AdaptiveController::new(

@@ -60,6 +60,7 @@
 pub mod cli;
 pub mod diff;
 pub mod engine;
+pub mod event;
 /// The workspace JSON layer at its historical path — the types now live
 /// in [`chunkpoint_scenario::json`] so the scenario DSL sits below the
 /// campaign engine in the dependency graph.
@@ -78,6 +79,7 @@ pub use engine::{
     canonical_report_json, run_campaign, run_campaign_streaming, run_cell, run_grid_streaming,
     CampaignResult, ScenarioResult,
 };
+pub use event::CampaignEvent;
 pub use json::{JsonParseError, JsonValue};
 pub use pool::CancelToken;
 pub use seed::scenario_seed;

@@ -43,44 +43,50 @@ impl SchemeSpec {
     #[must_use]
     pub fn resolve(&self, benchmark: Benchmark, config: &SystemConfig) -> MitigationScheme {
         self.resolve_with(&mut None, benchmark, config)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`SchemeSpec::resolve`] sharing one optimizer search across a
     /// benchmark's scheme axis: the first entry that needs the optimum
-    /// stores it in `optimum`, and later entries derive from it.
+    /// stores it in `optimum`, and later entries derive from it. An
+    /// infeasible optimizer point is an `Err`, not a panic.
     fn resolve_with(
         &self,
         optimum: &mut Option<DesignPoint>,
         benchmark: Benchmark,
         config: &SystemConfig,
-    ) -> MitigationScheme {
-        let infeasible = "campaign scheme axis: no feasible design point";
-        let mut best =
-            || *optimum.get_or_insert_with(|| optimize(benchmark, config).expect(infeasible));
-        match *self {
+    ) -> Result<MitigationScheme, String> {
+        let infeasible = || {
+            format!(
+                "campaign scheme axis: no feasible design point for {}",
+                benchmark.name()
+            )
+        };
+        if let SchemeSpec::Fixed(scheme) = *self {
+            return Ok(scheme);
+        }
+        let best = match *optimum {
+            Some(best) => best,
+            None => *optimum.insert(optimize(benchmark, config).ok_or_else(infeasible)?),
+        };
+        Ok(match *self {
             SchemeSpec::Fixed(scheme) => scheme,
-            SchemeSpec::Optimal => {
-                let best = best();
-                MitigationScheme::Hybrid {
-                    chunk_words: best.chunk_words,
-                    l1_prime_t: best.l1_prime_t,
-                }
-            }
+            SchemeSpec::Optimal => MitigationScheme::Hybrid {
+                chunk_words: best.chunk_words,
+                l1_prime_t: best.l1_prime_t,
+            },
             SchemeSpec::Suboptimal => {
-                let sub = best().suboptimal(config).expect(infeasible);
+                let sub = best.suboptimal(config).ok_or_else(infeasible)?;
                 MitigationScheme::Hybrid {
                     chunk_words: sub.chunk_words,
                     l1_prime_t: sub.l1_prime_t,
                 }
             }
-            SchemeSpec::OptimalSingleParity => {
-                let best = best();
-                MitigationScheme::HybridSingleParity {
-                    chunk_words: best.chunk_words,
-                    l1_prime_t: best.l1_prime_t,
-                }
-            }
-        }
+            SchemeSpec::OptimalSingleParity => MitigationScheme::HybridSingleParity {
+                chunk_words: best.chunk_words,
+                l1_prime_t: best.l1_prime_t,
+            },
+        })
     }
 }
 
@@ -405,13 +411,24 @@ impl CampaignSpec {
     /// # Panics
     ///
     /// Panics if the scheme axis is empty or a scheme spec fails to
-    /// resolve (infeasible optimizer point).
+    /// resolve (infeasible optimizer point) — the cases
+    /// [`CampaignSpec::try_scenarios`] answers with an `Err`.
     #[must_use]
     pub fn scenarios(&self) -> Vec<Scenario> {
-        assert!(
-            !self.schemes.is_empty(),
-            "campaign needs at least one scheme"
-        );
+        self.try_scenarios().expect("campaign grid")
+    }
+
+    /// [`CampaignSpec::scenarios`] for input that may not enumerate: a
+    /// spec off the wire or from a user.
+    ///
+    /// # Errors
+    ///
+    /// An empty scheme axis, or a scheme spec whose optimizer search
+    /// finds no feasible design point.
+    pub fn try_scenarios(&self) -> Result<Vec<Scenario>, String> {
+        if self.schemes.is_empty() {
+            return Err("campaign needs at least one scheme".to_owned());
+        }
         let timeline_names: Vec<Option<String>> = if self.timeline_scenarios.is_empty() {
             vec![None]
         } else {
@@ -424,7 +441,7 @@ impl CampaignSpec {
         for &benchmark in &self.benchmarks {
             let mut optimum = None;
             for (label, spec) in &self.schemes {
-                let resolved = spec.resolve_with(&mut optimum, benchmark, &self.base);
+                let resolved = spec.resolve_with(&mut optimum, benchmark, &self.base)?;
                 let variants: Vec<MitigationScheme> = match (resolved, self.chunk_words.as_slice())
                 {
                     (MitigationScheme::Hybrid { l1_prime_t, .. }, chunks) if !chunks.is_empty() => {
@@ -470,7 +487,7 @@ impl CampaignSpec {
                 }
             }
         }
-        scenarios
+        Ok(scenarios)
     }
 }
 

@@ -13,8 +13,7 @@ use chunkpoint_campaign::{canonical_report_json, run_campaign, CampaignSpec, Sch
 use chunkpoint_chaos::{ChaosProxy, FaultKind, FaultPlan};
 use chunkpoint_core::{MitigationScheme, SystemConfig};
 use chunkpoint_exec::{
-    CampaignEvent, CampaignExecutor, ExecError, RemoteConfig, RemoteExecutor, ShardConfig,
-    ShardedExecutor,
+    CampaignEvent, CampaignExecutor, ExecError, RemoteExecutor, ShardConfig, ShardedExecutor,
 };
 use chunkpoint_serve::REPORT_AXES;
 use chunkpoint_workloads::Benchmark;
@@ -145,16 +144,17 @@ fn expected_report(spec: &CampaignSpec) -> String {
 /// sized from the plan itself — `max_fault_run` bounds the longest
 /// streak of consecutive faulted connections, so any budget above it
 /// deterministically outlasts every streak the plan can produce.
-fn surviving_config(plan: &FaultPlan) -> RemoteConfig {
+fn surviving_config(plan: &FaultPlan) -> ShardConfig {
     #[allow(clippy::cast_possible_truncation)]
     let strikes = plan.max_fault_run(512) as u32 + 2;
-    RemoteConfig {
+    ShardConfig {
         poll_interval: Duration::from_millis(10),
         request_timeout: Duration::from_secs(10),
-        strikes,
-        submit_attempts: strikes.max(5),
+        backend_strikes: strikes,
+        shard_attempts: strikes.max(5),
         poll_max: Duration::from_millis(200),
         backoff_seed: plan.seed,
+        ..ShardConfig::default()
     }
 }
 
@@ -230,13 +230,14 @@ fn faulted_runs_end_byte_identical_or_not_at_all() {
 fn total_refusal_fails_typed_and_replays_identically() {
     let backend = ServeProcess::start("refuse");
     let spec = chaos_spec(0xDEAD);
-    let config = RemoteConfig {
+    let config = ShardConfig {
         poll_interval: Duration::from_millis(5),
         request_timeout: Duration::from_secs(2),
-        strikes: 3,
-        submit_attempts: 2,
+        backend_strikes: 3,
+        shard_attempts: 2,
         poll_max: Duration::from_millis(50),
         backoff_seed: 7,
+        ..ShardConfig::default()
     };
     let mut outcomes = Vec::new();
     for _replay in 0..2 {
@@ -253,7 +254,7 @@ fn total_refusal_fails_typed_and_replays_identically() {
             "refusal must strike out fast, not hang"
         );
         assert!(
-            matches!(err, ExecError::Transport { .. }),
+            matches!(&err, ExecError::Exhausted { partial, .. } if partial.results.is_empty()),
             "wrong error shape: {err}"
         );
         outcomes.push(std::mem::discriminant(&err));
@@ -272,20 +273,21 @@ fn corruption_is_always_detected_never_consumed() {
     let plan = FaultPlan::new(0xFACE, 1.0).kinds(&[FaultKind::CorruptByte]);
     let proxy = ChaosProxy::start(&backend.addr, plan).expect("start proxy");
     let err = RemoteExecutor::new(proxy.addr())
-        .with_config(RemoteConfig {
+        .with_config(ShardConfig {
             poll_interval: Duration::from_millis(5),
             request_timeout: Duration::from_secs(2),
-            strikes: 2,
-            submit_attempts: 2,
+            backend_strikes: 2,
+            shard_attempts: 2,
             poll_max: Duration::from_millis(50),
             backoff_seed: 0,
+            ..ShardConfig::default()
         })
         .submit(&spec)
         .wait()
         .expect_err("all-corrupted traffic must fail typed");
     let rendered = err.to_string();
     assert!(
-        matches!(err, ExecError::Transport { .. }),
+        matches!(&err, ExecError::Exhausted { partial, .. } if partial.results.is_empty()),
         "wrong error shape: {rendered}"
     );
     assert!(proxy.faults() > 0, "the proxy never corrupted anything");
@@ -390,11 +392,7 @@ fn exhaustion_salvages_completed_shards_as_partial_campaign() {
         waited.elapsed() < Duration::from_secs(60),
         "exhaustion must be wall-clock bounded"
     );
-    let ExecError::Exhausted {
-        partial: Some(partial),
-        ..
-    } = err
-    else {
+    let ExecError::Exhausted { partial, .. } = err else {
         panic!("expected Exhausted with a partial campaign, got: {err}");
     };
     assert_eq!(

@@ -112,7 +112,7 @@ impl HammingSecded {
         checks
     }
 
-    /// Bit-serial reference for [`Self::compute_checks`] (the original
+    /// Bit-serial reference for the mask-based `compute_checks` (the original
     /// per-payload-position loop), kept for differential testing and as
     /// the baseline the criterion benches compare against.
     #[must_use]

@@ -5,10 +5,10 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use chunkpoint_campaign::CancelToken;
+use chunkpoint_campaign::{CampaignEvent, CancelToken};
 use chunkpoint_telemetry::Counter;
 
-use crate::event::{CampaignEvent, CampaignRun, ExecError};
+use crate::outcome::{CampaignRun, ExecError};
 
 /// A submitted campaign in flight.
 ///
@@ -57,7 +57,6 @@ impl CampaignHandle {
     /// [`CampaignHandle::cancel`].
     pub fn wait(self) -> Result<CampaignRun, ExecError> {
         self.worker.join().map_err(|_| ExecError::JobFailed {
-            backend: None,
             detail: "executor worker panicked".to_owned(),
         })?
     }
@@ -114,7 +113,6 @@ where
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "campaign panicked".to_owned());
                 Err(ExecError::JobFailed {
-                    backend: None,
                     detail: format!("campaign panicked: {detail}"),
                 })
             }

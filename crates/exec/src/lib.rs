@@ -6,10 +6,10 @@
 //!
 //! * [`LocalExecutor`] — in-process on the engine's work-stealing pool
 //!   ([`chunkpoint_campaign::run_campaign_streaming`]);
-//! * [`RemoteExecutor`] — one remote `serve` instance, through the
-//!   typed [`chunkpoint_shard::client`] (content-addressed result
-//!   cache included);
-//! * [`ShardedExecutor`] — many `serve` backends via the shard
+//! * [`RemoteExecutor`] — one remote `serve` instance: a one-backend
+//!   run of the shard coordinator (content-addressed result cache
+//!   included);
+//! * [`ShardedExecutor`] — many `serve` backends via the same
 //!   coordinator, with failure re-dispatch and optional per-backend
 //!   capacity weights.
 //!
@@ -34,14 +34,16 @@
 //! Executors differ in *when* events arrive, never in what a
 //! successful stream contains: every path emits
 //! [`CampaignEvent::ScenarioDone`] for each scenario (live locally,
-//! per completed shard when sharded, after the final journal fetch
-//! remotely), monotone [`CampaignEvent::Progress`] ending at `done ==
-//! total`, and one final [`CampaignEvent::Complete`]. The sharded path
-//! additionally narrates dispatch decisions
+//! per sealed shard on the remote paths), monotone
+//! [`CampaignEvent::Progress`] ending at `done == total`, and one final
+//! [`CampaignEvent::Complete`]. Both remote paths run the shard
+//! coordinator, so they stream live `Progress` from the backends' job
+//! status and narrate dispatch decisions
 //! ([`CampaignEvent::ShardDispatched`] /
 //! [`CampaignEvent::ShardFailed`] /
-//! [`CampaignEvent::ShardRedispatched`]). [`LiveAggregates`] folds any
-//! of these streams into live Welford mean ± CI95 partial aggregates.
+//! [`CampaignEvent::ShardRedispatched`]) — a single-backend run too.
+//! [`LiveAggregates`] folds any of these streams into live Welford
+//! mean ± CI95 partial aggregates.
 //!
 //! ## Example
 //!
@@ -70,22 +72,22 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod event;
 mod handle;
 mod live;
 mod local;
+mod outcome;
 mod remote;
 mod sharded;
-mod util;
 
-pub use event::{CampaignEvent, CampaignRun, ExecError};
+pub use chunkpoint_campaign::CampaignEvent;
 pub use handle::CampaignHandle;
 pub use live::LiveAggregates;
 pub use local::LocalExecutor;
-pub use remote::{RemoteConfig, RemoteExecutor};
+pub use outcome::{CampaignRun, ExecError};
+pub use remote::RemoteExecutor;
 pub use sharded::ShardedExecutor;
 
-// The sharded path's knobs are part of this crate's API surface.
+// The remote paths' knobs are part of this crate's API surface.
 pub use chunkpoint_shard::ShardConfig;
 
 use chunkpoint_campaign::CampaignSpec;

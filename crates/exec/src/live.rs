@@ -3,9 +3,7 @@
 //! watch a campaign's mean ± 95 % CI tighten instead of waiting for
 //! the final report.
 
-use chunkpoint_campaign::{Aggregator, Axis, Summary};
-
-use crate::event::CampaignEvent;
+use chunkpoint_campaign::{Aggregator, Axis, CampaignEvent, Summary};
 
 /// Live partial aggregates over a campaign's event stream.
 ///

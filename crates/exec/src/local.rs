@@ -4,11 +4,11 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use chunkpoint_campaign::{run_grid_streaming, CampaignSpec, CancelToken};
+use chunkpoint_campaign::{run_grid_streaming, CampaignEvent, CampaignSpec, CancelToken};
+use chunkpoint_shard::{merged_report_over, ShardError};
 
-use crate::event::{CampaignEvent, CampaignRun, ExecError};
 use crate::handle::{spawn_worker, CampaignHandle, EventSink};
-use crate::util::{check_coverage, enumerate_grid, render_report};
+use crate::outcome::{CampaignRun, ExecError};
 use crate::CampaignExecutor;
 
 /// Runs campaigns in-process on the engine's work-stealing pool
@@ -44,7 +44,8 @@ impl CampaignExecutor for LocalExecutor {
 }
 
 /// The local executor's worker body: enumerate once (the typed
-/// infeasible-spec rejection and the progress total), then run that grid.
+/// infeasible-spec rejection and the progress total), run that grid,
+/// then check and render the rows through the coordinator's merge.
 fn run_local(
     spec: &CampaignSpec,
     threads: usize,
@@ -52,7 +53,7 @@ fn run_local(
     cancel: &CancelToken,
 ) -> Result<CampaignRun, ExecError> {
     let started = Instant::now();
-    let grid = enumerate_grid(spec)?;
+    let grid = spec.try_scenarios().map_err(ShardError::Invalid)?;
     let active = spec.active_range(grid.len());
     let total = active.len();
     sink.emit(CampaignEvent::Progress { done: 0, total });
@@ -65,9 +66,9 @@ fn run_local(
     if cancel.is_cancelled() {
         return Err(ExecError::Cancelled);
     }
-    check_coverage(&results, &active)?;
+    let (report, results) = merged_report_over(spec.campaign_seed, active, results)?;
     Ok(CampaignRun {
-        report: render_report(spec.campaign_seed, &results),
+        report,
         results,
         scenarios: total,
         elapsed: started.elapsed(),
@@ -79,8 +80,10 @@ fn run_local(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chunkpoint_campaign::{run_campaign, SchemeSpec};
+    use crate::{RemoteExecutor, ShardedExecutor};
+    use chunkpoint_campaign::{canonical_report_json, run_campaign, SchemeSpec};
     use chunkpoint_core::{MitigationScheme, SystemConfig};
+    use chunkpoint_serve::REPORT_AXES;
     use chunkpoint_workloads::Benchmark;
 
     fn small_spec(replicates: u64) -> CampaignSpec {
@@ -97,7 +100,8 @@ mod tests {
     fn local_run_matches_direct_engine_bytes_at_any_thread_count() {
         let spec = small_spec(2);
         let direct = run_campaign(&spec, 1);
-        let expected = render_report(spec.campaign_seed, &direct.results);
+        let expected =
+            canonical_report_json(spec.campaign_seed, &direct.results, &REPORT_AXES).render();
         for threads in [1, 2] {
             let handle = LocalExecutor::new(threads).submit(&spec);
             let events: Vec<CampaignEvent> = handle.events().collect();
@@ -142,19 +146,28 @@ mod tests {
     #[test]
     fn infeasible_specs_are_rejected_not_panicked() {
         // An optimizer-backed scheme over an impossible area budget
-        // panics inside `scenarios()`; the executor must type it.
+        // enumerates no grid; every executor must type it — the remote
+        // ones before contacting their (unreachable) backend, or the
+        // refusal would come back as Exhausted.
         let mut config = SystemConfig::paper(0);
         config.scale = 0.25;
         config.constraints.area_overhead = 0.0;
         let spec = CampaignSpec::new(config, 1)
             .benchmarks(&[Benchmark::AdpcmEncode])
             .scheme("Optimal", SchemeSpec::Optimal);
-        let handle = LocalExecutor::new(1).submit(&spec);
-        match handle.wait() {
-            Err(ExecError::Rejected { detail, .. }) => {
-                assert!(detail.contains("feasible"), "{detail}");
+        let unreachable = "127.0.0.1:1".to_owned();
+        let executors: [(&str, Box<dyn CampaignExecutor>); 3] = [
+            ("local", Box::new(LocalExecutor::new(1))),
+            ("remote", Box::new(RemoteExecutor::new(unreachable.clone()))),
+            ("sharded", Box::new(ShardedExecutor::new(vec![unreachable]))),
+        ];
+        for (path, executor) in executors {
+            match executor.submit(&spec).wait() {
+                Err(ExecError::Rejected { detail, .. }) => {
+                    assert!(detail.contains("feasible"), "{path}: {detail}");
+                }
+                other => panic!("{path}: expected Rejected, got {other:?}"),
             }
-            other => panic!("expected Rejected, got {other:?}"),
         }
     }
 }

@@ -1,422 +1,63 @@
-//! Single-backend remote execution over the typed shard client —
-//! submit, poll, fetch, validate, all without a hand-rolled HTTP loop
-//! in sight.
+//! Single-backend remote execution: the shard coordinator's run over
+//! one `serve` instance.
 
-use std::time::{Duration, Instant};
+use chunkpoint_campaign::CampaignSpec;
+use chunkpoint_shard::ShardConfig;
 
-use chunkpoint_campaign::seed::GOLDEN_GAMMA;
-use chunkpoint_campaign::{CampaignSpec, CancelToken, JsonValue, Scenario};
-use chunkpoint_shard::{
-    classify_submit, exchange, fetch_journal_rows, Backoff, CircuitBreaker, SubmitOutcome,
-};
-
-use std::sync::Arc;
-
-use chunkpoint_telemetry::Counter;
-
-use crate::event::{CampaignEvent, CampaignRun, ExecError};
-use crate::handle::{spawn_worker, CampaignHandle, EventSink};
-use crate::util::{enumerate_grid, render_report};
+use crate::handle::{spawn_worker, CampaignHandle};
+use crate::sharded::run_coordinated;
 use crate::CampaignExecutor;
 
-/// `exec_poll_waits_total{executor="remote"}` — idle status-poll
-/// sleeps of the drive loop (the backoff ladder stretches them, so the
-/// rate falls as a job stays quiet).
-fn poll_waits() -> Arc<Counter> {
-    chunkpoint_telemetry::global().counter_with(
-        "exec_poll_waits_total",
-        &[("executor", "remote")],
-        "Idle status-poll sleeps of the remote drive loop",
-    )
-}
-
-/// `exec_backoff_waits_total{executor="remote"}` — failure-paced
-/// sleeps: submit retries, breaker cooldowns, journal-fetch retries.
-fn backoff_waits() -> Arc<Counter> {
-    chunkpoint_telemetry::global().counter_with(
-        "exec_backoff_waits_total",
-        &[("executor", "remote")],
-        "Failure-paced sleeps of the remote path: submit retries, breaker cooldowns, journal-fetch retries",
-    )
-}
-
-/// Knobs of the remote path. Defaults suit a LAN `serve` instance.
-#[derive(Debug, Clone)]
-pub struct RemoteConfig {
-    /// Base pause between status polls. The actual sleep follows the
-    /// deterministic [`Backoff`] schedule: `poll_interval` while the
-    /// backend reports progress, doubling (with seeded jitter) toward
-    /// [`RemoteConfig::poll_max`] across idle polls; after a failed
-    /// exchange, the backend's circuit breaker paces the retries on
-    /// the same ladder.
-    pub poll_interval: Duration,
-    /// Connect/read/write timeout of every HTTP exchange.
-    pub request_timeout: Duration,
-    /// Consecutive failed exchanges tolerated before the run gives up
-    /// with [`ExecError::Transport`] — a single backend has nowhere to
-    /// re-dispatch to.
-    pub strikes: u32,
-    /// Total job submissions the run may burn (the first dispatch
-    /// included) before it gives up with [`ExecError::Exhausted`] —
-    /// the terminator for a backend that keeps forgetting (crash loop
-    /// over a fresh data dir) or cancelling the job.
-    pub submit_attempts: u32,
-    /// Cap of the poll/retry backoff ladder.
-    pub poll_max: Duration,
-    /// Seed of the deterministic backoff jitter — same seed, same poll
-    /// cadence and retry schedule, every run.
-    pub backoff_seed: u64,
-}
-
-impl Default for RemoteConfig {
-    fn default() -> Self {
-        Self {
-            poll_interval: Duration::from_millis(25),
-            request_timeout: Duration::from_secs(10),
-            strikes: 3,
-            submit_attempts: 5,
-            poll_max: Duration::from_millis(400),
-            backoff_seed: 0,
-        }
-    }
-}
-
-/// Runs campaigns on one remote `serve` backend through the typed
-/// [`chunkpoint_shard::client`]: submit the spec, poll the job,
-/// fetch and row-validate the journal, and render the canonical
-/// report locally.
+/// Runs campaigns on one remote `serve` backend: a one-backend
+/// [`chunkpoint_shard::run_sharded_ctl`] run that submits the spec,
+/// polls the job, fetches and row-validates the journal, and renders
+/// the canonical report locally — under the same breaker, backoff and
+/// resubmit rules as [`ShardedExecutor`](crate::ShardedExecutor).
 ///
-/// [`CampaignEvent::Progress`] streams live as the backend's
-/// `completed` count advances; [`CampaignEvent::ScenarioDone`] events
-/// arrive in one index-ordered burst after the final journal fetch
+/// [`CampaignEvent::Progress`](crate::CampaignEvent::Progress) streams
+/// live as the backend's `completed` count advances;
+/// [`CampaignEvent::ScenarioDone`](crate::CampaignEvent::ScenarioDone)
+/// events arrive in one index-ordered burst after the journal fetch
 /// (the service journals rows, it does not push them). Submitting a
 /// spec the backend has cached answers from the content-addressed
 /// result store without re-simulating — the same `CampaignRun` comes
 /// back, just faster.
 ///
 /// Cancellation `DELETE`s the job on the backend (stopping its
-/// campaign between scenarios) and surfaces [`ExecError::Cancelled`].
+/// campaign between scenarios) and surfaces
+/// [`ExecError::Cancelled`](crate::ExecError::Cancelled).
 #[derive(Debug, Clone)]
 pub struct RemoteExecutor {
     addr: String,
-    config: RemoteConfig,
+    config: ShardConfig,
 }
 
 impl RemoteExecutor {
     /// An executor against the `serve` instance at `addr`
-    /// (`HOST:PORT`), with default [`RemoteConfig`].
+    /// (`HOST:PORT`), with default [`ShardConfig`].
     #[must_use]
     pub fn new(addr: impl Into<String>) -> Self {
         Self {
             addr: addr.into(),
-            config: RemoteConfig::default(),
+            config: ShardConfig::default(),
         }
     }
 
-    /// Overrides the poll/timeout/strike knobs.
+    /// Overrides the coordinator's poll/timeout/strike knobs.
     #[must_use]
-    pub fn with_config(mut self, config: RemoteConfig) -> Self {
+    pub fn with_config(mut self, config: ShardConfig) -> Self {
         self.config = config;
         self
     }
 }
 
-/// One submission (with strike-bounded transport retries): `POST
-/// /campaigns`, answering the job id. Response triage is the shared
-/// [`classify_submit`] the shard coordinator uses.
-fn submit_spec(
-    addr: &str,
-    body: &str,
-    config: &RemoteConfig,
-    failures: &mut usize,
-) -> Result<String, ExecError> {
-    let retry = Backoff::new(
-        config.poll_interval,
-        config.poll_max,
-        config.backoff_seed ^ GOLDEN_GAMMA,
-    );
-    let mut strikes = 0u32;
-    loop {
-        match exchange(
-            addr,
-            "POST",
-            "/campaigns",
-            Some(body),
-            config.request_timeout,
-        ) {
-            Ok((status, response)) => match classify_submit(status, response) {
-                SubmitOutcome::Accepted(id) => return Ok(id),
-                SubmitOutcome::Rejected { status, body } => {
-                    return Err(ExecError::Rejected {
-                        backend: Some(addr.to_owned()),
-                        status: Some(status),
-                        detail: body,
-                    });
-                }
-                SubmitOutcome::Retryable { detail, .. } => {
-                    *failures += 1;
-                    strikes += 1;
-                    if strikes >= config.strikes {
-                        return Err(ExecError::Transport {
-                            backend: addr.to_owned(),
-                            detail,
-                        });
-                    }
-                }
-            },
-            Err(e) => {
-                *failures += 1;
-                strikes += 1;
-                if strikes >= config.strikes {
-                    return Err(ExecError::transport(addr, &e));
-                }
-            }
-        }
-        // Deterministic retry pacing: the first retry waits the base
-        // interval, each further strike doubles it (seeded jitter).
-        backoff_waits().inc();
-        std::thread::sleep(retry.delay(strikes.saturating_sub(1)));
-    }
-}
-
-/// The remote drive loop, separated from `submit` so the worker
-/// closure stays readable.
-#[allow(clippy::too_many_lines)]
-fn drive_remote(
-    spec: &CampaignSpec,
-    addr: &str,
-    config: &RemoteConfig,
-    sink: &EventSink,
-    cancel: &CancelToken,
-) -> Result<CampaignRun, ExecError> {
-    let started = Instant::now();
-    let grid: Vec<Scenario> = enumerate_grid(spec)?;
-    let active = spec.active_range(grid.len());
-    let total = active.len();
-    let body = spec.to_json().render();
-    let mut failures = 0usize;
-    let mut dispatches = 1usize;
-    let mut id = submit_spec(addr, &body, config, &mut failures)?;
-    sink.emit(CampaignEvent::Progress { done: 0, total });
-
-    // Poll pacing: the backoff stretches the sleep across idle polls;
-    // the breaker (threshold 1 — a single backend has no one to fail
-    // over to, so any failure starts a cooldown) paces retries after
-    // failed exchanges on the same deterministic ladder.
-    let epoch = Instant::now();
-    let poll = Backoff::new(config.poll_interval, config.poll_max, config.backoff_seed);
-    let mut breaker = CircuitBreaker::new(
-        1,
-        Backoff::new(
-            config.poll_interval,
-            config.poll_max,
-            config.backoff_seed.wrapping_add(GOLDEN_GAMMA),
-        ),
-    );
-    let poll_sleeps = poll_waits();
-    let backoff_sleeps = backoff_waits();
-    let mut idle_polls = 0u32;
-    let mut strikes = 0u32;
-    let mut reported = 0usize;
-    loop {
-        if cancel.is_cancelled() {
-            let _ = exchange(
-                addr,
-                "DELETE",
-                &format!("/campaigns/{id}"),
-                None,
-                config.request_timeout,
-            );
-            return Err(ExecError::Cancelled);
-        }
-        // Cooling down after a failure: wait out the breaker window
-        // (bounded, so cancellation stays responsive) instead of
-        // hammering a backend that just failed.
-        if !breaker.ready(epoch.elapsed()) {
-            let wait = breaker
-                .retry_at()
-                .map(|at| at.saturating_sub(epoch.elapsed()))
-                .unwrap_or(config.poll_interval)
-                .min(config.poll_max)
-                .max(Duration::from_millis(1));
-            backoff_sleeps.inc();
-            std::thread::sleep(wait);
-            continue;
-        }
-        match exchange(
-            addr,
-            "GET",
-            &format!("/campaigns/{id}"),
-            None,
-            config.request_timeout,
-        ) {
-            Ok((200, status_body)) => {
-                breaker.record_success();
-                let doc = JsonValue::parse(&status_body).ok();
-                let state = doc
-                    .as_ref()
-                    .and_then(|d| d.get("status"))
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?")
-                    .to_owned();
-                let completed = doc
-                    .as_ref()
-                    .and_then(|d| d.get("completed"))
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0) as usize;
-                if completed > reported && completed <= total {
-                    reported = completed;
-                    idle_polls = 0; // progress resets the poll backoff
-                    sink.emit(CampaignEvent::Progress {
-                        done: completed,
-                        total,
-                    });
-                }
-                match state.as_str() {
-                    "done" => break,
-                    "failed" => {
-                        return Err(ExecError::JobFailed {
-                            backend: Some(addr.to_owned()),
-                            detail: status_body,
-                        });
-                    }
-                    // Someone else cancelled the job out from under us:
-                    // resubmitting the same spec re-enqueues it and
-                    // resumes from its journal (attempt-bounded, or a
-                    // backend stuck cancelling would hang us forever).
-                    "cancelled" => {
-                        if dispatches >= config.submit_attempts as usize {
-                            return Err(ExecError::Exhausted {
-                                detail: format!(
-                                    "job kept getting cancelled on {addr}: burned all {} \
-                                     submit attempts",
-                                    config.submit_attempts
-                                ),
-                                partial: None,
-                            });
-                        }
-                        strikes = 0;
-                        idle_polls = 0;
-                        dispatches += 1;
-                        id = submit_spec(addr, &body, config, &mut failures)?;
-                    }
-                    "queued" | "running" => strikes = 0,
-                    // A 200 whose body is not a recognizable status
-                    // document is a misbehaving peer — strike it like
-                    // any other bad answer, or this loop never ends.
-                    _ => {
-                        failures += 1;
-                        strikes += 1;
-                        if strikes >= config.strikes {
-                            return Err(ExecError::Transport {
-                                backend: addr.to_owned(),
-                                detail: format!(
-                                    "status poll answered 200 with an unrecognizable \
-                                     body: {status_body}"
-                                ),
-                            });
-                        }
-                        breaker.record_failure(epoch.elapsed());
-                        continue; // the breaker cooldown paces the retry
-                    }
-                }
-            }
-            // The backend restarted over a fresh data dir and forgot
-            // the job: submit it again (determinism makes the re-run
-            // produce identical rows). Attempt-bounded — a backend in
-            // a crash loop must surface as a typed error, not a hang.
-            Ok((404, _)) => {
-                if dispatches >= config.submit_attempts as usize {
-                    return Err(ExecError::Exhausted {
-                        detail: format!(
-                            "{addr} kept forgetting the job: burned all {} submit attempts",
-                            config.submit_attempts
-                        ),
-                        partial: None,
-                    });
-                }
-                idle_polls = 0;
-                dispatches += 1;
-                id = submit_spec(addr, &body, config, &mut failures)?;
-            }
-            Ok((status, response)) => {
-                failures += 1;
-                strikes += 1;
-                if strikes >= config.strikes {
-                    return Err(ExecError::Transport {
-                        backend: addr.to_owned(),
-                        detail: format!("status poll answered {status}: {response}"),
-                    });
-                }
-                breaker.record_failure(epoch.elapsed());
-                continue;
-            }
-            Err(e) => {
-                failures += 1;
-                strikes += 1;
-                if strikes >= config.strikes {
-                    return Err(ExecError::transport(addr, &e));
-                }
-                breaker.record_failure(epoch.elapsed());
-                continue;
-            }
-        }
-        idle_polls = idle_polls.saturating_add(1);
-        poll_sleeps.inc();
-        std::thread::sleep(poll.delay(idle_polls.saturating_sub(1)));
-    }
-
-    // Fetch + row-validate the journal through the same trust boundary
-    // the shard coordinator uses.
-    let mut rows = None;
-    let mut last_error = String::new();
-    for attempt in 0..config.strikes.max(1) {
-        match fetch_journal_rows(
-            addr,
-            &id,
-            &grid,
-            (active.start, active.end),
-            config.request_timeout,
-        ) {
-            Ok(fetched) => {
-                rows = Some(fetched);
-                break;
-            }
-            Err(why) => {
-                failures += 1;
-                last_error = why;
-                backoff_sleeps.inc();
-                std::thread::sleep(poll.delay(attempt));
-            }
-        }
-    }
-    let rows = rows.ok_or_else(|| ExecError::JobFailed {
-        backend: Some(addr.to_owned()),
-        detail: format!("done job's journal did not check out: {last_error}"),
-    })?;
-    for row in &rows {
-        sink.emit(CampaignEvent::ScenarioDone(row.clone()));
-    }
-    sink.emit(CampaignEvent::Progress { done: total, total });
-    // No coverage check needed: fetch_journal_rows already guarantees
-    // the rows cover exactly [active.start, active.end) in index order.
-    Ok(CampaignRun {
-        report: render_report(spec.campaign_seed, &rows),
-        results: rows,
-        scenarios: total,
-        elapsed: started.elapsed(),
-        dispatches,
-        failures,
-    })
-}
-
 impl CampaignExecutor for RemoteExecutor {
     fn submit(&self, spec: &CampaignSpec) -> CampaignHandle {
         let spec = spec.clone();
-        let addr = self.addr.clone();
+        let backends = vec![self.addr.clone()];
         let config = self.config.clone();
         spawn_worker("remote", move |sink, cancel| {
-            drive_remote(&spec, &addr, &config, sink, cancel)
+            run_coordinated(&spec, &backends, None, &config, sink, cancel)
         })
     }
 }

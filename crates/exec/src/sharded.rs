@@ -3,12 +3,11 @@
 
 use std::time::Instant;
 
-use chunkpoint_campaign::CampaignSpec;
-use chunkpoint_shard::{run_sharded_ctl, ShardConfig, ShardEvent};
+use chunkpoint_campaign::{CampaignSpec, CancelToken};
+use chunkpoint_shard::{run_sharded_ctl, ShardConfig};
 
-use crate::event::{CampaignEvent, CampaignRun};
-use crate::handle::{spawn_worker, CampaignHandle};
-use crate::util::enumerate_grid;
+use crate::handle::{spawn_worker, CampaignHandle, EventSink};
+use crate::outcome::{CampaignRun, ExecError};
 use crate::CampaignExecutor;
 
 /// Runs campaigns sharded across several `serve` backends through
@@ -17,15 +16,13 @@ use crate::CampaignExecutor;
 /// survivors, and a journal merge byte-identical to a single-machine
 /// run.
 ///
-/// The coordinator's dispatch decisions surface as
-/// [`CampaignEvent::ShardDispatched`] /
-/// [`CampaignEvent::ShardFailed`] /
-/// [`CampaignEvent::ShardRedispatched`];
-/// each completed shard bursts its validated rows as
-/// [`CampaignEvent::ScenarioDone`] events followed by a
-/// [`CampaignEvent::Progress`] update. Cancellation `DELETE`s every
-/// outstanding shard job (best effort) and surfaces
-/// [`ExecError::Cancelled`](crate::ExecError::Cancelled).
+/// Every coordinator event streams straight to the handle as a
+/// [`CampaignEvent`](crate::CampaignEvent): dispatch decisions
+/// (`ShardDispatched` / `ShardFailed` / `ShardRedispatched`), each
+/// completed shard's validated rows as a burst of `ScenarioDone`
+/// followed by `Progress`, and live `Progress` from running jobs in
+/// between. Cancellation `DELETE`s every outstanding shard job (best
+/// effort) and surfaces [`ExecError::Cancelled`].
 #[derive(Debug, Clone)]
 pub struct ShardedExecutor {
     backends: Vec<String>,
@@ -49,8 +46,7 @@ impl ShardedExecutor {
     /// Partitions the grid proportionally to per-backend capacity
     /// weights (one per backend) instead of evenly — see
     /// [`chunkpoint_shard::partition_weighted`]. Invalid weights
-    /// surface as [`ExecError::Rejected`](crate::ExecError::Rejected)
-    /// at wait time.
+    /// surface as [`ExecError::Rejected`] at wait time.
     #[must_use]
     pub fn with_weights(mut self, weights: Vec<f64>) -> Self {
         self.weights = Some(weights);
@@ -66,7 +62,8 @@ impl ShardedExecutor {
 
     /// Points the coordinator at a range-granular result cache
     /// ([`chunkpoint_shard::RangeCache`]): sealed ranges on disk are
-    /// spliced instead of dispatched ([`CampaignEvent::CacheHit`]), and
+    /// spliced instead of dispatched
+    /// ([`CampaignEvent::CacheHit`](crate::CampaignEvent::CacheHit)), and
     /// every completed shard writes its rows back. Shorthand for
     /// setting [`ShardConfig::cache_dir`] through
     /// [`ShardedExecutor::with_config`].
@@ -84,109 +81,38 @@ impl CampaignExecutor for ShardedExecutor {
         let weights = self.weights.clone();
         let config = self.config.clone();
         spawn_worker("sharded", move |sink, cancel| {
-            let started = Instant::now();
-            // Grid enumeration runs again inside the coordinator; this
-            // up-front pass buys the typed infeasible-spec rejection and
-            // the progress total, and is startup-only (bench_exec puts
-            // the whole abstraction's overhead at ~0).
-            let grid = enumerate_grid(&spec)?;
-            let total = spec.active_range(grid.len()).len();
-            drop(grid);
-            sink.emit(CampaignEvent::Progress { done: 0, total });
-            let mut done = 0usize;
-            let run = run_sharded_ctl(
-                &spec,
-                &backends,
-                weights.as_deref(),
-                &config,
-                cancel,
-                |event| match event {
-                    ShardEvent::Dispatched {
-                        shard,
-                        range,
-                        backend,
-                    } => sink.emit(CampaignEvent::ShardDispatched {
-                        shard: *shard,
-                        range: *range,
-                        backend: backend.clone(),
-                    }),
-                    ShardEvent::Redispatched {
-                        shard,
-                        range,
-                        backend,
-                    } => sink.emit(CampaignEvent::ShardRedispatched {
-                        shard: *shard,
-                        range: *range,
-                        backend: backend.clone(),
-                    }),
-                    ShardEvent::BackendDead { backend, why } => {
-                        sink.emit(CampaignEvent::ShardFailed {
-                            shard: None,
-                            backend: backend.clone(),
-                            why: why.clone(),
-                        });
-                    }
-                    ShardEvent::ShardFailed {
-                        shard,
-                        backend,
-                        why,
-                    } => sink.emit(CampaignEvent::ShardFailed {
-                        shard: Some(*shard),
-                        backend: backend.clone(),
-                        why: why.clone(),
-                    }),
-                    ShardEvent::Speculated {
-                        shard,
-                        range,
-                        backend,
-                    } => sink.emit(CampaignEvent::SpeculativeDispatch {
-                        shard: *shard,
-                        range: *range,
-                        backend: backend.clone(),
-                    }),
-                    ShardEvent::SpeculationWon { shard, backend } => {
-                        sink.emit(CampaignEvent::SpeculativeWin {
-                            shard: *shard,
-                            backend: backend.clone(),
-                        });
-                    }
-                    ShardEvent::CacheHit { shard, range, rows } => {
-                        sink.emit(CampaignEvent::CacheHit {
-                            shard: *shard,
-                            range: *range,
-                            rows: rows.len(),
-                        });
-                        for row in rows {
-                            sink.emit(CampaignEvent::ScenarioDone(row.clone()));
-                        }
-                        done += rows.len();
-                        sink.emit(CampaignEvent::Progress { done, total });
-                    }
-                    ShardEvent::ShardDone { rows, .. } => {
-                        for row in rows {
-                            sink.emit(CampaignEvent::ScenarioDone(row.clone()));
-                        }
-                        done += rows.len();
-                        sink.emit(CampaignEvent::Progress { done, total });
-                    }
-                },
-            )?;
-            Ok(CampaignRun {
-                report: run.report,
-                results: run.results,
-                scenarios: total,
-                elapsed: started.elapsed(),
-                dispatches: run.dispatches,
-                failures: run.failures,
-            })
+            run_coordinated(&spec, &backends, weights.as_deref(), &config, sink, cancel)
         })
     }
+}
+
+/// The worker body of both remote executors: one coordinator run with
+/// every event streamed to the handle.
+pub(crate) fn run_coordinated(
+    spec: &CampaignSpec,
+    backends: &[String],
+    weights: Option<&[f64]>,
+    config: &ShardConfig,
+    sink: &EventSink,
+    cancel: &CancelToken,
+) -> Result<CampaignRun, ExecError> {
+    let started = Instant::now();
+    let run = run_sharded_ctl(spec, backends, weights, config, cancel, |event| {
+        sink.emit(event.clone());
+    })?;
+    Ok(CampaignRun {
+        report: run.report,
+        scenarios: run.results.len(),
+        results: run.results,
+        elapsed: started.elapsed(),
+        dispatches: run.dispatches,
+        failures: run.failures,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ExecError;
     use chunkpoint_campaign::SchemeSpec;
     use chunkpoint_core::{MitigationScheme, SystemConfig};
     use chunkpoint_workloads::Benchmark;

@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 use chunkpoint_campaign::{canonical_report_json, run_campaign, CampaignSpec, SchemeSpec};
 use chunkpoint_core::{MitigationScheme, SystemConfig};
 use chunkpoint_exec::{
-    CampaignEvent, CampaignExecutor, CampaignRun, LocalExecutor, RemoteConfig, RemoteExecutor,
-    ShardConfig, ShardedExecutor,
+    CampaignEvent, CampaignExecutor, CampaignRun, LocalExecutor, RemoteExecutor, ShardConfig,
+    ShardedExecutor,
 };
 use chunkpoint_serve::REPORT_AXES;
 use chunkpoint_workloads::Benchmark;
@@ -199,9 +199,9 @@ fn three_executors_one_report() {
 
     // Remote, against one real serve process.
     let remote_backend = ServeProcess::start("remote");
-    let remote_exec = RemoteExecutor::new(remote_backend.addr.clone()).with_config(RemoteConfig {
+    let remote_exec = RemoteExecutor::new(remote_backend.addr.clone()).with_config(ShardConfig {
         poll_interval: Duration::from_millis(10),
-        ..RemoteConfig::default()
+        ..ShardConfig::default()
     });
     let remote = run_and_audit(remote_exec.submit(&spec), total, "remote");
     assert_eq!(remote.report, expected, "remote bytes diverged");

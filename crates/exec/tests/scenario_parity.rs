@@ -16,8 +16,8 @@ use chunkpoint_campaign::{
 };
 use chunkpoint_core::{MitigationScheme, SystemConfig};
 use chunkpoint_exec::{
-    CampaignEvent, CampaignExecutor, CampaignRun, LocalExecutor, RemoteConfig, RemoteExecutor,
-    ShardConfig, ShardedExecutor,
+    CampaignEvent, CampaignExecutor, CampaignRun, LocalExecutor, RemoteExecutor, ShardConfig,
+    ShardedExecutor,
 };
 use chunkpoint_scenario::{
     ExpectField, ExpectOp, ExpectValue, Expectation, ScenarioDef, TimelineEvent,
@@ -249,9 +249,9 @@ fn scenario_axis_is_byte_identical_across_paths() {
     // Remote: the scenario axis crosses the wire as spec JSON, the
     // verdicts come back as journal rows.
     let backend = ServeProcess::start("scn_remote");
-    let remote_exec = RemoteExecutor::new(backend.addr.clone()).with_config(RemoteConfig {
+    let remote_exec = RemoteExecutor::new(backend.addr.clone()).with_config(ShardConfig {
         poll_interval: Duration::from_millis(10),
-        ..RemoteConfig::default()
+        ..ShardConfig::default()
     });
     let remote = run_and_wait(remote_exec.submit(&spec), "remote");
     assert_eq!(remote.report, expected, "remote bytes diverged");

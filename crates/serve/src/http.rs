@@ -154,7 +154,7 @@ fn remaining(deadline: Instant) -> Option<Duration> {
 /// and `Err(_)` only for socket-level failures.
 ///
 /// The head and body each get a **whole-phase deadline**
-/// ([`HEAD_DEADLINE`], [`BODY_DEADLINE`]), re-armed before every read
+/// (10 s for the head, 30 s for the body), re-armed before every read
 /// with what is left — a slow-loris peer trickling one byte per
 /// near-timeout interval is dropped at the deadline instead of pinning
 /// a handler thread for as long as it cares to dribble.

@@ -338,13 +338,8 @@ impl JobManager {
     pub fn submit(&self, spec: &CampaignSpec) -> Result<Submission, SubmitError> {
         let id = JobStore::job_id(spec);
         // Enumerate outside the lock: optimizer-backed scheme axes do
-        // real work, and an infeasible point panics — turn that into a
-        // client error instead of a dead runner.
-        let grid = catch_unwind(AssertUnwindSafe(|| spec.scenarios().len())).map_err(|_| {
-            SubmitError::Invalid(
-                "spec enumerates no feasible grid (optimizer found no design point)".to_owned(),
-            )
-        })?;
+        // real work, and an infeasible point is a client error.
+        let grid = spec.try_scenarios().map_err(SubmitError::Invalid)?.len();
         // A ranged sub-spec must fit the grid it claims to slice: a
         // range past the end means the submitter partitioned a different
         // campaign.
@@ -689,5 +684,31 @@ impl JobManager {
             .write_result(id, &report)
             .map_err(|e| format!("job {id}: writing result: {e}"))?;
         Ok(true)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chunkpoint_campaign::SchemeSpec;
+    use chunkpoint_core::SystemConfig;
+    use chunkpoint_workloads::Benchmark;
+
+    #[test]
+    fn infeasible_spec_is_an_invalid_submission() {
+        let root =
+            std::env::temp_dir().join(format!("chunkpoint_jobs_infeasible_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let manager = JobManager::recover(JobStore::open(&root).expect("open store"), 1, 0);
+        let mut config = SystemConfig::paper(0);
+        config.constraints.area_overhead = 0.0;
+        let spec = CampaignSpec::new(config, 1)
+            .benchmarks(&[Benchmark::AdpcmEncode])
+            .scheme("Optimal", SchemeSpec::Optimal);
+        match manager.submit(&spec) {
+            Err(SubmitError::Invalid(detail)) => assert!(detail.contains("feasible"), "{detail}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -132,6 +132,18 @@ fn malformed_inputs_get_typed_errors_and_the_service_survives() {
     assert!(response.contains("exceeds"), "{response}");
     assert_alive(&addr, "an out-of-range sub-spec");
 
+    // 7. A well-formed spec whose optimizer axis has no feasible point
+    // (the wire refuses a zero area budget, so a vanishing one).
+    let mut config = SystemConfig::paper(0);
+    config.constraints.area_overhead = 1e-9;
+    let infeasible = CampaignSpec::new(config, 0x1F)
+        .benchmarks(&[Benchmark::AdpcmEncode])
+        .scheme("Optimal", SchemeSpec::Optimal);
+    let response = post_campaigns(&addr, infeasible.to_json().render().as_bytes());
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(response.contains("feasible"), "{response}");
+    assert_alive(&addr, "an infeasible spec");
+
     // After all of it, the service still does real work end to end.
     let good = tiny_spec(0x60D).to_json().render();
     let response = post_campaigns(&addr, good.as_bytes());

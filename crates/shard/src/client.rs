@@ -76,8 +76,8 @@ fn torn<T>(why: impl Into<String>) -> Result<T, ClientError> {
 }
 
 /// How a backend answered a `POST /campaigns` submit, classified by
-/// what the caller should do about it — the triage both the shard
-/// coordinator and the unified executor API's remote path share.
+/// what the caller should do about it — the triage the shard
+/// coordinator's primary and speculative submits share.
 #[derive(Debug)]
 pub enum SubmitOutcome {
     /// The job was accepted (or cache-answered); here is its id.

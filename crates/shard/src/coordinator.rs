@@ -16,7 +16,8 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use chunkpoint_campaign::{
-    canonical_report_json, CampaignSpec, CancelToken, JsonValue, Scenario, ScenarioResult,
+    canonical_report_json, CampaignEvent, CampaignSpec, CancelToken, JsonValue, Scenario,
+    ScenarioResult,
 };
 use chunkpoint_serve::REPORT_AXES;
 use chunkpoint_telemetry::{Span, Tracer};
@@ -83,7 +84,7 @@ pub struct ShardConfig {
     /// Root of the coordinator's range-granular result cache
     /// ([`RangeCache`]). When set, the planner consults the cache
     /// before dispatching: ranges whose sealed rows are already on disk
-    /// are spliced into the merge ([`ShardEvent::CacheHit`]) instead of
+    /// are spliced into the merge ([`CampaignEvent::CacheHit`]) instead of
     /// re-executed, and every shard that *does* seal writes its rows
     /// back. `None` (the default) disables caching entirely. Safe by
     /// construction: cached rows are validated against the spec's own
@@ -145,10 +146,10 @@ impl PartialCampaign {
 pub enum ShardError {
     /// The backend list was empty.
     NoBackends,
-    /// The per-backend weight list does not describe the backend list
-    /// (wrong length — weight values themselves are validated by
-    /// [`partition_weighted`]).
-    BadWeights(String),
+    /// The run was refused before any backend was contacted: the weight
+    /// list does not describe the backend list, or the spec enumerates
+    /// no feasible grid. Every backend would refuse it too.
+    Invalid(String),
     /// A backend answered a submit with a client error — the sub-spec
     /// itself is bad, so no amount of re-dispatching can help.
     Rejected {
@@ -182,7 +183,7 @@ impl std::fmt::Display for ShardError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ShardError::NoBackends => write!(f, "no backends to shard across"),
-            ShardError::BadWeights(why) => write!(f, "bad backend weights: {why}"),
+            ShardError::Invalid(why) => write!(f, "campaign refused: {why}"),
             ShardError::Rejected {
                 backend,
                 status,
@@ -215,9 +216,8 @@ impl std::error::Error for ShardError {}
 /// first occurrence wins, same as the service's own loader). Returns
 /// the rows in scenario-index order.
 ///
-/// This is the trust boundary both the shard coordinator and the
-/// unified executor API's remote path go through: a backend's journal
-/// is never merged without checking out row by row.
+/// This is the trust boundary every remote run goes through: a
+/// backend's journal is never merged without checking out row by row.
 ///
 /// # Errors
 ///
@@ -275,157 +275,6 @@ pub fn fetch_journal_rows(
     Ok(out.into_iter().map(|slot| slot.expect("counted")).collect())
 }
 
-/// One observable step of a sharded run, emitted through the sink of
-/// [`run_sharded_ctl`] the moment it happens — the coordinator-level
-/// event stream the unified executor API's
-/// `ShardDispatched`/`ShardFailed`/`ShardRedispatched` events are cut
-/// from. [`ShardRun::events`] keeps the rendered form of every event,
-/// so the sink is for *live* observation, not the only record.
-#[derive(Debug)]
-pub enum ShardEvent {
-    /// A shard was assigned (first dispatch) to a backend.
-    Dispatched {
-        /// Shard index.
-        shard: usize,
-        /// The shard's scenario range `[start, end)`.
-        range: (usize, usize),
-        /// Backend address the shard now lives on.
-        backend: String,
-    },
-    /// A shard moved to another backend after a failure.
-    Redispatched {
-        /// Shard index.
-        shard: usize,
-        /// The shard's scenario range `[start, end)`.
-        range: (usize, usize),
-        /// Backend address the shard now lives on.
-        backend: String,
-    },
-    /// A backend exceeded its strike budget and opened its circuit
-    /// breaker: its shards re-dispatch to ready backends and the
-    /// coordinator half-open-probes it on the cooldown schedule.
-    /// Emitted on the first open only, not on every failed probe.
-    BackendDead {
-        /// The backend's address.
-        backend: String,
-        /// The failure that pushed it over.
-        why: String,
-    },
-    /// A backend reported a shard's job failed (the shard will be
-    /// re-dispatched if attempts remain).
-    ShardFailed {
-        /// Shard index.
-        shard: usize,
-        /// Backend that reported the failure.
-        backend: String,
-        /// The backend's failure report.
-        why: String,
-    },
-    /// A straggling shard's range was speculatively double-dispatched
-    /// to a second backend (the primary job keeps running; first sealed
-    /// rows win).
-    Speculated {
-        /// Shard index.
-        shard: usize,
-        /// The shard's scenario range `[start, end)`.
-        range: (usize, usize),
-        /// Backend address the speculative duplicate was submitted to.
-        backend: String,
-    },
-    /// A speculative duplicate sealed its rows before the straggling
-    /// primary; the primary's job is cancelled. Always followed by the
-    /// [`ShardEvent::ShardDone`] carrying the winner's rows.
-    SpeculationWon {
-        /// Shard index.
-        shard: usize,
-        /// The backend whose duplicate won.
-        backend: String,
-    },
-    /// A shard's range was served whole from the coordinator's result
-    /// cache — sealed rows validated against this campaign's grid were
-    /// spliced into the merge and the shard never dispatched. Emitted
-    /// in place of [`ShardEvent::Dispatched`] during planning; no
-    /// [`ShardEvent::ShardDone`] follows for the shard.
-    CacheHit {
-        /// Shard index.
-        shard: usize,
-        /// The shard's scenario range `[start, end)`.
-        range: (usize, usize),
-        /// The cached rows, validated, in scenario-index order.
-        rows: Vec<ScenarioResult>,
-    },
-    /// A shard's journal was fetched and validated; `rows` are its
-    /// scenario results in index order.
-    ShardDone {
-        /// Shard index.
-        shard: usize,
-        /// The shard's scenario range `[start, end)`.
-        range: (usize, usize),
-        /// Backend that completed the shard.
-        backend: String,
-        /// The shard's validated rows, in scenario-index order.
-        rows: Vec<ScenarioResult>,
-    },
-}
-
-impl std::fmt::Display for ShardEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardEvent::Dispatched {
-                shard,
-                range: (start, end),
-                backend,
-            } => write!(f, "shard {shard} [{start}, {end}) → {backend}"),
-            ShardEvent::Redispatched {
-                shard,
-                range: (start, end),
-                backend,
-            } => write!(
-                f,
-                "shard {shard} [{start}, {end}) re-dispatched → {backend}"
-            ),
-            ShardEvent::BackendDead { backend, why } => {
-                write!(f, "backend {backend} struck out: {why}")
-            }
-            ShardEvent::ShardFailed {
-                shard,
-                backend,
-                why,
-            } => write!(f, "backend {backend} reported shard {shard} failed: {why}"),
-            ShardEvent::Speculated {
-                shard,
-                range: (start, end),
-                backend,
-            } => write!(
-                f,
-                "shard {shard} [{start}, {end}) speculatively duplicated → {backend}"
-            ),
-            ShardEvent::SpeculationWon { shard, backend } => {
-                write!(f, "shard {shard} speculation won on {backend}")
-            }
-            ShardEvent::CacheHit {
-                shard,
-                range: (start, end),
-                rows,
-            } => write!(
-                f,
-                "shard {shard} [{start}, {end}) spliced {} rows from cache",
-                rows.len()
-            ),
-            ShardEvent::ShardDone {
-                shard,
-                range: (start, end),
-                backend,
-                rows,
-            } => write!(
-                f,
-                "shard {shard} [{start}, {end}) done: {} rows from {backend}",
-                rows.len()
-            ),
-        }
-    }
-}
-
 /// A completed sharded campaign.
 #[derive(Debug)]
 pub struct ShardRun {
@@ -444,8 +293,6 @@ pub struct ShardRun {
     /// Rows served from the result cache instead of being executed
     /// (`0` without a [`ShardConfig::cache_dir`] or on a cold cache).
     pub spliced: usize,
-    /// Human-readable dispatch decisions, in order.
-    pub events: Vec<String>,
 }
 
 /// Merges per-shard journal rows into the canonical campaign report.
@@ -471,8 +318,13 @@ pub fn merged_report(
 /// [`merged_report`] generalized to a ranged campaign: the merged rows
 /// must cover exactly the half-open `active` scenario range — the
 /// execution slice of a spec with a `scenario_range` restriction (the
-/// whole grid for an unranged spec).
-fn merged_report_over(
+/// whole grid for an unranged spec). Every execution path checks and
+/// renders its rows here.
+///
+/// # Errors
+///
+/// [`ShardError::BadMerge`] on duplicate, missing, or out-of-range rows.
+pub fn merged_report_over(
     campaign_seed: u64,
     active: std::ops::Range<usize>,
     mut rows: Vec<ScenarioResult>,
@@ -518,6 +370,9 @@ struct Shard {
     rows: Option<Vec<ScenarioResult>>,
     /// Submissions burned so far (bounded by `shard_attempts`).
     attempts: u32,
+    /// Highest `completed` count a status poll reported for the range —
+    /// the shard's share of live progress until it seals.
+    progress: usize,
     /// Failed exchanges charged to this shard (bounded by the failure
     /// budget) — the terminator for a fleet whose breakers keep
     /// half-open-probing dead backends forever.
@@ -543,21 +398,22 @@ struct Dispatcher<'a> {
     epoch: Instant,
     backends: Vec<Backend>,
     shards: Vec<Shard>,
+    /// Scenarios this run executes — the `total` of every `Progress`.
+    total: usize,
     dispatches: usize,
     failures: usize,
-    events: Vec<String>,
     /// Completion stamps (breaker clock) of sealed shards, in seal
     /// order — the straggler detector's median comes from here.
     done_at: Vec<Duration>,
-    /// Live event sink; every event is also rendered into `events`.
-    sink: &'a mut dyn FnMut(&ShardEvent),
+    /// Live event sink.
+    sink: &'a mut dyn FnMut(&CampaignEvent),
     /// Per-backend counters, index-aligned with `backends`.
     telemetry: Vec<BackendTelemetry>,
-    /// The run's trace span; every emitted [`ShardEvent`] doubles as a
+    /// The run's trace span; every dispatch decision doubles as a
     /// structured span event (no-op under a disabled tracer).
     span: Span,
     /// The result cache, when [`ShardConfig::cache_dir`] is set. Read
-    /// during planning; written from [`Dispatcher::emit`] on every
+    /// during planning; written from [`Dispatcher::seal`] on every
     /// sealed shard — the one place every completion passes through.
     cache: Option<RangeCache>,
 }
@@ -575,77 +431,55 @@ impl Dispatcher<'_> {
         self.config.shard_attempts.max(1) * self.config.backend_strikes.max(1)
     }
 
-    /// Records an event: renders it into the run's human-readable log,
-    /// mirrors it onto the trace span, and hands it to the live sink.
-    /// Sealed shards also stamp the straggler detector's clock here —
-    /// the one place every completion (primary or speculative) passes
-    /// through.
-    fn emit(&mut self, event: &ShardEvent) {
-        if let ShardEvent::ShardDone { range, rows, .. } = event {
-            let now = self.now();
-            self.done_at.push(now);
-            // Seal the rows into the result cache. Strictly best
-            // effort: a full disk degrades the next run to a miss, it
-            // never fails this one.
-            if let Some(cache) = &self.cache {
-                if let Err(why) = cache.store(self.spec, *range, rows) {
-                    if self.span.is_traced() {
-                        self.span.event(
-                            "cache_write_failed",
-                            JsonValue::object()
-                                .field("start", range.0)
-                                .field("end", range.1)
-                                .field("why", why.to_string().as_str()),
-                        );
-                    }
-                }
-            }
-        }
+    /// Records a dispatch decision: mirrors it onto the trace span and
+    /// hands it to the live sink.
+    fn emit(&mut self, event: &CampaignEvent) {
         self.trace(event);
-        self.events.push(event.to_string());
         (self.sink)(event);
     }
 
-    /// The trace-span mirror of one [`ShardEvent`]. Field values are
+    /// The trace-span mirror of one dispatch decision. Field values are
     /// the event's own data — no timing — so the record *structure* is
     /// deterministic for a deterministic dispatch history.
-    fn trace(&self, event: &ShardEvent) {
+    fn trace(&self, event: &CampaignEvent) {
         if !self.span.is_traced() {
             return;
         }
+        let placed = |shard: usize, (start, end): (usize, usize)| {
+            JsonValue::object()
+                .field("shard", shard)
+                .field("start", start)
+                .field("end", end)
+        };
         let (name, fields) = match event {
-            ShardEvent::Dispatched {
+            CampaignEvent::ShardDispatched {
                 shard,
-                range: (start, end),
+                range,
                 backend,
             } => (
                 "dispatched",
-                JsonValue::object()
-                    .field("shard", *shard)
-                    .field("start", *start)
-                    .field("end", *end)
-                    .field("backend", backend.as_str()),
+                placed(*shard, *range).field("backend", backend.as_str()),
             ),
-            ShardEvent::Redispatched {
+            CampaignEvent::ShardRedispatched {
                 shard,
-                range: (start, end),
+                range,
                 backend,
             } => (
                 "redispatched",
-                JsonValue::object()
-                    .field("shard", *shard)
-                    .field("start", *start)
-                    .field("end", *end)
-                    .field("backend", backend.as_str()),
+                placed(*shard, *range).field("backend", backend.as_str()),
             ),
-            ShardEvent::BackendDead { backend, why } => (
+            CampaignEvent::ShardFailed {
+                shard: None,
+                backend,
+                why,
+            } => (
                 "backend_dead",
                 JsonValue::object()
                     .field("backend", backend.as_str())
                     .field("why", why.as_str()),
             ),
-            ShardEvent::ShardFailed {
-                shard,
+            CampaignEvent::ShardFailed {
+                shard: Some(shard),
                 backend,
                 why,
             } => (
@@ -655,52 +489,97 @@ impl Dispatcher<'_> {
                     .field("backend", backend.as_str())
                     .field("why", why.as_str()),
             ),
-            ShardEvent::Speculated {
+            CampaignEvent::SpeculativeDispatch {
                 shard,
-                range: (start, end),
+                range,
                 backend,
             } => (
                 "speculated",
-                JsonValue::object()
-                    .field("shard", *shard)
-                    .field("start", *start)
-                    .field("end", *end)
-                    .field("backend", backend.as_str()),
+                placed(*shard, *range).field("backend", backend.as_str()),
             ),
-            ShardEvent::SpeculationWon { shard, backend } => (
+            CampaignEvent::SpeculativeWin { shard, backend } => (
                 "speculation_won",
                 JsonValue::object()
                     .field("shard", *shard)
                     .field("backend", backend.as_str()),
             ),
-            ShardEvent::CacheHit {
-                shard,
-                range: (start, end),
-                rows,
-            } => (
-                "cache_hit",
-                JsonValue::object()
-                    .field("shard", *shard)
-                    .field("start", *start)
-                    .field("end", *end)
-                    .field("rows", rows.len()),
-            ),
-            ShardEvent::ShardDone {
-                shard,
-                range: (start, end),
-                backend,
-                rows,
-            } => (
-                "shard_done",
-                JsonValue::object()
-                    .field("shard", *shard)
-                    .field("start", *start)
-                    .field("end", *end)
-                    .field("backend", backend.as_str())
-                    .field("rows", rows.len()),
-            ),
+            CampaignEvent::CacheHit { shard, range, rows } => {
+                ("cache_hit", placed(*shard, *range).field("rows", *rows))
+            }
+            _ => return,
         };
         self.span.event(name, fields);
+    }
+
+    /// Seals a shard with its validated rows: stamps the straggler
+    /// detector's clock, writes the rows back to the result cache and
+    /// delivers them — the one place every completion (primary or
+    /// speculative) passes through.
+    fn seal(&mut self, shard: usize, backend: &str, rows: Vec<ScenarioResult>) {
+        let (start, end) = self.shards[shard].range;
+        let now = self.now();
+        self.done_at.push(now);
+        // Strictly best effort: a full disk degrades the next run to a
+        // miss, it never fails this one.
+        if let Some(cache) = &self.cache {
+            if let Err(why) = cache.store(self.spec, (start, end), &rows) {
+                if self.span.is_traced() {
+                    self.span.event(
+                        "cache_write_failed",
+                        JsonValue::object()
+                            .field("start", start)
+                            .field("end", end)
+                            .field("why", why.to_string().as_str()),
+                    );
+                }
+            }
+        }
+        if self.span.is_traced() {
+            self.span.event(
+                "shard_done",
+                JsonValue::object()
+                    .field("shard", shard)
+                    .field("start", start)
+                    .field("end", end)
+                    .field("backend", backend)
+                    .field("rows", rows.len()),
+            );
+        }
+        self.deliver(shard, rows);
+    }
+
+    /// Streams a sealed shard's rows to the sink, one `ScenarioDone`
+    /// each and then a `Progress`, and keeps them for the merge.
+    fn deliver(&mut self, shard: usize, rows: Vec<ScenarioResult>) {
+        for row in &rows {
+            (self.sink)(&CampaignEvent::ScenarioDone(row.clone()));
+        }
+        self.shards[shard].rows = Some(rows);
+        self.progress();
+    }
+
+    /// Raises a running shard's progress to its job's reported
+    /// `completed` count, emitting `Progress` when it rose. A high-water
+    /// mark: a re-dispatched job counting again from zero never makes
+    /// `done` go backwards.
+    fn advance(&mut self, shard: usize, completed: usize) {
+        let (start, end) = self.shards[shard].range;
+        if completed > self.shards[shard].progress && completed <= end - start {
+            self.shards[shard].progress = completed;
+            self.progress();
+        }
+    }
+
+    /// Emits the run's `Progress`: sealed shards count whole, running
+    /// ones by their high-water mark.
+    fn progress(&mut self) {
+        let done = self
+            .shards
+            .iter()
+            .map(|shard| shard.rows.as_ref().map_or(shard.progress, Vec::len))
+            .sum();
+        let total = self.total;
+        (self.sink)(&CampaignEvent::Progress { done, total });
     }
 
     /// Builds the typed give-up error: what completed so far rides
@@ -729,7 +608,7 @@ impl Dispatcher<'_> {
     }
 
     /// Charges a failed exchange against a backend's breaker (emitting
-    /// [`ShardEvent::BackendDead`] the first time it opens) without
+    /// `ShardFailed { shard: None, .. }` the first time it opens) without
     /// touching any shard's failure budget — the accounting shared by
     /// primary traffic (which additionally burns budget via
     /// [`Dispatcher::fail`]) and speculative traffic (which must never
@@ -753,7 +632,8 @@ impl Dispatcher<'_> {
         }
         if opened && self.backends[backend].breaker.opens() == 1 {
             let addr = self.backends[backend].addr.clone();
-            self.emit(&ShardEvent::BackendDead {
+            self.emit(&CampaignEvent::ShardFailed {
+                shard: None,
                 backend: addr,
                 why: why.to_owned(),
             });
@@ -805,7 +685,7 @@ impl Dispatcher<'_> {
             return Ok(());
         }
         self.telemetry[target].redispatches.inc();
-        self.emit(&ShardEvent::Redispatched {
+        self.emit(&CampaignEvent::ShardRedispatched {
             shard,
             range: self.shards[shard].range,
             backend: self.backends[target].addr.clone(),
@@ -937,29 +817,12 @@ impl Dispatcher<'_> {
         ) {
             Ok((200, body)) => {
                 self.backends[backend].breaker.record_success();
-                match JsonValue::parse(&body)
-                    .ok()
-                    .as_ref()
-                    .and_then(|doc| doc.get("status"))
-                    .and_then(JsonValue::as_str)
-                {
+                let doc = JsonValue::parse(&body).ok();
+                let field = |key: &str| doc.as_ref().and_then(|doc| doc.get(key));
+                match field("status").and_then(JsonValue::as_str) {
                     Some("done") => match self.fetch_rows(shard) {
                         Ok(rows) => {
-                            // The event carries the rows to the live sink
-                            // (the executor layer streams them on as
-                            // per-scenario events), then they come back
-                            // out for the merge.
-                            let event = ShardEvent::ShardDone {
-                                shard,
-                                range: self.shards[shard].range,
-                                backend: addr,
-                                rows,
-                            };
-                            self.emit(&event);
-                            let ShardEvent::ShardDone { rows, .. } = event else {
-                                unreachable!("just constructed")
-                            };
-                            self.shards[shard].rows = Some(rows);
+                            self.seal(shard, &addr, rows);
                             Ok(())
                         }
                         Err(why) => {
@@ -972,8 +835,8 @@ impl Dispatcher<'_> {
                     },
                     Some("failed") => {
                         self.failures += 1;
-                        self.emit(&ShardEvent::ShardFailed {
-                            shard,
+                        self.emit(&CampaignEvent::ShardFailed {
+                            shard: Some(shard),
                             backend: addr,
                             why: body,
                         });
@@ -996,7 +859,14 @@ impl Dispatcher<'_> {
                         self.shards[shard].job_id = None;
                         Ok(())
                     }
-                    Some(_) => Ok(()), // queued / running
+                    // Queued / running. A rising `completed` count is live
+                    // progress; it does not reset the sweep backoff.
+                    Some(_) => {
+                        if let Some(completed) = field("completed").and_then(JsonValue::as_u64) {
+                            self.advance(shard, completed as usize);
+                        }
+                        Ok(())
+                    }
                     None => {
                         self.fail(shard, backend, "status document has no status")?;
                         self.reassign(shard, backend)
@@ -1033,9 +903,9 @@ impl Dispatcher<'_> {
     }
 
     /// One step of one outstanding shard: gate on the backend's
-    /// breaker, then submit or poll. A shard on a cooling-down backend
-    /// moves to a ready one if there is one, else waits for the
-    /// breaker's next probe window.
+    /// breaker, then submit if needed and poll. A shard on a
+    /// cooling-down backend moves to a ready one if there is one, else
+    /// waits for the breaker's next probe window.
     fn step(&mut self, shard: usize) -> Result<(), ShardError> {
         let backend = self.shards[shard].backend;
         if !self.ready(backend) {
@@ -1045,10 +915,15 @@ impl Dispatcher<'_> {
             }
         }
         if self.shards[shard].job_id.is_none() {
-            self.submit(shard)
-        } else {
-            self.poll(shard)
+            self.submit(shard)?;
+            // An accepted job is polled at once, not after a sweep's
+            // sleep: a backend that already holds the result seals it
+            // straight away.
+            if self.shards[shard].job_id.is_none() {
+                return Ok(());
+            }
         }
+        self.poll(shard)
     }
 
     /// The straggler bar: a shard is a straggler once it has been
@@ -1124,7 +999,7 @@ impl Dispatcher<'_> {
                 SubmitOutcome::Accepted(id) => {
                     self.backends[target].breaker.record_success();
                     self.shards[shard].spare = Some((target, id));
-                    self.emit(&ShardEvent::Speculated {
+                    self.emit(&CampaignEvent::SpeculativeDispatch {
                         shard,
                         range: (start, end),
                         backend: addr,
@@ -1180,21 +1055,11 @@ impl Dispatcher<'_> {
                         match fetched {
                             Ok(rows) => {
                                 self.telemetry[backend].speculation_wins.inc();
-                                self.emit(&ShardEvent::SpeculationWon {
+                                self.emit(&CampaignEvent::SpeculativeWin {
                                     shard,
                                     backend: addr.clone(),
                                 });
-                                let event = ShardEvent::ShardDone {
-                                    shard,
-                                    range: self.shards[shard].range,
-                                    backend: addr,
-                                    rows,
-                                };
-                                self.emit(&event);
-                                let ShardEvent::ShardDone { rows, .. } = event else {
-                                    unreachable!("just constructed")
-                                };
-                                self.shards[shard].rows = Some(rows);
+                                self.seal(shard, &addr, rows);
                                 self.shards[shard].spare = None;
                                 // Cancel the straggling loser (best
                                 // effort — an unreachable primary will
@@ -1279,18 +1144,12 @@ impl Dispatcher<'_> {
 /// against real killed processes.
 ///
 /// This is the convenience form of [`run_sharded_ctl`]: uniform
-/// partitioning, no cancellation, no live event sink (events still end
-/// up rendered in [`ShardRun::events`]).
+/// partitioning, no cancellation, no live event sink.
 ///
 /// # Errors
 ///
 /// See [`ShardError`]. Backend failures are survived as long as one
 /// backend lives; spec rejections and exhausted backends are fatal.
-///
-/// # Panics
-///
-/// Panics if the spec enumerates no feasible grid (same contract as
-/// [`CampaignSpec::scenarios`]).
 pub fn run_sharded(
     spec: &CampaignSpec,
     backends: &[String],
@@ -1300,7 +1159,8 @@ pub fn run_sharded(
 }
 
 /// The controllable core of [`run_sharded`]: the same dispatch loop
-/// with three extra seams the unified executor API drives.
+/// with three extra seams the unified executor API drives — with one
+/// backend it is the remote path, with several the sharded one.
 ///
 /// * `weights` — optional per-backend capacity weights (one per
 ///   backend); the grid partitions proportionally via
@@ -1310,14 +1170,16 @@ pub fn run_sharded(
 ///   outstanding shard's job receives a best-effort `DELETE` (so its
 ///   backend stops working) and the run returns
 ///   [`ShardError::Cancelled`].
-/// * `on_event` — called with every [`ShardEvent`] the moment it
-///   happens: dispatches, re-dispatches, backend deaths, shard
-///   failures, cache splices, and completed shards (with their
-///   validated rows).
+/// * `on_event` — called with every [`CampaignEvent`] the moment it
+///   happens: `Progress { done: 0, .. }` first; then dispatches,
+///   re-dispatches, backend deaths (`ShardFailed { shard: None, .. }`),
+///   shard failures and speculation; each cache splice or sealed shard
+///   as its `ScenarioDone` rows followed by `Progress`; and a
+///   `Progress` whenever a running job's `completed` count rises.
 ///
 /// With [`ShardConfig::cache_dir`] set, planning consults the
 /// range-granular result cache first: sealed ranges on disk become
-/// pre-sealed shards ([`ShardEvent::CacheHit`]) and only the uncovered
+/// pre-sealed shards ([`CampaignEvent::CacheHit`]) and only the uncovered
 /// gaps partition across the backends; every shard that seals writes
 /// its rows back. The report bytes are identical either way.
 ///
@@ -1327,42 +1189,44 @@ pub fn run_sharded(
 ///
 /// # Errors
 ///
-/// See [`ShardError`].
-///
-/// # Panics
-///
-/// Panics if the spec enumerates no feasible grid (same contract as
-/// [`CampaignSpec::scenarios`]) or if `weights` is present but invalid
-/// for [`partition_weighted`].
+/// See [`ShardError`]. Invalid weights and a spec that enumerates no
+/// feasible grid are [`ShardError::Invalid`], before any backend is
+/// contacted.
 pub fn run_sharded_ctl(
     spec: &CampaignSpec,
     backends: &[String],
     weights: Option<&[f64]>,
     config: &ShardConfig,
     cancel: &CancelToken,
-    mut on_event: impl FnMut(&ShardEvent),
+    mut on_event: impl FnMut(&CampaignEvent),
 ) -> Result<ShardRun, ShardError> {
     if backends.is_empty() {
         return Err(ShardError::NoBackends);
     }
     if let Some(weights) = weights {
-        if weights.len() != backends.len() {
-            return Err(ShardError::BadWeights(format!(
+        // Value validation here, typed — so a caller's bad weights
+        // surface as Invalid, not as partition_weighted's panic.
+        let valid = if weights.len() == backends.len() {
+            crate::partition::validate_weights(weights)
+        } else {
+            Err(format!(
                 "{} weights for {} backends",
                 weights.len(),
                 backends.len()
-            )));
-        }
-        // Value validation here, typed — so a caller's bad weights
-        // surface as BadWeights, not as partition_weighted's panic.
-        crate::partition::validate_weights(weights).map_err(ShardError::BadWeights)?;
+            ))
+        };
+        valid.map_err(|why| ShardError::Invalid(format!("bad backend weights: {why}")))?;
     }
-    let grid = spec.scenarios();
+    let grid = spec.try_scenarios().map_err(ShardError::Invalid)?;
     // A ranged parent spec shards only its own execution slice — the
     // indices the local and remote paths would run — so the merged
     // report stays byte-identical across executors for ranged specs
     // too. (Unranged specs: the whole grid, as before.)
     let active = spec.active_range(grid.len());
+    on_event(&CampaignEvent::Progress {
+        done: 0,
+        total: active.len(),
+    });
     // The result cache, when configured: every sealed range already on
     // disk (validated row by row against this spec's grid) is spliced
     // instead of dispatched.
@@ -1485,14 +1349,15 @@ pub fn run_sharded_ctl(
                 job_id: None,
                 rows: None,
                 attempts: 0,
+                progress: 0,
                 failures: 0,
                 dispatched_at: Duration::ZERO,
                 spare: None,
             })
             .collect(),
+        total: active.len(),
         dispatches: 0,
         failures: 0,
-        events: Vec::new(),
         done_at: Vec::new(),
         sink: &mut on_event,
         telemetry: backends
@@ -1509,18 +1374,18 @@ pub fn run_sharded_ctl(
                     stats.hits.inc();
                     stats.rows_spliced.add(rows.len() as u64);
                 }
-                let event = ShardEvent::CacheHit { shard, range, rows };
-                dispatcher.emit(&event);
-                let ShardEvent::CacheHit { rows, .. } = event else {
-                    unreachable!("just constructed")
-                };
-                dispatcher.shards[shard].rows = Some(rows);
+                dispatcher.emit(&CampaignEvent::CacheHit {
+                    shard,
+                    range,
+                    rows: rows.len(),
+                });
+                dispatcher.deliver(shard, rows);
             }
             None => {
                 if let Some(stats) = &cache_stats {
                     stats.misses.inc();
                 }
-                dispatcher.emit(&ShardEvent::Dispatched {
+                dispatcher.emit(&CampaignEvent::ShardDispatched {
                     shard,
                     range,
                     backend: backends[backend].clone(),
@@ -1598,7 +1463,6 @@ pub fn run_sharded_ctl(
         dispatches: dispatcher.dispatches,
         failures: dispatcher.failures,
         spliced,
-        events: dispatcher.events,
     })
 }
 

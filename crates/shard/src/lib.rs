@@ -69,7 +69,7 @@ pub use client::{
 pub use metrics::cache_evictions;
 
 pub use coordinator::{
-    fetch_journal_rows, merged_report, run_sharded, run_sharded_ctl, PartialCampaign, ShardConfig,
-    ShardError, ShardEvent, ShardRun,
+    fetch_journal_rows, merged_report, merged_report_over, run_sharded, run_sharded_ctl,
+    PartialCampaign, ShardConfig, ShardError, ShardRun,
 };
 pub use partition::{partition, partition_weighted, validate_weights};

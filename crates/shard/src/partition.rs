@@ -40,7 +40,7 @@ pub fn partition(n: usize, shards: usize) -> Vec<(usize, usize)> {
 ///
 /// The one definition of "valid weights" — [`partition_weighted`]
 /// panics with the returned message, while the shard coordinator maps
-/// it to a typed `BadWeights` error before ever reaching the panic.
+/// it to a typed `Invalid` error before ever reaching the panic.
 ///
 /// # Errors
 ///

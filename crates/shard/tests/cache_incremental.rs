@@ -16,12 +16,12 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use chunkpoint_campaign::{
-    canonical_report_json, diff_specs, run_campaign, translate_rows, CampaignSpec, CancelToken,
-    SchemeSpec,
+    canonical_report_json, diff_specs, run_campaign, translate_rows, CampaignEvent, CampaignSpec,
+    CancelToken, SchemeSpec,
 };
 use chunkpoint_core::{MitigationScheme, SystemConfig};
 use chunkpoint_serve::REPORT_AXES;
-use chunkpoint_shard::{run_sharded_ctl, RangeCache, ShardConfig, ShardEvent};
+use chunkpoint_shard::{run_sharded_ctl, RangeCache, ShardConfig};
 use chunkpoint_workloads::Benchmark;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -338,7 +338,7 @@ fn one_axis_edit_executes_only_changed_cells_with_identical_bytes() {
         &config,
         &CancelToken::new(),
         |event| {
-            if let ShardEvent::Dispatched { range, .. } = event {
+            if let CampaignEvent::ShardDispatched { range, .. } = event {
                 dispatched.push(*range);
             }
         },

@@ -14,6 +14,12 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+# Broken or private intra-doc links fail the gate, so docs cannot keep
+# pointing at items that were renamed or deleted.
+echo "== cargo doc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace \
+    --exclude rand --exclude proptest --exclude criterion
+
 # perfbench is a workspace of its own, so the tests above never build it:
 # without this, a break in a public API it calls would pass the gate.
 echo "== perfbench self-tests =="
