@@ -65,8 +65,8 @@ pub struct AdaptiveRun {
 /// function of `(spec, policy, sealed scenario results at the round
 /// boundary)` — rows are sealed in global scenario-index order before
 /// any statistic sees them, so arrival order, thread count, executor
-/// choice, backend faults, and speculative double-dispatch all cancel
-/// out. Same `(spec, policy)` ⇒ byte-identical
+/// choice, and backend faults all cancel out. Same `(spec, policy)` ⇒
+/// byte-identical
 /// [`AdaptiveRun::report`].
 pub struct AdaptiveController<E: CampaignExecutor> {
     executor: E,
@@ -116,9 +116,7 @@ impl<E: CampaignExecutor> AdaptiveController<E> {
     /// `on_event` sees the controller's own decisions
     /// ([`CampaignEvent::CellStopped`], [`CampaignEvent::Reallocated`])
     /// interleaved with the forwarded execution plane
-    /// ([`CampaignEvent::ScenarioDone`], the `Shard*` family,
-    /// [`CampaignEvent::SpeculativeDispatch`] /
-    /// [`CampaignEvent::SpeculativeWin`]), one
+    /// ([`CampaignEvent::ScenarioDone`] and the `Shard*` family), one
     /// [`CampaignEvent::Progress`] per round, and a final
     /// [`CampaignEvent::Complete`]. Progress `done` need not reach
     /// `total` — stopping short of the fixed grid is the point.
@@ -251,14 +249,6 @@ impl<E: CampaignExecutor> AdaptiveController<E> {
                 }
                 for event in handle.events() {
                     match &event {
-                        CampaignEvent::SpeculativeDispatch { .. } => {
-                            telemetry.speculative_dispatches.inc();
-                            on_event(&event);
-                        }
-                        CampaignEvent::SpeculativeWin { .. } => {
-                            telemetry.speculative_wins.inc();
-                            on_event(&event);
-                        }
                         CampaignEvent::ScenarioDone(_)
                         | CampaignEvent::ShardDispatched { .. }
                         | CampaignEvent::ShardRedispatched { .. }

@@ -10,12 +10,9 @@
 //!   early, never below the replicate floor;
 //! * the freed replicate budget flows to the highest-variance open
 //!   cells as ranged follow-up sub-specs through
-//!   [`chunkpoint_campaign::CampaignSpec::scenario_range`];
-//! * [`AutoWeightedSharded`] feeds the shard partitioner from each
-//!   backend's live `/healthz` job counts, and the coordinator's
-//!   speculative double-dispatch (see
-//!   [`chunkpoint_shard::ShardConfig::speculate`]) covers stragglers —
-//!   first-sealed journal rows win, the loser is cancelled.
+//!   [`chunkpoint_campaign::CampaignSpec::scenario_range`], on
+//!   whichever executor the controller wraps (in-process, one `serve`,
+//!   or [`chunkpoint_exec::ShardedExecutor`] across several).
 //!
 //! ## Determinism contract
 //!
@@ -61,13 +58,11 @@
 mod controller;
 mod metrics;
 mod policy;
-mod weights;
 
 pub use controller::{AdaptiveController, AdaptiveRun, CellOutcome};
 pub use policy::{
     plan_round, AdaptivePolicy, CellAllocation, CellProgress, CellStop, RoundPlan, StopMetric,
 };
-pub use weights::AutoWeightedSharded;
 
 // The wrapped executor API is part of this crate's surface.
 pub use chunkpoint_exec::CampaignExecutor;

@@ -12,12 +12,6 @@ pub(crate) struct ControllerTelemetry {
     /// `adaptive_replicates_reallocated_total` — replicates granted
     /// from freed budget beyond the base per-round allocation.
     pub replicates_reallocated: Arc<Counter>,
-    /// `adaptive_speculative_dispatches_total` — straggler ranges
-    /// double-dispatched by the shard layer under this controller.
-    pub speculative_dispatches: Arc<Counter>,
-    /// `adaptive_speculative_wins_total` — speculative copies that
-    /// sealed first.
-    pub speculative_wins: Arc<Counter>,
     /// `adaptive_open_cells` — cells still sampling as of the last
     /// control round.
     pub open_cells: Arc<Gauge>,
@@ -34,14 +28,6 @@ impl ControllerTelemetry {
             replicates_reallocated: registry.counter(
                 "adaptive_replicates_reallocated_total",
                 "Replicates granted to open cells out of freed budget",
-            ),
-            speculative_dispatches: registry.counter(
-                "adaptive_speculative_dispatches_total",
-                "Straggler shard ranges speculatively double-dispatched under the controller",
-            ),
-            speculative_wins: registry.counter(
-                "adaptive_speculative_wins_total",
-                "Speculative shard copies that sealed before the primary",
             ),
             open_cells: registry.gauge(
                 "adaptive_open_cells",

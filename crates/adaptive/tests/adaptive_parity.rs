@@ -3,9 +3,8 @@
 //! so the same `(spec, policy)` must produce **byte-identical** adaptive
 //! reports over every executor — in-process at any thread count, one
 //! real remote `serve`, two-backend sharded — and keep producing them
-//! after a backend is SIGKILLed mid-run, behind the deterministic chaos
-//! proxy, and with speculative straggler double-dispatch winning a
-//! forced race.
+//! after a backend is SIGKILLed mid-run and behind the deterministic
+//! chaos proxy.
 
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -291,88 +290,4 @@ fn chaos_faults_leave_adaptive_bytes_identical() {
     assert!(proxy.faults() > 0, "the proxy never actually faulted");
     proxy.shutdown();
     backend.shutdown();
-}
-
-/// Forces the speculative race deterministically: backend B's single
-/// job slot is occupied by a long decoy campaign submitted directly, so
-/// the adaptive sub-campaign's big shard sits queued on B while the
-/// healthy backend A seals its sliver. The straggler bar trips, the
-/// shard's remaining range is speculatively duplicated onto A, and the
-/// spare is the *only* copy that can seal — proving first-sealed-wins,
-/// the controller surfacing the decision, and the bytes matching the
-/// in-process oracle exactly.
-#[test]
-fn speculative_win_is_first_sealed_and_byte_identical() {
-    let mut config = SystemConfig::paper(0);
-    config.scale = 0.25;
-    let spec = CampaignSpec::new(config, 0xADA_904)
-        .benchmarks(&[Benchmark::AdpcmEncode])
-        .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default))
-        .replicates(10);
-    // One cell, one round, one allocation: the controller's single
-    // sub-campaign is the whole race course.
-    let policy = AdaptivePolicy::new().round_replicates(10);
-    let oracle = expected_adaptive(&spec, &policy);
-
-    let shard_a = ServeProcess::start("spec_a");
-    let shard_b = ServeProcess::start("spec_b");
-    // The decoy: a long full-scale campaign holding B's only job slot
-    // for the duration of the race. Distinct seed, so it can never be
-    // conflated with the real sub-campaign in B's job store.
-    let mut decoy_config = SystemConfig::paper(0);
-    decoy_config.scale = 1.0;
-    let decoy = CampaignSpec::new(decoy_config, 0xDEC0)
-        .benchmarks(&[Benchmark::AdpcmEncode, Benchmark::AdpcmDecode])
-        .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default))
-        .replicates(64);
-    let (status, _) = chunkpoint_shard::exchange(
-        &shard_b.addr,
-        "POST",
-        "/campaigns",
-        Some(&decoy.to_json().render()),
-        Duration::from_secs(5),
-    )
-    .expect("submit decoy");
-    assert!((200..300).contains(&status), "decoy refused: {status}");
-
-    let executor = ShardedExecutor::new(vec![shard_a.addr.clone(), shard_b.addr.clone()])
-        // 1:4 — the healthy backend seals its sliver fast while the
-        // blocked backend holds the bulk of the cell.
-        .with_weights(vec![1.0, 4.0])
-        .with_config(ShardConfig {
-            poll_interval: Duration::from_millis(10),
-            speculate: true,
-            speculate_after: Duration::from_millis(10),
-            speculate_factor: 1,
-            ..ShardConfig::default()
-        });
-    let speculated = Cell::new(0usize);
-    let won = Cell::new(0usize);
-    let run = AdaptiveController::new(executor, policy)
-        .run_ctl(
-            &spec,
-            &chunkpoint_campaign::CancelToken::new(),
-            |event| match event {
-                CampaignEvent::SpeculativeDispatch { backend, range, .. } => {
-                    assert_eq!(
-                        backend, &shard_a.addr,
-                        "spare must go to the healthy backend"
-                    );
-                    assert!(range.0 < range.1, "empty speculative range");
-                    speculated.set(speculated.get() + 1);
-                }
-                CampaignEvent::SpeculativeWin { backend, .. } => {
-                    assert_eq!(backend, &shard_a.addr, "the spare sealed first");
-                    won.set(won.get() + 1);
-                }
-                _ => {}
-            },
-        )
-        .expect("adaptive run through a blocked straggler");
-    assert!(speculated.get() >= 1, "no speculative dispatch happened");
-    assert_eq!(won.get(), 1, "the spare did not win the race");
-    assert_eq!(run.report, oracle.report, "speculation changed the bytes");
-    assert_eq!(run.results, oracle.results);
-    shard_a.shutdown();
-    // shard_b still grinds the decoy; Drop's kill reaps it.
 }

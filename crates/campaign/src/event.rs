@@ -10,9 +10,9 @@ use crate::engine::ScenarioResult;
 /// Every execution path emits [`CampaignEvent::ScenarioDone`] for each
 /// scenario, monotone [`CampaignEvent::Progress`] updates ending at
 /// `done == total`, and exactly one final [`CampaignEvent::Complete`]
-/// on success (never on error or cancellation). The `Shard*`,
-/// `Speculative*` and `CacheHit` events narrate the shard coordinator's
-/// decisions, so they occur only on the remote paths; *when*
+/// on success (never on error or cancellation). The `Shard*` and
+/// `CacheHit` events narrate the shard coordinator's decisions, so
+/// they occur only on the remote paths; *when*
 /// `ScenarioDone` events arrive differs by path (live in process, per
 /// sealed shard remotely) — their contents do not.
 #[derive(Debug, Clone)]
@@ -56,25 +56,6 @@ pub enum CampaignEvent {
         /// The shard's scenario range `[start, end)`.
         range: (usize, usize),
         /// Backend address the shard now lives on.
-        backend: String,
-    },
-    /// A straggling shard's range was speculatively double-dispatched
-    /// to a second backend (speculation enabled; first sealed rows
-    /// win).
-    SpeculativeDispatch {
-        /// Shard index.
-        shard: usize,
-        /// The shard's scenario range `[start, end)`.
-        range: (usize, usize),
-        /// Backend the speculative duplicate was submitted to.
-        backend: String,
-    },
-    /// A speculative duplicate sealed its rows before the straggling
-    /// primary, whose job was cancelled.
-    SpeculativeWin {
-        /// Shard index.
-        shard: usize,
-        /// The backend whose duplicate won.
         backend: String,
     },
     /// A shard's range was served whole from the coordinator's result
@@ -157,17 +138,6 @@ impl std::fmt::Display for CampaignEvent {
                 f,
                 "shard {shard} [{start}, {end}) re-dispatched → {backend}"
             ),
-            CampaignEvent::SpeculativeDispatch {
-                shard,
-                range: (start, end),
-                backend,
-            } => write!(
-                f,
-                "shard {shard} [{start}, {end}) speculatively duplicated → {backend}"
-            ),
-            CampaignEvent::SpeculativeWin { shard, backend } => {
-                write!(f, "shard {shard} speculation won on {backend}")
-            }
             CampaignEvent::CacheHit {
                 shard,
                 range: (start, end),

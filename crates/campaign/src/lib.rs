@@ -83,6 +83,6 @@ pub use event::CampaignEvent;
 pub use json::{JsonParseError, JsonValue};
 pub use pool::CancelToken;
 pub use seed::scenario_seed;
-pub use spec::{CampaignSpec, Scenario, SchemeSpec, SPEC_VERSION};
+pub use spec::{CampaignSpec, Scenario, SchemeSpec, MAX_GRID_SCENARIOS, SPEC_VERSION};
 pub use stats::{Aggregator, Axis, GroupStats, Summary};
 pub use telemetry::TelemetrySink;

@@ -16,6 +16,13 @@ use chunkpoint_workloads::Benchmark;
 use crate::json::JsonValue;
 use crate::seed::scenario_seed;
 
+/// Most scenarios one campaign grid may enumerate. A spec off the wire
+/// sizes its grid with a few integers (`"replicates"` alone can be
+/// 2⁶⁴ − 1), so [`CampaignSpec::try_scenarios`] refuses a grid past
+/// this bound before allocating it: 2²⁰ scenarios are about 0.1 GB of
+/// grid, far beyond any campaign this workspace runs.
+pub const MAX_GRID_SCENARIOS: usize = 1 << 20;
+
 /// How the scheme axis resolves to a concrete [`MitigationScheme`] for a
 /// given benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -423,8 +430,9 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// An empty scheme axis, or a scheme spec whose optimizer search
-    /// finds no feasible design point.
+    /// An empty scheme axis, a scheme spec whose optimizer search finds
+    /// no feasible design point, or a grid of more than
+    /// [`MAX_GRID_SCENARIOS`] scenarios.
     pub fn try_scenarios(&self) -> Result<Vec<Scenario>, String> {
         if self.schemes.is_empty() {
             return Err("campaign needs at least one scheme".to_owned());
@@ -437,6 +445,12 @@ impl CampaignSpec {
                 .map(|d| Some(d.name.clone()))
                 .collect()
         };
+        // Scenarios per (error rate, scheme variant) block; checked
+        // before each block is pushed, so an oversized grid is refused
+        // without being allocated.
+        let block = usize::try_from(self.replicates)
+            .ok()
+            .and_then(|replicates| replicates.checked_mul(timeline_names.len()));
         let mut scenarios = Vec::new();
         for &benchmark in &self.benchmarks {
             let mut optimum = None;
@@ -468,6 +482,11 @@ impl CampaignSpec {
                 };
                 for &error_rate in &self.error_rates {
                     for &scheme in &variants {
+                        if block.is_none_or(|block| block > MAX_GRID_SCENARIOS - scenarios.len()) {
+                            return Err(format!(
+                                "campaign grid exceeds the limit of {MAX_GRID_SCENARIOS} scenarios"
+                            ));
+                        }
                         for scenario_name in &timeline_names {
                             for replicate in 0..self.replicates {
                                 let index = scenarios.len();
@@ -892,6 +911,20 @@ mod tests {
                 }),
             )
             .replicates(2)
+    }
+
+    #[test]
+    fn grid_past_the_limit_is_refused() {
+        let spec = small_spec().replicates(MAX_GRID_SCENARIOS as u64 + 1);
+        let err = spec
+            .try_scenarios()
+            .expect_err("one scenario over the limit");
+        assert!(err.contains(&MAX_GRID_SCENARIOS.to_string()), "{err}");
+        let err = small_spec()
+            .replicates(u64::MAX)
+            .try_scenarios()
+            .expect_err("u64::MAX");
+        assert!(err.contains("limit"), "{err}");
     }
 
     #[test]

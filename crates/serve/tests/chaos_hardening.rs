@@ -141,7 +141,7 @@ fn raw_submit(addr: &str, body: &str) -> String {
     String::from_utf8_lossy(&response).into_owned()
 }
 
-fn healthz(addr: &str) -> JsonValue {
+fn health_counts(addr: &str) -> JsonValue {
     let (status, body) = exchange(addr, "GET", "/healthz", None, TIMEOUT).expect("healthz");
     assert_eq!(status, 200);
     JsonValue::parse(&body).expect("healthz JSON")
@@ -172,7 +172,7 @@ fn overload_sheds_429_with_retry_after_and_counts_it() {
     assert!(first.starts_with("HTTP/1.1 202"), "{first}");
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let counts = healthz(&addr);
+        let counts = health_counts(&addr);
         if counts.get("running").and_then(JsonValue::as_u64) == Some(1) {
             break;
         }
@@ -192,7 +192,7 @@ fn overload_sheds_429_with_retry_after_and_counts_it() {
     assert!(third.contains("shedding load"), "{third}");
 
     // The shed is counted, and shed submissions never became jobs.
-    let counts = healthz(&addr);
+    let counts = health_counts(&addr);
     assert_eq!(counts.get("shed").and_then(JsonValue::as_u64), Some(1));
     let known: u64 = ["queued", "running", "done", "cancelled", "failed"]
         .iter()
@@ -208,7 +208,7 @@ fn overload_sheds_429_with_retry_after_and_counts_it() {
         "joins must never be shed: {rejoin}"
     );
     assert_eq!(
-        healthz(&addr).get("shed").and_then(JsonValue::as_u64),
+        health_counts(&addr).get("shed").and_then(JsonValue::as_u64),
         Some(1),
         "a join must not count as a shed"
     );

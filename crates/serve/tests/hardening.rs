@@ -12,7 +12,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use chunkpoint_campaign::{CampaignSpec, JsonValue, SchemeSpec};
+use chunkpoint_campaign::{CampaignSpec, JsonValue, SchemeSpec, MAX_GRID_SCENARIOS};
 use chunkpoint_core::{MitigationScheme, SystemConfig};
 use chunkpoint_serve::server::{ServeConfig, Server};
 use chunkpoint_shard::exchange;
@@ -143,6 +143,19 @@ fn malformed_inputs_get_typed_errors_and_the_service_survives() {
     assert!(response.starts_with("HTTP/1.1 400"), "{response}");
     assert!(response.contains("feasible"), "{response}");
     assert_alive(&addr, "an infeasible spec");
+
+    // 8. A 200-byte spec whose replicate count asks for a grid no host
+    // could hold: refused by the grid bound, never allocated.
+    let huge = br#"{"version":1,"campaign_seed":7,"benchmarks":["ADPCM encode"],
+  "schemes":[{"label":"Default","spec":{"kind":"fixed","scheme":{"kind":"default"}}}],
+  "error_rates":[0.000001],"replicates":18446744073709551615,"normalize":false,"golden_check":false}"#;
+    let response = post_campaigns(&addr, huge);
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(
+        response.contains(&MAX_GRID_SCENARIOS.to_string()),
+        "{response}"
+    );
+    assert_alive(&addr, "a grid past the scenario limit");
 
     // After all of it, the service still does real work end to end.
     let good = tiny_spec(0x60D).to_json().render();

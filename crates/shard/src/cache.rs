@@ -199,9 +199,11 @@ impl RangeCache {
 
     /// Bounds the cache's on-disk footprint: while the total size of
     /// all sealed range files exceeds `max_bytes`, evicts whole files
-    /// oldest modification time first (ties break on path, so the
-    /// sweep order is deterministic). Campaign directories left empty
-    /// are removed. Returns the number of files evicted.
+    /// least recently used first — by modification time, which
+    /// [`RangeCache::store`] sets and every [`RangeCache::load`] that
+    /// admits the file refreshes (ties break on path, so the sweep
+    /// order is deterministic). Campaign directories left empty are
+    /// removed. Returns the number of files evicted.
     ///
     /// Best-effort by design, like [`RangeCache::load`]: an entry whose
     /// metadata cannot be read is left alone, a file that vanishes
@@ -260,6 +262,8 @@ impl RangeCache {
     /// derived seed) before admission, and any file failing *any* check
     /// is skipped whole. Files are visited in name order, first
     /// occurrence of an index wins, so the result is deterministic.
+    /// Every admitted file's modification time is refreshed (best
+    /// effort), which makes [`RangeCache::gc`] least-recently-used.
     /// Never panics and never errors: everything unreadable is a miss.
     #[must_use]
     pub fn load(&self, spec: &CampaignSpec, grid: &[Scenario]) -> BTreeMap<usize, ScenarioResult> {
@@ -275,7 +279,11 @@ impl RangeCache {
         names.sort();
         let mut rows = BTreeMap::new();
         for name in names {
-            if let Some(file_rows) = read_range_file(&dir.join(&name), &name, spec, grid) {
+            let path = dir.join(&name);
+            if let Some(file_rows) = read_range_file(&path, &name, spec, grid) {
+                if let Ok(file) = std::fs::File::options().write(true).open(&path) {
+                    let _ = file.set_modified(std::time::SystemTime::now());
+                }
                 for row in file_rows {
                     rows.entry(row.scenario.index).or_insert(row);
                 }
@@ -512,6 +520,42 @@ mod tests {
         assert_eq!(cache.gc(0), 2);
         assert!(!cache.campaign_dir(&spec).exists());
         assert!(cache.load(&spec, &grid).is_empty());
+        let _ = std::fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn gc_keeps_a_range_that_was_loaded_since_it_was_stored() {
+        let cache = RangeCache::new(temp_root("gc_lru"));
+        let x = small_spec(0x5A4D);
+        let y = small_spec(0x1111);
+        let stored: Vec<PathBuf> = [&x, &y]
+            .into_iter()
+            .map(|spec| {
+                let rows = run_campaign(spec, 1).results;
+                cache.store(spec, (0, rows.len()), &rows).expect("store")
+            })
+            .collect();
+        // X is stored first (older), Y second (newer).
+        let epoch = std::time::SystemTime::now() - std::time::Duration::from_secs(600);
+        for (age, path) in [(0u64, &stored[0]), (60, &stored[1])] {
+            std::fs::File::options()
+                .write(true)
+                .open(path)
+                .expect("open")
+                .set_modified(epoch + std::time::Duration::from_secs(age))
+                .expect("set mtime");
+        }
+        let one_campaign = stored
+            .iter()
+            .map(|p| std::fs::metadata(p).expect("meta").len())
+            .max()
+            .expect("two files");
+
+        // Using X makes it the most recently used: Y is evicted.
+        assert_eq!(cache.load(&x, &x.scenarios()).len(), 6);
+        assert_eq!(cache.gc(one_campaign), 1);
+        assert!(stored[0].exists(), "the loaded range was evicted");
+        assert!(!stored[1].exists(), "the unused range survived");
         let _ = std::fs::remove_dir_all(cache.root());
     }
 

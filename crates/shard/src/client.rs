@@ -16,8 +16,6 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use chunkpoint_campaign::JsonValue;
-
 /// Hard cap on a response body the coordinator will buffer. Shard
 /// journals of big grids are large; anything past this is a misbehaving
 /// peer, not a report.
@@ -73,139 +71,6 @@ impl std::error::Error for ClientError {}
 
 fn torn<T>(why: impl Into<String>) -> Result<T, ClientError> {
     Err(ClientError::TornResponse(why.into()))
-}
-
-/// How a backend answered a `POST /campaigns` submit, classified by
-/// what the caller should do about it — the triage the shard
-/// coordinator's primary and speculative submits share.
-#[derive(Debug)]
-pub enum SubmitOutcome {
-    /// The job was accepted (or cache-answered); here is its id.
-    Accepted(String),
-    /// A 4xx: the spec itself was refused. Every backend would say the
-    /// same, so retrying elsewhere cannot help.
-    Rejected {
-        /// The HTTP status.
-        status: u16,
-        /// The error body.
-        body: String,
-    },
-    /// Anything else — 5xx store trouble, 503 draining, a 2xx with no
-    /// id in it — is this backend's problem, not the spec's: retry or
-    /// strike it.
-    Retryable {
-        /// The HTTP status.
-        status: u16,
-        /// A rendered description of what was wrong.
-        detail: String,
-    },
-}
-
-/// Classifies one submit response (status + body) into a
-/// [`SubmitOutcome`].
-#[must_use]
-pub fn classify_submit(status: u16, body: String) -> SubmitOutcome {
-    match status {
-        200 | 202 => match JsonValue::parse(&body)
-            .ok()
-            .as_ref()
-            .and_then(|doc| doc.get("id"))
-            .and_then(JsonValue::as_str)
-        {
-            Some(id) => SubmitOutcome::Accepted(id.to_owned()),
-            None => SubmitOutcome::Retryable {
-                status,
-                detail: format!("submit answered {status} with no id"),
-            },
-        },
-        // 429 (admission control shed the submit) and 408 (the backend
-        // timed the request out) are about the backend's load, not the
-        // spec: retrying — elsewhere, or here after the breaker's
-        // cooldown — is exactly right.
-        408 | 429 => SubmitOutcome::Retryable {
-            status,
-            detail: format!("submit answered {status}: {body}"),
-        },
-        400..=499 => SubmitOutcome::Rejected { status, body },
-        _ => SubmitOutcome::Retryable {
-            status,
-            detail: format!("submit answered {status}: {body}"),
-        },
-    }
-}
-
-/// A backend's `GET /healthz` answer, parsed: the service's
-/// [`JobCounts`](chunkpoint_serve::JobCounts) fields plus the shed
-/// counter and uptime. The live-load signal
-/// (`queued + running = load()`) is what healthz-driven partition
-/// weighting keys on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BackendHealth {
-    /// Jobs waiting for a runner thread.
-    pub queued: u64,
-    /// Jobs currently executing.
-    pub running: u64,
-    /// Jobs finished with a cached result.
-    pub done: u64,
-    /// Jobs cancelled.
-    pub cancelled: u64,
-    /// Jobs failed.
-    pub failed: u64,
-    /// Submits refused by admission control since startup (cumulative).
-    pub shed: u64,
-    /// Seconds since the backend bound its listener.
-    pub uptime_secs: u64,
-    /// The liveness verdict (the service always answers `"ok"`).
-    pub status: String,
-}
-
-impl BackendHealth {
-    /// The backend's live load: jobs queued plus jobs running — the
-    /// signal [`partition_weighted`](crate::partition_weighted)-based
-    /// dispatch weights against.
-    #[must_use]
-    pub fn load(&self) -> u64 {
-        self.queued + self.running
-    }
-}
-
-/// Fetches and parses `GET /healthz` from `addr`.
-///
-/// # Errors
-///
-/// Transport failures surface as their [`ClientError`] variants; a
-/// non-200 answer or a document missing any counter field is a
-/// [`ClientError::TornResponse`] — either way the caller treats the
-/// backend as unreadable, not as idle.
-pub fn healthz(addr: &str, timeout: Duration) -> Result<BackendHealth, ClientError> {
-    let (status, body) = exchange(addr, "GET", "/healthz", None, timeout)?;
-    if status != 200 {
-        return torn(format!("healthz answered {status}: {body}"));
-    }
-    let doc = match JsonValue::parse(&body) {
-        Ok(doc) => doc,
-        Err(e) => return torn(format!("healthz body is not JSON: {e}")),
-    };
-    let counter = |key: &str| -> Result<u64, ClientError> {
-        match doc.get(key).and_then(JsonValue::as_u64) {
-            Some(n) => Ok(n),
-            None => torn(format!("healthz document has no {key:?} counter")),
-        }
-    };
-    Ok(BackendHealth {
-        queued: counter("queued")?,
-        running: counter("running")?,
-        done: counter("done")?,
-        cancelled: counter("cancelled")?,
-        failed: counter("failed")?,
-        shed: counter("shed")?,
-        uptime_secs: counter("uptime_secs")?,
-        status: doc
-            .get("status")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("unknown")
-            .to_owned(),
-    })
 }
 
 /// What is left of the exchange deadline, or a typed timeout error once

@@ -12,6 +12,8 @@
 //! run no matter which backends did the work or in what order they
 //! finished.
 
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -24,7 +26,7 @@ use chunkpoint_telemetry::{Span, Tracer};
 
 use crate::breaker::{Backoff, CircuitBreaker};
 use crate::cache::RangeCache;
-use crate::client::{classify_submit, exchange, SubmitOutcome};
+use crate::client::exchange;
 use crate::metrics::{backend_telemetry, cache_telemetry, poll_sweeps, BackendTelemetry};
 use crate::partition::{partition, partition_weighted};
 
@@ -59,22 +61,6 @@ pub struct ShardConfig {
     /// Seed of the deterministic backoff jitter schedules — same seed,
     /// same poll cadence and same cooldowns, every run.
     pub backoff_seed: u64,
-    /// Enables speculative double-dispatch of straggling shards: once
-    /// at least half the shards have sealed, a shard that has been
-    /// running longer than both [`ShardConfig::speculate_after`] and
-    /// `speculate_factor ×` the median completed-shard latency is
-    /// duplicated onto a second ready backend; whichever copy seals
-    /// first wins and the loser's job is cancelled. Safe because both
-    /// copies compute identical rows — the merge cannot tell them
-    /// apart, so the report bytes are unchanged whichever side wins.
-    pub speculate: bool,
-    /// Floor on how long a shard must have been outstanding before it
-    /// can be speculated, whatever the median says — protects short
-    /// campaigns from pure-noise duplication.
-    pub speculate_after: Duration,
-    /// Straggler multiplier: a shard lags once its outstanding time
-    /// exceeds `speculate_factor ×` the median completed-shard latency.
-    pub speculate_factor: u32,
     /// Trace sink of the run's dispatch decisions. The default —
     /// [`Tracer::disabled`] — costs nothing; a live tracer turns every
     /// dispatch, re-dispatch, failure, breaker transition, and
@@ -104,9 +90,6 @@ impl Default for ShardConfig {
             breaker_cooldown: Duration::from_millis(100),
             breaker_max: Duration::from_secs(2),
             backoff_seed: 0,
-            speculate: false,
-            speculate_after: Duration::from_millis(500),
-            speculate_factor: 2,
             tracer: Tracer::disabled(),
             cache_dir: None,
         }
@@ -326,7 +309,7 @@ pub fn merged_report(
 /// [`ShardError::BadMerge`] on duplicate, missing, or out-of-range rows.
 pub fn merged_report_over(
     campaign_seed: u64,
-    active: std::ops::Range<usize>,
+    active: Range<usize>,
     mut rows: Vec<ScenarioResult>,
 ) -> Result<(String, Vec<ScenarioResult>), ShardError> {
     rows.sort_by_key(|r| r.scenario.index);
@@ -377,13 +360,6 @@ struct Shard {
     /// budget) — the terminator for a fleet whose breakers keep
     /// half-open-probing dead backends forever.
     failures: u32,
-    /// When the current primary dispatch was accepted (breaker clock) —
-    /// the straggler detector's reference point.
-    dispatched_at: Duration,
-    /// A live speculative duplicate: `(backend index, job id)`. At most
-    /// one per shard; dropped (and its job cancelled) the moment either
-    /// copy seals.
-    spare: Option<(usize, String)>,
 }
 
 /// The coordinator state machine driving [`run_sharded_ctl`].
@@ -402,9 +378,6 @@ struct Dispatcher<'a> {
     total: usize,
     dispatches: usize,
     failures: usize,
-    /// Completion stamps (breaker clock) of sealed shards, in seal
-    /// order — the straggler detector's median comes from here.
-    done_at: Vec<Duration>,
     /// Live event sink.
     sink: &'a mut dyn FnMut(&CampaignEvent),
     /// Per-backend counters, index-aligned with `backends`.
@@ -489,20 +462,6 @@ impl Dispatcher<'_> {
                     .field("backend", backend.as_str())
                     .field("why", why.as_str()),
             ),
-            CampaignEvent::SpeculativeDispatch {
-                shard,
-                range,
-                backend,
-            } => (
-                "speculated",
-                placed(*shard, *range).field("backend", backend.as_str()),
-            ),
-            CampaignEvent::SpeculativeWin { shard, backend } => (
-                "speculation_won",
-                JsonValue::object()
-                    .field("shard", *shard)
-                    .field("backend", backend.as_str()),
-            ),
             CampaignEvent::CacheHit { shard, range, rows } => {
                 ("cache_hit", placed(*shard, *range).field("rows", *rows))
             }
@@ -511,14 +470,11 @@ impl Dispatcher<'_> {
         self.span.event(name, fields);
     }
 
-    /// Seals a shard with its validated rows: stamps the straggler
-    /// detector's clock, writes the rows back to the result cache and
-    /// delivers them — the one place every completion (primary or
-    /// speculative) passes through.
+    /// Seals a shard with its fetched, validated rows: writes them back
+    /// to the result cache and delivers them — the one place every
+    /// executed shard's completion passes through.
     fn seal(&mut self, shard: usize, backend: &str, rows: Vec<ScenarioResult>) {
         let (start, end) = self.shards[shard].range;
-        let now = self.now();
-        self.done_at.push(now);
         // Strictly best effort: a full disk degrades the next run to a
         // miss, it never fails this one.
         if let Some(cache) = &self.cache {
@@ -607,13 +563,12 @@ impl Dispatcher<'_> {
         }
     }
 
-    /// Charges a failed exchange against a backend's breaker (emitting
-    /// `ShardFailed { shard: None, .. }` the first time it opens) without
-    /// touching any shard's failure budget — the accounting shared by
-    /// primary traffic (which additionally burns budget via
-    /// [`Dispatcher::fail`]) and speculative traffic (which must never
-    /// be able to kill a run that would have completed without it).
-    fn strike(&mut self, backend: usize, why: &str) {
+    /// Records a failed exchange against a backend on behalf of a
+    /// shard: feeds the backend's breaker (emitting `ShardFailed {
+    /// shard: None, .. }` the first time it opens) and charges the
+    /// shard's failure budget, turning budget exhaustion into the typed
+    /// [`ShardError::Exhausted`].
+    fn fail(&mut self, shard: usize, backend: usize, why: &str) -> Result<(), ShardError> {
         self.failures += 1;
         self.telemetry[backend].strikes.inc();
         let now = self.now();
@@ -638,14 +593,6 @@ impl Dispatcher<'_> {
                 why: why.to_owned(),
             });
         }
-    }
-
-    /// Records a failed exchange against a backend on behalf of a
-    /// shard: feeds the backend's breaker via [`Dispatcher::strike`]
-    /// and charges the shard's failure budget, turning budget
-    /// exhaustion into the typed [`ShardError::Exhausted`].
-    fn fail(&mut self, shard: usize, backend: usize, why: &str) -> Result<(), ShardError> {
-        self.strike(backend, why);
         self.shards[shard].failures += 1;
         if self.shards[shard].failures >= self.failure_budget() {
             let (start, end) = self.shards[shard].range;
@@ -695,7 +642,9 @@ impl Dispatcher<'_> {
         Ok(())
     }
 
-    /// Submits a shard's sub-spec to its assigned backend.
+    /// Submits a shard's sub-spec to its assigned backend. An accepted
+    /// job records its id; a 4xx refusal is fatal; every other answer
+    /// is charged to the backend and moves the shard.
     fn submit(&mut self, shard: usize) -> Result<(), ShardError> {
         let (start, end) = self.shards[shard].range;
         if self.shards[shard].attempts >= self.config.shard_attempts {
@@ -715,40 +664,47 @@ impl Dispatcher<'_> {
         let addr = self.backends[backend].addr.clone();
         self.dispatches += 1;
         self.telemetry[backend].dispatches.inc();
-        match exchange(
+        let why = match exchange(
             &addr,
             "POST",
             "/campaigns",
             Some(&body),
             self.config.request_timeout,
         ) {
-            Ok((status, response)) => match classify_submit(status, response) {
-                SubmitOutcome::Accepted(id) => {
+            Ok((status @ (200 | 202), response)) => match JsonValue::parse(&response)
+                .ok()
+                .as_ref()
+                .and_then(|doc| doc.get("id"))
+                .and_then(JsonValue::as_str)
+            {
+                Some(id) => {
                     self.backends[backend].breaker.record_success();
-                    self.shards[shard].job_id = Some(id);
-                    self.shards[shard].dispatched_at = self.now();
-                    Ok(())
+                    self.shards[shard].job_id = Some(id.to_owned());
+                    return Ok(());
                 }
-                // A 4xx is about the sub-spec itself; every backend
-                // would say the same, so fail loudly now.
-                SubmitOutcome::Rejected { status, body } => Err(ShardError::Rejected {
+                None => format!("submit answered {status} with no id"),
+            },
+            // 429 (admission control shed the submit) and 408 (the
+            // backend timed the request out) are about the backend's
+            // load, not the spec: retrying — elsewhere, or here after
+            // the breaker's cooldown — is exactly right.
+            Ok((status @ (408 | 429), response)) => format!("submit answered {status}: {response}"),
+            // Any other 4xx is about the sub-spec itself; every backend
+            // would say the same, so fail loudly now.
+            Ok((status @ 400..=499, body)) => {
+                return Err(ShardError::Rejected {
                     backend: addr,
                     status,
                     body,
-                }),
-                // Everything else (503 draining, 429 shedding, 500
-                // store trouble, a 2xx with no id) is this backend's
-                // problem or load, not the spec's.
-                SubmitOutcome::Retryable { detail, .. } => {
-                    self.fail(shard, backend, &detail)?;
-                    self.reassign(shard, backend)
-                }
-            },
-            Err(e) => {
-                self.fail(shard, backend, &e.to_string())?;
-                self.reassign(shard, backend)
+                })
             }
-        }
+            // Everything else (503 draining, 500 store trouble) is this
+            // backend's problem, not the spec's.
+            Ok((status, response)) => format!("submit answered {status}: {response}"),
+            Err(e) => e.to_string(),
+        };
+        self.fail(shard, backend, &why)?;
+        self.reassign(shard, backend)
     }
 
     /// Best-effort cancellation of every outstanding shard: `DELETE`
@@ -757,27 +713,16 @@ impl Dispatcher<'_> {
     /// for. Errors are ignored — an unreachable backend cannot be
     /// asked to stop, and the coordinator is abandoning the run either
     /// way.
-    fn cancel_outstanding(&mut self) {
-        for shard in 0..self.shards.len() {
-            if let Some((backend, id)) = self.shards[shard].spare.take() {
-                let addr = self.backends[backend].addr.clone();
-                let _ = exchange(
-                    &addr,
-                    "DELETE",
-                    &format!("/campaigns/{id}"),
-                    None,
-                    self.config.request_timeout,
-                );
-            }
-            if self.shards[shard].rows.is_some() {
+    fn cancel_outstanding(&self) {
+        for shard in &self.shards {
+            if shard.rows.is_some() {
                 continue;
             }
-            let Some(id) = self.shards[shard].job_id.clone() else {
+            let Some(id) = &shard.job_id else {
                 continue;
             };
-            let addr = self.backends[self.shards[shard].backend].addr.clone();
             let _ = exchange(
-                &addr,
+                &self.backends[shard.backend].addr,
                 "DELETE",
                 &format!("/campaigns/{id}"),
                 None,
@@ -925,211 +870,53 @@ impl Dispatcher<'_> {
         }
         self.poll(shard)
     }
+}
 
-    /// The straggler bar: a shard is a straggler once it has been
-    /// outstanding longer than both the `speculate_after` floor and
-    /// `speculate_factor ×` the median sealed-shard completion stamp.
-    /// `None` until at least half the shards have sealed — the median
-    /// is meaningless earlier, and a campaign whose shards all lag
-    /// together has no straggler, just a slow fleet.
-    fn straggler_bar(&self) -> Option<Duration> {
-        if self.shards.len() < 2 || self.done_at.len() * 2 < self.shards.len() {
-            return None;
-        }
-        let mut stamps = self.done_at.clone();
-        stamps.sort_unstable();
-        let median = stamps[stamps.len() / 2];
-        Some(
-            self.config
-                .speculate_after
-                .max(median * self.config.speculate_factor.max(1)),
-        )
-    }
+/// One planned shard: its backend, its global scenario range, and —
+/// for a range served from the result cache — its pre-sealed rows.
+type PlannedShard = (usize, (usize, usize), Option<Vec<ScenarioResult>>);
 
-    /// One speculation step of one outstanding shard: poll a live
-    /// spare, or duplicate the shard onto a second ready backend once
-    /// it lags the straggler bar. Infallible by design — speculative
-    /// traffic strikes breakers but never burns a shard's failure
-    /// budget, so switching it on cannot make a completable run fail.
-    fn spare_step(&mut self, shard: usize) {
-        if !self.config.speculate || self.shards[shard].rows.is_some() {
-            return;
+/// The dispatch plan of a run: splits the `active` range at
+/// cache-coverage boundaries. Each maximal run of `cached` rows becomes
+/// one pre-sealed shard, and each gap partitions across the `backends`
+/// on its own — evenly, or by `weights` with empty ranges skipped so
+/// range `k` of a gap stays on backend `k` — so scattered coverage (an
+/// incremental campaign's translated rows) narrows execution to exactly
+/// the uncovered cells. With nothing cached the plan is the classic
+/// partition of the whole active range.
+fn plan_shards(
+    active: Range<usize>,
+    mut cached: BTreeMap<usize, ScenarioResult>,
+    backends: usize,
+    weights: Option<&[f64]>,
+) -> Vec<PlannedShard> {
+    let mut plan = Vec::new();
+    let mut pos = active.start;
+    while pos < active.end {
+        let covered = cached.contains_key(&pos);
+        let mut end = pos + 1;
+        while end < active.end && cached.contains_key(&end) == covered {
+            end += 1;
         }
-        if self.shards[shard].spare.is_some() {
-            self.poll_spare(shard);
-            return;
-        }
-        if self.shards[shard].job_id.is_none() {
-            return; // nothing accepted yet; nothing to straggle behind
-        }
-        let Some(bar) = self.straggler_bar() else {
-            return;
-        };
-        let now = self.now();
-        if now.saturating_sub(self.shards[shard].dispatched_at) <= bar {
-            return;
-        }
-        let primary = self.shards[shard].backend;
-        let k = self.backends.len();
-        let Some(target) = (1..k)
-            .map(|offset| (primary + offset) % k)
-            .find(|&candidate| self.ready(candidate))
-        else {
-            return; // no second backend ready; keep waiting on the primary
-        };
-        let (start, end) = self.shards[shard].range;
-        let body = self
-            .spec
-            .clone()
-            .scenario_range(start, end)
-            .to_json()
-            .render();
-        let addr = self.backends[target].addr.clone();
-        self.dispatches += 1;
-        self.telemetry[target].dispatches.inc();
-        self.telemetry[target].speculations.inc();
-        match exchange(
-            &addr,
-            "POST",
-            "/campaigns",
-            Some(&body),
-            self.config.request_timeout,
-        ) {
-            Ok((status, response)) => match classify_submit(status, response) {
-                SubmitOutcome::Accepted(id) => {
-                    self.backends[target].breaker.record_success();
-                    self.shards[shard].spare = Some((target, id));
-                    self.emit(&CampaignEvent::SpeculativeDispatch {
-                        shard,
-                        range: (start, end),
-                        backend: addr,
-                    });
-                }
-                // The primary backend accepted these exact spec bytes,
-                // so a peer refusing them is misbehaving, not right.
-                SubmitOutcome::Rejected { status, body } => {
-                    self.strike(target, &format!("spare submit refused ({status}): {body}"));
-                }
-                SubmitOutcome::Retryable { detail, .. } => self.strike(target, &detail),
-            },
-            Err(e) => self.strike(target, &e.to_string()),
-        }
-    }
-
-    /// Polls a shard's speculative duplicate. A spare that seals first
-    /// wins: its validated rows become the shard's rows and the
-    /// straggling primary's job is cancelled. A spare that fails in any
-    /// way is simply dropped — the primary path carries on untouched.
-    fn poll_spare(&mut self, shard: usize) {
-        let Some((backend, id)) = self.shards[shard].spare.clone() else {
-            return;
-        };
-        if !self.ready(backend) {
-            self.shards[shard].spare = None;
-            return;
-        }
-        let addr = self.backends[backend].addr.clone();
-        match exchange(
-            &addr,
-            "GET",
-            &format!("/campaigns/{id}"),
-            None,
-            self.config.request_timeout,
-        ) {
-            Ok((200, body)) => {
-                self.backends[backend].breaker.record_success();
-                match JsonValue::parse(&body)
-                    .ok()
-                    .as_ref()
-                    .and_then(|doc| doc.get("status"))
-                    .and_then(JsonValue::as_str)
-                {
-                    Some("done") => {
-                        let fetched = fetch_journal_rows(
-                            &addr,
-                            &id,
-                            self.grid,
-                            self.shards[shard].range,
-                            self.config.request_timeout,
-                        );
-                        match fetched {
-                            Ok(rows) => {
-                                self.telemetry[backend].speculation_wins.inc();
-                                self.emit(&CampaignEvent::SpeculativeWin {
-                                    shard,
-                                    backend: addr.clone(),
-                                });
-                                self.seal(shard, &addr, rows);
-                                self.shards[shard].spare = None;
-                                // Cancel the straggling loser (best
-                                // effort — an unreachable primary will
-                                // finish into its own journal and cache
-                                // harmlessly).
-                                if let Some(primary_id) = self.shards[shard].job_id.take() {
-                                    let primary_addr =
-                                        self.backends[self.shards[shard].backend].addr.clone();
-                                    let _ = exchange(
-                                        &primary_addr,
-                                        "DELETE",
-                                        &format!("/campaigns/{primary_id}"),
-                                        None,
-                                        self.config.request_timeout,
-                                    );
-                                }
-                            }
-                            Err(why) => {
-                                self.strike(backend, &why);
-                                self.shards[shard].spare = None;
-                            }
-                        }
-                    }
-                    // A failed/cancelled/unknown spare is dropped, not
-                    // retried: speculation is opportunistic.
-                    Some("failed") | Some("cancelled") => self.shards[shard].spare = None,
-                    Some(_) => {} // queued / running
-                    None => {
-                        self.strike(backend, "spare status document has no status");
-                        self.shards[shard].spare = None;
-                    }
+        if covered {
+            let rows = (pos..end)
+                .map(|index| cached.remove(&index).expect("segment is covered"))
+                .collect();
+            plan.push((0, (pos, end), Some(rows)));
+        } else {
+            let ranges = match weights {
+                Some(weights) => partition_weighted(end - pos, weights),
+                None => partition(end - pos, backends),
+            };
+            for (k, (a, b)) in ranges.into_iter().enumerate() {
+                if a < b {
+                    plan.push((k, (pos + a, pos + b), None));
                 }
             }
-            Ok((404, _)) => {
-                self.backends[backend].breaker.record_success();
-                self.shards[shard].spare = None;
-            }
-            Ok((status, body)) => {
-                self.strike(
-                    backend,
-                    &format!("spare status poll answered {status}: {body}"),
-                );
-                self.shards[shard].spare = None;
-            }
-            Err(e) => {
-                self.strike(backend, &e.to_string());
-                self.shards[shard].spare = None;
-            }
         }
+        pos = end;
     }
-
-    /// Cancels the losing half of a resolved speculation: once a shard
-    /// has sealed rows, whichever duplicate job is still outstanding is
-    /// best-effort `DELETE`d so no backend keeps burning cycles on it.
-    fn reap_spare(&mut self, shard: usize) {
-        if self.shards[shard].rows.is_none() {
-            return;
-        }
-        let Some((backend, id)) = self.shards[shard].spare.take() else {
-            return;
-        };
-        let addr = self.backends[backend].addr.clone();
-        let _ = exchange(
-            &addr,
-            "DELETE",
-            &format!("/campaigns/{id}"),
-            None,
-            self.config.request_timeout,
-        );
-    }
+    plan
 }
 
 /// Runs `spec` sharded across `backends` (each a `HOST:PORT` of a
@@ -1172,8 +959,8 @@ pub fn run_sharded(
 ///   [`ShardError::Cancelled`].
 /// * `on_event` — called with every [`CampaignEvent`] the moment it
 ///   happens: `Progress { done: 0, .. }` first; then dispatches,
-///   re-dispatches, backend deaths (`ShardFailed { shard: None, .. }`),
-///   shard failures and speculation; each cache splice or sealed shard
+///   re-dispatches, backend deaths (`ShardFailed { shard: None, .. }`)
+///   and shard failures; each cache splice or sealed shard
 ///   as its `ScenarioDone` rows followed by `Progress`; and a
 ///   `Progress` whenever a running job's `completed` count rises.
 ///
@@ -1232,85 +1019,11 @@ pub fn run_sharded_ctl(
     // instead of dispatched.
     let cache = config.cache_dir.as_ref().map(RangeCache::new);
     let cache_stats = cache.as_ref().map(|_| cache_telemetry());
-    let mut cached_rows = match &cache {
-        Some(cache) => {
-            let mut rows = cache.load(spec, &grid);
-            rows.retain(|index, _| active.contains(index));
-            rows
-        }
-        None => std::collections::BTreeMap::new(),
-    };
-    // The dispatch plan: per shard its backend, global range, and —
-    // for ranges served from the cache — the pre-sealed rows.
-    let offset = |(start, end): (usize, usize)| (active.start + start, active.start + end);
-    let mut plan: Vec<(usize, (usize, usize), Option<Vec<ScenarioResult>>)> = Vec::new();
-    if cached_rows.is_empty() {
-        // Cold (or no) cache: exactly the classic partitioning.
-        // Weighted ranges stay index-aligned with their backends (empty
-        // ranges are skipped); uniform ranges round-robin, which for
-        // the common `shards == backends` case is the same alignment.
-        match weights {
-            Some(weights) => {
-                for (k, range) in partition_weighted(active.len(), weights)
-                    .into_iter()
-                    .enumerate()
-                {
-                    if range.0 < range.1 {
-                        plan.push((k, offset(range), None));
-                    }
-                }
-            }
-            None => {
-                for (k, range) in partition(active.len(), backends.len())
-                    .into_iter()
-                    .enumerate()
-                {
-                    plan.push((k % backends.len(), offset(range), None));
-                }
-            }
-        }
-    } else {
-        // Split the active range at cache-coverage boundaries: each
-        // maximal cached run becomes one pre-sealed shard, and each gap
-        // partitions across the backends on its own — so scattered
-        // coverage (an incremental campaign's translated rows) still
-        // narrows execution to exactly the uncovered cells.
-        let mut pos = active.start;
-        while pos < active.end {
-            let covered = cached_rows.contains_key(&pos);
-            let mut end = pos + 1;
-            while end < active.end && cached_rows.contains_key(&end) == covered {
-                end += 1;
-            }
-            if covered {
-                let rows: Vec<ScenarioResult> = (pos..end)
-                    .map(|index| cached_rows.remove(&index).expect("segment is covered"))
-                    .collect();
-                plan.push((0, (pos, end), Some(rows)));
-            } else {
-                match weights {
-                    Some(weights) => {
-                        for (k, (a, b)) in partition_weighted(end - pos, weights)
-                            .into_iter()
-                            .enumerate()
-                        {
-                            if a < b {
-                                plan.push((k, (pos + a, pos + b), None));
-                            }
-                        }
-                    }
-                    None => {
-                        for (k, (a, b)) in
-                            partition(end - pos, backends.len()).into_iter().enumerate()
-                        {
-                            plan.push((k % backends.len(), (pos + a, pos + b), None));
-                        }
-                    }
-                }
-            }
-            pos = end;
-        }
-    }
+    let cached_rows = cache
+        .as_ref()
+        .map(|cache| cache.load(spec, &grid))
+        .unwrap_or_default();
+    let plan = plan_shards(active.clone(), cached_rows, backends.len(), weights);
     let shard_count = plan.len();
     let spliced: usize = plan
         .iter()
@@ -1351,14 +1064,11 @@ pub fn run_sharded_ctl(
                 attempts: 0,
                 progress: 0,
                 failures: 0,
-                dispatched_at: Duration::ZERO,
-                spare: None,
             })
             .collect(),
         total: active.len(),
         dispatches: 0,
         failures: 0,
-        done_at: Vec::new(),
         sink: &mut on_event,
         telemetry: backends
             .iter()
@@ -1416,13 +1126,10 @@ pub fn run_sharded_ctl(
         );
         for shard in 0..dispatcher.shards.len() {
             if dispatcher.shards[shard].rows.is_some() {
-                dispatcher.reap_spare(shard);
                 continue;
             }
             outstanding = true;
             dispatcher.step(shard)?;
-            dispatcher.spare_step(shard);
-            dispatcher.reap_spare(shard);
         }
         if !outstanding {
             break;
@@ -1546,6 +1253,60 @@ mod tests {
             message.contains("duplicated") || message.contains("missing"),
             "{message}"
         );
+    }
+
+    /// Strips a plan down to `(backend, range, sealed row count)`.
+    fn shape(plan: &[PlannedShard]) -> Vec<(usize, (usize, usize), Option<usize>)> {
+        plan.iter()
+            .map(|(backend, range, sealed)| (*backend, *range, sealed.as_ref().map(Vec::len)))
+            .collect()
+    }
+
+    #[test]
+    fn cold_plan_is_the_offset_partition() {
+        for (active, k) in [(0..12, 2), (3..20, 3), (5..7, 4), (4..4, 2)] {
+            let expected: Vec<_> = partition(active.len(), k)
+                .into_iter()
+                .enumerate()
+                .map(|(i, (a, b))| (i % k, (active.start + a, active.start + b), None))
+                .collect();
+            let plan = plan_shards(active.clone(), BTreeMap::new(), k, None);
+            assert_eq!(shape(&plan), expected, "{active:?} over {k} backends");
+        }
+    }
+
+    #[test]
+    fn weighted_plan_skips_empty_ranges_and_keeps_backend_alignment() {
+        let plan = plan_shards(2..11, BTreeMap::new(), 3, Some(&[1.0, 0.0, 2.0]));
+        assert_eq!(shape(&plan), vec![(0, (2, 5), None), (2, (5, 11), None)]);
+    }
+
+    #[test]
+    fn cached_rows_split_the_plan_at_coverage_boundaries() {
+        let cached: BTreeMap<usize, ScenarioResult> = run_campaign(&small_spec(), 1)
+            .results
+            .into_iter()
+            .filter(|row| [0, 1, 4, 5].contains(&row.scenario.index))
+            .map(|row| (row.scenario.index, row))
+            .collect();
+        let plan = plan_shards(0..8, cached, 2, None);
+        assert_eq!(
+            shape(&plan),
+            vec![
+                (0, (0, 2), Some(2)),
+                (0, (2, 3), None),
+                (1, (3, 4), None),
+                (0, (4, 6), Some(2)),
+                (0, (6, 7), None),
+                (1, (7, 8), None),
+            ]
+        );
+        for (_, (start, end), sealed) in &plan {
+            if let Some(rows) = sealed {
+                let indices: Vec<usize> = rows.iter().map(|row| row.scenario.index).collect();
+                assert_eq!(indices, (*start..*end).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

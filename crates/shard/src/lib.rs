@@ -62,10 +62,7 @@ pub mod partition;
 
 pub use breaker::{Backoff, BreakerState, CircuitBreaker};
 pub use cache::{RangeCache, CACHE_VERSION};
-pub use client::{
-    classify_submit, exchange, healthz, BackendHealth, ClientError, SubmitOutcome,
-    MAX_RESPONSE_BYTES,
-};
+pub use client::{exchange, ClientError, MAX_RESPONSE_BYTES};
 pub use metrics::cache_evictions;
 
 pub use coordinator::{

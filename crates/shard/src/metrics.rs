@@ -27,12 +27,6 @@ pub(crate) struct BackendTelemetry {
     /// Times this backend's circuit breaker opened (first open and
     /// every re-open after a failed half-open probe).
     pub breaker_opens: Arc<Counter>,
-    /// Speculative duplicate dispatches sent *to* this backend for a
-    /// straggling shard running elsewhere.
-    pub speculations: Arc<Counter>,
-    /// Speculative dispatches on this backend that sealed their rows
-    /// before the straggling primary did.
-    pub speculation_wins: Arc<Counter>,
 }
 
 /// Registers (or re-resolves) the counter family for one backend
@@ -60,16 +54,6 @@ pub(crate) fn backend_telemetry(addr: &str) -> BackendTelemetry {
             "shard_breaker_opens_total",
             labels,
             "Circuit-breaker open transitions per backend",
-        ),
-        speculations: registry.counter_with(
-            "shard_speculations_total",
-            labels,
-            "Speculative duplicate dispatches of straggling shards to this backend",
-        ),
-        speculation_wins: registry.counter_with(
-            "shard_speculation_wins_total",
-            labels,
-            "Speculative dispatches on this backend that sealed before the primary",
         ),
     }
 }

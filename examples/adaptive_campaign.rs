@@ -1,10 +1,11 @@
 //! The adaptive-controller smoke: a small campaign grid driven as
 //! sequential-sampling control rounds over two self-hosted `serve`
 //! shards — cells stop early once their CI95 half-width is inside the
-//! policy threshold, the freed replicate budget flows to the noisiest
-//! open cells, and the shard split is weighted by live `/healthz` job
-//! counts ([`AutoWeightedSharded`]). The resulting report must be
-//! **byte-identical** to the single-threaded in-process oracle. CI runs
+//! policy threshold, and the freed replicate budget flows to the
+//! noisiest open cells; every round's ranged sub-specs run through a
+//! [`ShardedExecutor`] split evenly across the two shards. The
+//! resulting report must be **byte-identical** to the single-threaded
+//! in-process oracle. CI runs
 //! this as the adaptive smoke (`scripts/ci.sh`); it finishes in about a
 //! second.
 //!
@@ -12,10 +13,10 @@
 //! cargo run --release --example adaptive_campaign
 //! ```
 
-use chunkpoint::adaptive::{AdaptiveController, AdaptivePolicy, AutoWeightedSharded};
+use chunkpoint::adaptive::{AdaptiveController, AdaptivePolicy};
 use chunkpoint::campaign::{CampaignSpec, SchemeSpec};
 use chunkpoint::core::{MitigationScheme, SystemConfig};
-use chunkpoint::exec::LocalExecutor;
+use chunkpoint::exec::{LocalExecutor, ShardedExecutor};
 use chunkpoint::workloads::Benchmark;
 use chunkpoint_serve::server::{ServeConfig, Server};
 
@@ -62,10 +63,10 @@ fn main() {
         .run(&spec)
         .expect("local adaptive oracle");
 
-    // The same (spec, policy) over two health-weighted serve shards.
+    // The same (spec, policy) over two serve shards.
     let shard_a = spawn_shard("a");
     let shard_b = spawn_shard("b");
-    let executor = AutoWeightedSharded::new(vec![shard_a, shard_b]);
+    let executor = ShardedExecutor::new(vec![shard_a, shard_b]);
     let run = AdaptiveController::new(executor, policy)
         .run(&spec)
         .expect("sharded adaptive run");

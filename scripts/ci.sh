@@ -14,6 +14,11 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+# Compiler warnings fail the gate, so a deletion cannot leave behind an
+# unused field, a helper with no caller or a stale test import.
+echo "== cargo check (warnings are errors) =="
+RUSTFLAGS="-D warnings" cargo check --offline --workspace --all-targets
+
 # Broken or private intra-doc links fail the gate, so docs cannot keep
 # pointing at items that were renamed or deleted.
 echo "== cargo doc (warnings are errors) =="
@@ -256,7 +261,7 @@ cargo run --release -p chunkpoint_bench --bin bench_scenario -- --smoke
 echo "== chaos bench smoke (submission throughput at 0/10/30% fault rates) =="
 cargo run --release -p chunkpoint_bench --bin bench_chaos -- --smoke
 
-echo "== adaptive smoke (early-stopping controller over two health-weighted shards) =="
+echo "== adaptive smoke (early-stopping controller over two serve shards) =="
 cargo run --release --example adaptive_campaign
 
 echo "== adaptive bench smoke (fixed grid vs adaptive replicates-to-CI) =="

@@ -44,10 +44,10 @@
 //!   stream and one `ExecError` enum, implemented by local, remote,
 //!   and sharded executors proven byte-identical on the same spec;
 //! * [`adaptive`] — the sequential-sampling campaign controller on the
-//!   executor event plane: per-cell CI95 early stopping, variance-driven
-//!   replicate reallocation through ranged sub-specs, health-weighted
-//!   shard partitioning, and speculative straggler double-dispatch —
-//!   with stop/reallocate decisions that replay byte-identically.
+//!   executor event plane: per-cell CI95 early stopping and
+//!   variance-driven replicate reallocation through ranged sub-specs,
+//!   over any executor — with stop/reallocate decisions that replay
+//!   byte-identically.
 //!
 //! ## Quickstart
 //!
@@ -108,7 +108,7 @@ pub use chunkpoint_shard as shard;
 pub use chunkpoint_exec as exec;
 
 /// Sequential-sampling adaptive campaign controller: CI95 early
-/// stopping, replicate reallocation, health-weighted sharding.
+/// stopping and replicate reallocation over any executor.
 pub use chunkpoint_adaptive as adaptive;
 
 /// Deterministic fault-injecting TCP proxy for chaos-testing the
