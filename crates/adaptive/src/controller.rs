@@ -4,6 +4,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
+use chunkpoint_campaign::rows::exact_cover;
 use chunkpoint_campaign::{
     canonical_report_json, CampaignSpec, CancelToken, JsonValue, ScenarioResult,
 };
@@ -301,29 +302,18 @@ impl<E: CampaignExecutor> AdaptiveController<E> {
         }
 
         // Coverage: the executed set must be exactly the per-cell
-        // prefixes the plans scheduled, each scenario once.
-        results.sort_by_key(|row| row.scenario.index);
-        let mut cursor = 0usize;
-        for (cell, progress) in cells.iter().enumerate() {
-            for offset in 0..progress.spent as usize {
-                let expected = cell * stride + offset;
-                match results.get(cursor) {
-                    Some(row) if row.scenario.index == expected => cursor += 1,
-                    _ => {
-                        return Err(ExecError::BadMerge {
-                            detail: format!("scenario {expected} missing or duplicated"),
-                        })
-                    }
-                }
-            }
+        // prefixes the plans scheduled, each scenario once. Every row's
+        // cell was bounds-checked when its round was sealed.
+        let mut by_cell: Vec<Vec<ScenarioResult>> = vec![Vec::new(); cell_count];
+        for row in results {
+            by_cell[row.scenario.index / stride].push(row);
         }
-        if cursor != results.len() {
-            return Err(ExecError::BadMerge {
-                detail: format!(
-                    "{} rows beyond the planned prefixes",
-                    results.len() - cursor
-                ),
-            });
+        let mut results = Vec::new();
+        for (cell, rows) in by_cell.into_iter().enumerate() {
+            let prefix = cell * stride..cell * stride + cells[cell].spent as usize;
+            results.extend(
+                exact_cover(prefix, rows).map_err(|detail| ExecError::BadMerge { detail })?,
+            );
         }
 
         let mut outcomes = Vec::with_capacity(cell_count);

@@ -25,9 +25,12 @@ use chunkpoint_campaign::{
     pool::default_threads, CampaignArgs, CampaignSpec, JsonValue, SchemeSpec,
 };
 use chunkpoint_core::{MitigationScheme, SystemConfig};
-use chunkpoint_serve::http::request;
 use chunkpoint_serve::server::{ServeConfig, Server};
+use chunkpoint_shard::exchange;
 use chunkpoint_workloads::Benchmark;
+
+/// Deadline of each HTTP exchange with the service.
+const TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A one-scenario spec, unique per `campaign_seed` (distinct content
 /// hash), cheap enough that the runner pool drains submissions fast.
@@ -70,7 +73,8 @@ fn main() {
         trace_out: None,
     })
     .expect("bind server");
-    let addr = server.local_addr().expect("addr");
+    let addr = server.local_addr().expect("addr").to_string();
+    let addr = addr.as_str();
     let serving = std::thread::spawn(move || server.run());
     println!(
         "bench_serve: service on {addr} ({} submissions, {} cache hits)",
@@ -79,14 +83,15 @@ fn main() {
 
     // Protocol floor.
     let healthz_rps = measure(healthz_n, |_| {
-        let (status, _) = request(addr, "GET", "/healthz", None).expect("healthz");
+        let (status, _) = exchange(addr, "GET", "/healthz", None, TIMEOUT).expect("healthz");
         assert_eq!(status, 200);
     });
 
     // Unique-spec submission: hash + persist + enqueue per request.
     let submit_rps = measure(submit_n, |i| {
         let body = tiny_spec(args.seed + 1 + i as u64).to_json().render();
-        let (status, response) = request(addr, "POST", "/campaigns", Some(&body)).expect("submit");
+        let (status, response) =
+            exchange(addr, "POST", "/campaigns", Some(&body), TIMEOUT).expect("submit");
         assert_eq!(status, 202, "{response}");
     });
 
@@ -94,7 +99,7 @@ fn main() {
     let warm = tiny_spec(args.seed);
     let warm_body = warm.to_json().render();
     let (status, response) =
-        request(addr, "POST", "/campaigns", Some(&warm_body)).expect("warm submit");
+        exchange(addr, "POST", "/campaigns", Some(&warm_body), TIMEOUT).expect("warm submit");
     assert_eq!(status, 202, "{response}");
     let warm_id = JsonValue::parse(&response)
         .expect("submit json")
@@ -103,7 +108,8 @@ fn main() {
         .expect("id");
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let (_, body) = request(addr, "GET", &format!("/campaigns/{warm_id}"), None).expect("poll");
+        let (_, body) =
+            exchange(addr, "GET", &format!("/campaigns/{warm_id}"), None, TIMEOUT).expect("poll");
         if body.contains("\"status\":\"done\"") {
             break;
         }
@@ -116,7 +122,7 @@ fn main() {
     }
     let cache_hit_rps = measure(cache_n, |_| {
         let (status, response) =
-            request(addr, "POST", "/campaigns", Some(&warm_body)).expect("cache hit");
+            exchange(addr, "POST", "/campaigns", Some(&warm_body), TIMEOUT).expect("cache hit");
         assert_eq!(status, 200, "{response}");
         assert!(response.contains("\"cached\":true"), "{response}");
     });
@@ -133,7 +139,8 @@ fn main() {
             scope.spawn(move || {
                 for _ in 0..per_client {
                     let (status, response) =
-                        request(addr, "POST", "/campaigns", Some(warm_ref)).expect("cache hit");
+                        exchange(addr, "POST", "/campaigns", Some(warm_ref), TIMEOUT)
+                            .expect("cache hit");
                     assert_eq!(status, 200, "{response}");
                 }
             });
@@ -181,7 +188,7 @@ fn main() {
         println!("wrote {path}");
     }
 
-    let (_, _) = request(addr, "POST", "/shutdown", None).expect("shutdown");
+    let (_, _) = exchange(addr, "POST", "/shutdown", None, TIMEOUT).expect("shutdown");
     serving.join().expect("server drained");
     let _ = std::fs::remove_dir_all(&data_dir);
 }

@@ -24,6 +24,9 @@
 //!   full campaign (metadata, per-scenario rows, aggregates) as JSON with
 //!   no external dependencies ([`json`]); [`cli`] gives every experiment
 //!   binary the same `--threads/--seeds/--seed/--json` surface.
+//! * **Sealed rows** — [`rows`] is the one codec for stored and fetched
+//!   [`ScenarioResult`] rows: the torn-tail rule, per-row admission
+//!   against a grid range, and the exact-coverage check.
 //!
 //! ## Example
 //!
@@ -68,6 +71,7 @@ pub mod json {
     pub use chunkpoint_scenario::json::*;
 }
 pub mod pool;
+pub mod rows;
 pub mod seed;
 pub mod spec;
 pub mod stats;

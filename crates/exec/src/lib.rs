@@ -17,7 +17,9 @@
 //! [`CampaignEvent`]s ([`CampaignHandle::events`]), cooperative
 //! [`CampaignHandle::cancel`], and [`CampaignHandle::wait`] returning
 //! a [`CampaignRun`] or the one [`ExecError`] enum — no stringly
-//! errors, no per-path calling conventions.
+//! errors, no per-path calling conventions. `ExecError` is defined in
+//! `chunkpoint_shard`, whose coordinator returns it, and re-exported
+//! here: the local path and the coordinator fail with the same type.
 //!
 //! ## Why the three paths agree byte for byte
 //!

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use chunkpoint_campaign::{run_grid_streaming, CampaignEvent, CampaignSpec, CancelToken};
-use chunkpoint_shard::{merged_report_over, ShardError};
+use chunkpoint_shard::merged_report_over;
 
 use crate::handle::{spawn_worker, CampaignHandle, EventSink};
 use crate::outcome::{CampaignRun, ExecError};
@@ -53,7 +53,11 @@ fn run_local(
     cancel: &CancelToken,
 ) -> Result<CampaignRun, ExecError> {
     let started = Instant::now();
-    let grid = spec.try_scenarios().map_err(ShardError::Invalid)?;
+    let grid = spec.try_scenarios().map_err(|detail| ExecError::Rejected {
+        backend: None,
+        status: None,
+        detail,
+    })?;
     let active = spec.active_range(grid.len());
     let total = active.len();
     sink.emit(CampaignEvent::Progress { done: 0, total });

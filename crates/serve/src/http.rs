@@ -1,16 +1,15 @@
-//! A minimal HTTP/1.1 layer on `std::net` — just enough protocol for the
-//! campaign service and its clients, with no external dependencies.
+//! A minimal HTTP/1.1 server layer on `std::net` — just enough protocol
+//! for the campaign service, with no external dependencies.
 //!
-//! Server side: [`read_request`] parses a request head plus
-//! `Content-Length`-framed body off a [`TcpStream`] under hard size
-//! limits (network input is untrusted); [`Response::write_to`] emits a
-//! well-formed `Connection: close` response. Client side:
-//! [`request`] performs one round trip — the std-only client used by the
-//! `serve_client` example, the `bench_serve` harness, and the crash
-//! -resume integration tests.
+//! [`read_request`] parses a request head plus `Content-Length`-framed
+//! body off a [`TcpStream`] under hard size limits (network input is
+//! untrusted); [`Response::write_to`] emits a well-formed
+//! `Connection: close` response. The one client of this protocol is
+//! `chunkpoint_shard::exchange`, which adds whole-exchange deadlines,
+//! response size caps and typed errors.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Upper bound on the request head (request line + headers).
@@ -283,79 +282,10 @@ fn find_head_end(buffered: &[u8]) -> Option<(usize, usize)> {
     }
 }
 
-/// Performs one HTTP exchange as a client: connect, send, read the
-/// response, return `(status, body)`. Std-only — the client half used by
-/// the example client, the benchmark harness, and the tests.
-///
-/// # Errors
-///
-/// Returns socket errors, timeouts, and malformed responses as
-/// [`std::io::Error`].
-pub fn request(
-    addr: impl ToSocketAddrs,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> std::io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: chunkpoint\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("malformed status line {status_line:?}"),
-            )
-        })?;
-    let mut content_length: Option<usize> = None;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok();
-            }
-        }
-    }
-    let mut body = Vec::new();
-    match content_length {
-        Some(n) => {
-            body.resize(n, 0);
-            reader.read_exact(&mut body)?;
-        }
-        // Connection: close framing — read to EOF.
-        None => {
-            reader.read_to_end(&mut body)?;
-        }
-    }
-    let body = String::from_utf8(body)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
-    Ok((status, body))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
     use std::net::TcpListener;
 
     /// One-shot echo server: accepts a single connection, parses the
@@ -383,9 +313,15 @@ mod tests {
 
     #[test]
     fn client_and_server_round_trip() {
-        let addr = spawn_one_shot();
-        let (status, body) =
-            request(addr, "POST", "/campaigns", Some("{\"x\":1}")).expect("round trip");
+        let addr = spawn_one_shot().to_string();
+        let (status, body) = chunkpoint_shard::exchange(
+            &addr,
+            "POST",
+            "/campaigns",
+            Some("{\"x\":1}"),
+            Duration::from_secs(30),
+        )
+        .expect("round trip");
         assert_eq!(status, 200);
         let doc = chunkpoint_campaign::JsonValue::parse(&body).expect("json body");
         assert_eq!(doc.get("method").unwrap().as_str(), Some("POST"));

@@ -18,7 +18,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use chunkpoint_campaign::{
-    canonical_report_json, run_grid_streaming, Axis, CampaignSpec, CancelToken, JsonValue,
+    canonical_report_json, rows, run_grid_streaming, Axis, CampaignSpec, CancelToken, JsonValue,
 };
 
 use crate::metrics::metrics;
@@ -286,9 +286,10 @@ impl JobManager {
                     );
                 } else {
                     // Journaled progress survives the restart: report the
-                    // sealed row count so `completed` stays monotonic
-                    // while the job waits for a runner.
-                    let completed = manager.store.journal_line_count(&id);
+                    // sealed row count (unvalidated until a runner loads
+                    // the journal) so `completed` stays monotonic while
+                    // the job waits for a runner.
+                    let completed = manager.store.read_journal_rows(&id).len();
                     state.jobs.insert(
                         id.clone(),
                         JobEntry {
@@ -671,14 +672,8 @@ impl JobManager {
         // construction, so the canonical report is too.
         let mut merged = journal.results;
         merged.extend(fresh);
-        merged.sort_by_key(|r| r.scenario.index);
-        if merged.len() != active.len() {
-            return Err(format!(
-                "job {id}: merged {} of {} scenarios — journal inconsistent",
-                merged.len(),
-                active.len()
-            ));
-        }
+        let merged = rows::exact_cover(active, merged)
+            .map_err(|why| format!("job {id}: journal inconsistent: {why}"))?;
         let report = canonical_report_json(spec.campaign_seed, &merged, &REPORT_AXES).render();
         self.store
             .write_result(id, &report)

@@ -10,8 +10,8 @@
 //!
 //! The four layers:
 //!
-//! * [`http`] — a minimal HTTP/1.1 server *and* client: request parsing
-//!   under hard size limits, JSON responses, one request per connection.
+//! * [`http`] — a minimal HTTP/1.1 server: request parsing under hard
+//!   size limits, JSON responses, one request per connection.
 //! * [`jobs`] — the job manager: `max_jobs` runner threads drain a
 //!   queue, each driving [`chunkpoint_campaign::run_campaign_streaming`]
 //!   with a [`chunkpoint_campaign::CancelToken`], a journal-derived skip
@@ -40,6 +40,7 @@
 //! use chunkpoint_campaign::{CampaignSpec, SchemeSpec};
 //! use chunkpoint_core::{MitigationScheme, SystemConfig};
 //! use chunkpoint_serve::server::{ServeConfig, Server};
+//! use chunkpoint_shard::exchange;
 //! use chunkpoint_workloads::Benchmark;
 //!
 //! let dir = std::env::temp_dir().join(format!("chunkpoint-doc-{}", std::process::id()));
@@ -52,7 +53,7 @@
 //!     trace_out: None,
 //! };
 //! let server = Server::bind(&config).expect("bind");
-//! let addr = server.local_addr().expect("addr");
+//! let addr = server.local_addr().expect("addr").to_string();
 //! std::thread::spawn(move || server.run());
 //!
 //! let mut base = SystemConfig::paper(0);
@@ -62,15 +63,14 @@
 //!     .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default))
 //!     .normalize(false)
 //!     .golden_check(false);
-//! let (status, body) = chunkpoint_serve::http::request(
-//!     addr,
-//!     "POST",
-//!     "/campaigns",
-//!     Some(&spec.to_json().render()),
-//! )
-//! .expect("submit");
+//! // Any HTTP/1.1 client will do; the workspace's own is the shard
+//! // coordinator's.
+//! let timeout = std::time::Duration::from_secs(10);
+//! let body = spec.to_json().render();
+//! let (status, body) =
+//!     exchange(&addr, "POST", "/campaigns", Some(&body), timeout).expect("submit");
 //! assert_eq!(status, 202, "{body}");
-//! let (_, _) = chunkpoint_serve::http::request(addr, "POST", "/shutdown", None).expect("stop");
+//! exchange(&addr, "POST", "/shutdown", None, timeout).expect("stop");
 //! let _ = std::fs::remove_dir_all(dir);
 //! ```
 

@@ -19,17 +19,25 @@
 //!
 //! The journal is the crash-safety mechanism. Every completed scenario
 //! appends one line and flushes; a process killed mid-campaign leaves a
-//! journal whose complete lines are all trusted (an interrupted final
-//! line is detected and dropped on load). On resume the grid is
-//! re-enumerated from the spec and the journaled indices are skipped —
-//! per-scenario seeds depend only on `(campaign_seed, index)`, so the
-//! merged result is bit-identical to an uninterrupted run.
+//! journal whose newline-sealed lines are read back and an interrupted
+//! final line that is dropped. On resume the grid is re-enumerated from
+//! the spec and the journaled indices are skipped — per-scenario seeds
+//! depend only on `(campaign_seed, index)`, so the merged result is
+//! bit-identical to an uninterrupted run.
+//!
+//! The journal is a row log of [`chunkpoint_campaign::rows`], the same
+//! format as a coordinator range file, and is read back under that
+//! module's rules: each row must carry an index inside the job's range
+//! and that scenario's derived seed. A row's measurements are not
+//! checked — no journal row and no `result.json` carries a content
+//! checksum, so a digit flipped on disk is served as written.
 
 use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use chunkpoint_campaign::rows::{self, RangeRows};
 use chunkpoint_campaign::{CampaignSpec, JsonValue, Scenario, ScenarioResult};
 
 /// A handle on the store root. Cheap to clone; all state lives on disk.
@@ -192,11 +200,12 @@ impl JobStore {
     /// — the whole grid for unranged specs): a row outside it belongs to
     /// a different slice of the campaign and is rejected.
     ///
-    /// Tolerates exactly the damage a `SIGKILL` can cause — a final line
-    /// with no trailing newline (dropped) — and rejects everything else
-    /// loudly: a parseable row with a wrong seed or index means the
-    /// journal belongs to a different campaign and resuming from it
-    /// would silently corrupt results.
+    /// Rows are read and admitted by [`chunkpoint_campaign::rows`]: a
+    /// torn final line (what a `SIGKILL` mid-append leaves) is dropped,
+    /// the first copy of a repeated index wins, and every other
+    /// irregularity fails loudly — a parseable row with a wrong seed or
+    /// index means the journal belongs to a different campaign, and
+    /// resuming from it would silently corrupt results.
     ///
     /// # Errors
     ///
@@ -213,50 +222,19 @@ impl JobStore {
             return Ok(LoadedJournal::default());
         }
         let raw = fs::read_to_string(&path).map_err(|e| format!("job {id}: journal: {e}"))?;
-        let complete_prefix = match raw.rfind('\n') {
-            // A crash can sever the last line mid-write; only lines
-            // sealed by a newline are trusted.
-            Some(last_newline) => &raw[..=last_newline],
-            None => "",
-        };
-        let mut journal = LoadedJournal::default();
-        for (lineno, line) in complete_prefix.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let value = JsonValue::parse(line)
-                .map_err(|e| format!("job {id}: journal line {}: {e}", lineno + 1))?;
-            let index = value
-                .get("index")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("job {id}: journal line {}: no index", lineno + 1))?
-                as usize;
-            let scenario = scenarios.get(index).ok_or_else(|| {
-                format!(
-                    "job {id}: journal line {} indexes scenario {index} outside the grid",
-                    lineno + 1
-                )
-            })?;
-            if !active.contains(&index) {
-                return Err(format!(
-                    "job {id}: journal line {} indexes scenario {index} outside this job's \
-                     scenario range [{}, {})",
-                    lineno + 1,
-                    active.start,
-                    active.end
-                ));
-            }
-            let result = ScenarioResult::from_json(&value, scenario.clone())
-                .map_err(|e| format!("job {id}: journal line {}: {e}", lineno + 1))?;
-            if journal.done.insert(index) {
-                journal.results.push(result);
-            }
+        let mut admitted = RangeRows::new(scenarios, active.clone());
+        for (row, line) in rows::sealed_lines(&raw).enumerate() {
+            JsonValue::parse(line)
+                .map_err(|e| e.to_string())
+                .and_then(|value| admitted.admit(&value))
+                .map_err(|e| format!("job {id}: journal row {}: {e}", row + 1))?;
         }
-        Ok(journal)
+        let (results, done) = admitted.into_parts();
+        Ok(LoadedJournal { results, done })
     }
 
-    /// The sealed (newline-terminated) journal rows as raw JSON lines, in
-    /// journal (completion) order — the payload of
+    /// The sealed journal rows as raw JSON lines, in journal
+    /// (completion) order — the payload of
     /// `GET /campaigns/:id/journal`, which a shard coordinator merges
     /// with its sibling shards' rows. A torn final line is dropped, same
     /// as [`JobStore::load_journal`]; a missing journal is simply empty.
@@ -265,25 +243,7 @@ impl JobStore {
         let Ok(raw) = fs::read_to_string(self.journal_path(id)) else {
             return Vec::new();
         };
-        let sealed = match raw.rfind('\n') {
-            Some(last_newline) => &raw[..=last_newline],
-            None => "",
-        };
-        sealed
-            .lines()
-            .filter(|line| !line.trim().is_empty())
-            .map(str::to_owned)
-            .collect()
-    }
-
-    /// Counts the sealed (newline-terminated) journal rows without
-    /// validating them — the cheap progress figure service recovery
-    /// reports before a runner re-loads the journal properly.
-    #[must_use]
-    pub fn journal_line_count(&self, id: &str) -> usize {
-        std::fs::read_to_string(self.journal_path(id))
-            .map(|raw| raw.bytes().filter(|&b| b == b'\n').count())
-            .unwrap_or(0)
+        rows::sealed_lines(&raw).map(str::to_owned).collect()
     }
 
     /// Opens the journal for appending, creating it if absent.
@@ -300,7 +260,7 @@ impl JobStore {
     pub fn open_journal(&self, id: &str) -> std::io::Result<JournalWriter> {
         let path = self.journal_path(id);
         if let Ok(raw) = fs::read(&path) {
-            let sealed = raw.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+            let sealed = rows::sealed_len(&raw);
             if sealed != raw.len() {
                 let file = OpenOptions::new().write(true).open(&path)?;
                 file.set_len(sealed as u64)?;
@@ -364,9 +324,7 @@ impl JournalWriter {
     ///
     /// Propagates filesystem errors.
     pub fn append(&mut self, result: &ScenarioResult) -> std::io::Result<()> {
-        let mut line = result.to_json().render();
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
+        self.file.write_all(rows::sealed_line(result).as_bytes())?;
         self.file.flush()
     }
 }

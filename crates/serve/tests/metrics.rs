@@ -10,9 +10,12 @@ use std::time::{Duration, Instant};
 
 use chunkpoint_campaign::{CampaignSpec, JsonValue, SchemeSpec};
 use chunkpoint_core::{MitigationScheme, SystemConfig};
-use chunkpoint_serve::http::request;
+use chunkpoint_shard::exchange;
 use chunkpoint_telemetry::Scrape;
 use chunkpoint_workloads::Benchmark;
+
+/// Deadline of each HTTP exchange with the service under test.
+const TIMEOUT: Duration = Duration::from_secs(30);
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("chunkpoint_metrics_{}_{tag}", std::process::id()))
@@ -32,7 +35,7 @@ fn tiny_spec(seed: u64) -> CampaignSpec {
 
 struct ServeProcess {
     child: Child,
-    addr: std::net::SocketAddr,
+    addr: String,
 }
 
 /// Starts the real `serve` binary on an ephemeral port and waits for
@@ -68,10 +71,10 @@ fn start_serve(data_dir: &PathBuf, port_file: &PathBuf, trace_out: &PathBuf) -> 
         assert!(Instant::now() < deadline, "serve never wrote its port");
         std::thread::sleep(Duration::from_millis(10));
     };
-    let addr = std::net::SocketAddr::from(([127, 0, 0, 1], port));
+    let addr = format!("127.0.0.1:{port}");
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        if let Ok((200, _)) = request(addr, "GET", "/healthz", None) {
+        if let Ok((200, _)) = exchange(&addr, "GET", "/healthz", None, TIMEOUT) {
             break;
         }
         assert!(Instant::now() < deadline, "serve never became healthy");
@@ -80,17 +83,18 @@ fn start_serve(data_dir: &PathBuf, port_file: &PathBuf, trace_out: &PathBuf) -> 
     ServeProcess { child, addr }
 }
 
-fn scrape(addr: std::net::SocketAddr) -> Scrape {
-    let (status, body) = request(addr, "GET", "/metrics", None).expect("scrape");
+fn scrape(addr: &str) -> Scrape {
+    let (status, body) = exchange(addr, "GET", "/metrics", None, TIMEOUT).expect("scrape");
     assert_eq!(status, 200, "{body}");
     Scrape::parse(&body).unwrap_or_else(|e| panic!("exposition does not parse: {e}\n{body}"))
 }
 
 /// Polls a job's status document until it reports `done`.
-fn wait_done(addr: std::net::SocketAddr, id: &str) {
+fn wait_done(addr: &str, id: &str) {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let (_, body) = request(addr, "GET", &format!("/campaigns/{id}"), None).expect("poll");
+        let (_, body) =
+            exchange(addr, "GET", &format!("/campaigns/{id}"), None, TIMEOUT).expect("poll");
         if body.contains("\"status\":\"done\"") {
             return;
         }
@@ -107,7 +111,7 @@ fn metrics_scrape_under_concurrent_load() {
     let _ = std::fs::remove_dir_all(&data_dir);
     let _ = std::fs::remove_file(&trace_out);
     let serve = start_serve(&data_dir, &port_file, &trace_out);
-    let addr = serve.addr;
+    let addr = serve.addr.as_str();
     let mut child = serve.child;
 
     let before = scrape(addr);
@@ -123,11 +127,13 @@ fn metrics_scrape_under_concurrent_load() {
                 scope.spawn(move || {
                     let mut ids = Vec::new();
                     for k in 0..SUBMITS_PER_CLIENT {
-                        let (status, _) = request(addr, "GET", "/healthz", None).expect("healthz");
+                        let (status, _) =
+                            exchange(addr, "GET", "/healthz", None, TIMEOUT).expect("healthz");
                         assert_eq!(status, 200);
                         let body = tiny_spec(0x4EED + client * 100 + k).to_json().render();
                         let (status, response) =
-                            request(addr, "POST", "/campaigns", Some(&body)).expect("submit");
+                            exchange(addr, "POST", "/campaigns", Some(&body), TIMEOUT)
+                                .expect("submit");
                         assert!(status == 202 || status == 200, "{response}");
                         ids.push(
                             JsonValue::parse(&response)
@@ -138,7 +144,8 @@ fn metrics_scrape_under_concurrent_load() {
                         );
                     }
                     for _ in 0..HEALTHZ_PER_CLIENT - SUBMITS_PER_CLIENT {
-                        let (status, _) = request(addr, "GET", "/healthz", None).expect("healthz");
+                        let (status, _) =
+                            exchange(addr, "GET", "/healthz", None, TIMEOUT).expect("healthz");
                         assert_eq!(status, 200);
                     }
                     ids
@@ -156,11 +163,18 @@ fn metrics_scrape_under_concurrent_load() {
 
     // One result fetch (the result-cache read path) and one identical
     // resubmission (the content-addressed cache-hit path).
-    let (status, _) =
-        request(addr, "GET", &format!("/campaigns/{}/result", ids[0]), None).expect("result");
+    let (status, _) = exchange(
+        addr,
+        "GET",
+        &format!("/campaigns/{}/result", ids[0]),
+        None,
+        TIMEOUT,
+    )
+    .expect("result");
     assert_eq!(status, 200);
     let warm = tiny_spec(0x4EED).to_json().render();
-    let (status, response) = request(addr, "POST", "/campaigns", Some(&warm)).expect("resubmit");
+    let (status, response) =
+        exchange(addr, "POST", "/campaigns", Some(&warm), TIMEOUT).expect("resubmit");
     assert_eq!(status, 200, "{response}");
     assert!(response.contains("\"cached\":true"), "{response}");
 
@@ -248,7 +262,7 @@ fn metrics_scrape_under_concurrent_load() {
 
     // Shut down and check the trace sink: every line is a JSON record
     // with a kind/span/name, and the root "serve" span begins it.
-    let (status, _) = request(addr, "POST", "/shutdown", None).expect("shutdown");
+    let (status, _) = exchange(addr, "POST", "/shutdown", None, TIMEOUT).expect("shutdown");
     assert_eq!(status, 200);
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {

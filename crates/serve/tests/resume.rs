@@ -14,9 +14,12 @@ use chunkpoint_campaign::{
     canonical_report_json, run_campaign, CampaignSpec, JsonValue, SchemeSpec,
 };
 use chunkpoint_core::{MitigationScheme, SystemConfig};
-use chunkpoint_serve::http::request;
 use chunkpoint_serve::{JobStore, REPORT_AXES};
+use chunkpoint_shard::exchange;
 use chunkpoint_workloads::Benchmark;
+
+/// Deadline of each HTTP exchange with the service under test.
+const TIMEOUT: Duration = Duration::from_secs(30);
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("chunkpoint_resume_{}_{tag}", std::process::id()))
@@ -44,7 +47,7 @@ fn kill_spec() -> CampaignSpec {
 
 struct ServeProcess {
     child: Child,
-    addr: std::net::SocketAddr,
+    addr: String,
 }
 
 /// Starts the real `serve` binary on an ephemeral port over `data_dir`
@@ -78,10 +81,10 @@ fn start_serve(data_dir: &PathBuf, port_file: &PathBuf) -> ServeProcess {
         assert!(Instant::now() < deadline, "serve never wrote its port");
         std::thread::sleep(Duration::from_millis(10));
     };
-    let addr = std::net::SocketAddr::from(([127, 0, 0, 1], port));
+    let addr = format!("127.0.0.1:{port}");
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        if let Ok((200, _)) = request(addr, "GET", "/healthz", None) {
+        if let Ok((200, _)) = exchange(&addr, "GET", "/healthz", None, TIMEOUT) {
             break;
         }
         assert!(Instant::now() < deadline, "serve never became healthy");
@@ -102,11 +105,12 @@ fn sigkilled_service_resumes_bit_identically() {
 
     // Phase 1: submit, let it get partway, then SIGKILL the service.
     let mut serve = start_serve(&data_dir, &port_file);
-    let (status, body) = request(
-        serve.addr,
+    let (status, body) = exchange(
+        &serve.addr,
         "POST",
         "/campaigns",
         Some(&spec.to_json().render()),
+        TIMEOUT,
     )
     .expect("submit");
     assert_eq!(status, 202, "{body}");
@@ -121,8 +125,14 @@ fn sigkilled_service_resumes_bit_identically() {
 
     let deadline = Instant::now() + Duration::from_secs(120);
     let completed_at_kill = loop {
-        let (_, body) =
-            request(serve.addr, "GET", &format!("/campaigns/{id}"), None).expect("poll");
+        let (_, body) = exchange(
+            &serve.addr,
+            "GET",
+            &format!("/campaigns/{id}"),
+            None,
+            TIMEOUT,
+        )
+        .expect("poll");
         let doc = JsonValue::parse(&body).expect("status json");
         let completed = doc.get("completed").unwrap().as_u64().expect("completed") as usize;
         let state = doc.get("status").unwrap().as_str().unwrap().to_owned();
@@ -162,8 +172,14 @@ fn sigkilled_service_resumes_bit_identically() {
     let mut serve = start_serve(&data_dir, &port_file);
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
-        let (status, body) =
-            request(serve.addr, "GET", &format!("/campaigns/{id}"), None).expect("poll resumed");
+        let (status, body) = exchange(
+            &serve.addr,
+            "GET",
+            &format!("/campaigns/{id}"),
+            None,
+            TIMEOUT,
+        )
+        .expect("poll resumed");
         assert_eq!(status, 200, "restarted service forgot the job: {body}");
         let doc = JsonValue::parse(&body).expect("status json");
         match doc.get("status").unwrap().as_str() {
@@ -174,8 +190,14 @@ fn sigkilled_service_resumes_bit_identically() {
         assert!(Instant::now() < deadline, "resumed job never finished");
         std::thread::sleep(Duration::from_millis(10));
     }
-    let (status, served_report) =
-        request(serve.addr, "GET", &format!("/campaigns/{id}/result"), None).expect("result");
+    let (status, served_report) = exchange(
+        &serve.addr,
+        "GET",
+        &format!("/campaigns/{id}/result"),
+        None,
+        TIMEOUT,
+    )
+    .expect("result");
     assert_eq!(status, 200, "{served_report}");
 
     // The acceptance bar: byte-identical to an uninterrupted
@@ -190,17 +212,18 @@ fn sigkilled_service_resumes_bit_identically() {
     );
 
     // And the resubmit of the same spec is now a cache hit.
-    let (status, body) = request(
-        serve.addr,
+    let (status, body) = exchange(
+        &serve.addr,
         "POST",
         "/campaigns",
         Some(&spec.to_json().render()),
+        TIMEOUT,
     )
     .expect("resubmit");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"cached\":true"), "{body}");
 
-    let (_, _) = request(serve.addr, "POST", "/shutdown", None).expect("shutdown");
+    let (_, _) = exchange(&serve.addr, "POST", "/shutdown", None, TIMEOUT).expect("shutdown");
     let _ = serve.child.wait();
     let _ = std::fs::remove_dir_all(&data_dir);
     let _ = std::fs::remove_file(&port_file);

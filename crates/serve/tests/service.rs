@@ -8,10 +8,13 @@ use chunkpoint_campaign::{
     canonical_report_json, run_campaign, CampaignSpec, JsonValue, SchemeSpec,
 };
 use chunkpoint_core::{MitigationScheme, SystemConfig};
-use chunkpoint_serve::http::request;
 use chunkpoint_serve::server::{ServeConfig, Server};
 use chunkpoint_serve::REPORT_AXES;
+use chunkpoint_shard::exchange;
 use chunkpoint_workloads::Benchmark;
+
+/// Deadline of each HTTP exchange with the service under test.
+const TIMEOUT: Duration = Duration::from_secs(30);
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("chunkpoint_service_{}_{tag}", std::process::id()))
@@ -27,11 +30,11 @@ fn tiny_spec() -> CampaignSpec {
         .replicates(2)
 }
 
-fn wait_done(addr: std::net::SocketAddr, id: &str) -> JsonValue {
+fn wait_done(addr: &str, id: &str) -> JsonValue {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         let (status, body) =
-            request(addr, "GET", &format!("/campaigns/{id}"), None).expect("status poll");
+            exchange(addr, "GET", &format!("/campaigns/{id}"), None, TIMEOUT).expect("status poll");
         assert_eq!(status, 200, "{body}");
         let doc = JsonValue::parse(&body).expect("status json");
         match doc.get("status").and_then(JsonValue::as_str) {
@@ -57,18 +60,20 @@ fn submit_poll_result_cache_delete_shutdown() {
         trace_out: None,
     })
     .expect("bind");
-    let addr = server.local_addr().expect("addr");
+    let addr = server.local_addr().expect("addr").to_string();
+    let addr = addr.as_str();
     let serving = std::thread::spawn(move || server.run());
 
     // Health before anything.
-    let (status, body) = request(addr, "GET", "/healthz", None).expect("healthz");
+    let (status, body) = exchange(addr, "GET", "/healthz", None, TIMEOUT).expect("healthz");
     assert_eq!(status, 200);
     assert!(body.contains("\"status\":\"ok\""), "{body}");
 
     // Submit.
     let spec = tiny_spec();
     let spec_body = spec.to_json().render();
-    let (status, body) = request(addr, "POST", "/campaigns", Some(&spec_body)).expect("submit");
+    let (status, body) =
+        exchange(addr, "POST", "/campaigns", Some(&spec_body), TIMEOUT).expect("submit");
     assert_eq!(status, 202, "{body}");
     let doc = JsonValue::parse(&body).expect("submit json");
     let id = doc.get("id").unwrap().as_str().expect("id").to_owned();
@@ -78,8 +83,14 @@ fn submit_poll_result_cache_delete_shutdown() {
     // Poll to completion; fetch the report.
     let status_doc = wait_done(addr, &id);
     assert_eq!(status_doc.get("completed").unwrap().as_u64(), Some(4));
-    let (status, report) =
-        request(addr, "GET", &format!("/campaigns/{id}/result"), None).expect("result");
+    let (status, report) = exchange(
+        addr,
+        "GET",
+        &format!("/campaigns/{id}/result"),
+        None,
+        TIMEOUT,
+    )
+    .expect("result");
     assert_eq!(status, 200, "{report}");
 
     // The served report is the canonical timing-free report, byte for
@@ -89,8 +100,14 @@ fn submit_poll_result_cache_delete_shutdown() {
     assert_eq!(report.trim_end(), expected.render());
 
     // The journal endpoint serves every sealed row of the finished job.
-    let (status, body) =
-        request(addr, "GET", &format!("/campaigns/{id}/journal"), None).expect("journal");
+    let (status, body) = exchange(
+        addr,
+        "GET",
+        &format!("/campaigns/{id}/journal"),
+        None,
+        TIMEOUT,
+    )
+    .expect("journal");
     assert_eq!(status, 200, "{body}");
     let journal = JsonValue::parse(&body).expect("journal json");
     assert_eq!(journal.get("id").unwrap().as_str(), Some(id.as_str()));
@@ -105,7 +122,8 @@ fn submit_poll_result_cache_delete_shutdown() {
 
     // Resubmitting the identical spec is an instant cache hit.
     let t0 = Instant::now();
-    let (status, body) = request(addr, "POST", "/campaigns", Some(&spec_body)).expect("resubmit");
+    let (status, body) =
+        exchange(addr, "POST", "/campaigns", Some(&spec_body), TIMEOUT).expect("resubmit");
     assert_eq!(status, 200, "{body}");
     let doc = JsonValue::parse(&body).expect("resubmit json");
     assert_eq!(doc.get("cached").unwrap().as_bool(), Some(true));
@@ -117,8 +135,14 @@ fn submit_poll_result_cache_delete_shutdown() {
 
     // A different spec is a different content address.
     let other = tiny_spec().replicates(3);
-    let (status, body) = request(addr, "POST", "/campaigns", Some(&other.to_json().render()))
-        .expect("different spec");
+    let (status, body) = exchange(
+        addr,
+        "POST",
+        "/campaigns",
+        Some(&other.to_json().render()),
+        TIMEOUT,
+    )
+    .expect("different spec");
     assert_eq!(status, 202, "{body}");
     let other_id = JsonValue::parse(&body)
         .unwrap()
@@ -131,28 +155,42 @@ fn submit_poll_result_cache_delete_shutdown() {
     wait_done(addr, &other_id);
 
     // Delete removes the job and its result.
-    let (status, _) =
-        request(addr, "DELETE", &format!("/campaigns/{other_id}"), None).expect("delete");
+    let (status, _) = exchange(
+        addr,
+        "DELETE",
+        &format!("/campaigns/{other_id}"),
+        None,
+        TIMEOUT,
+    )
+    .expect("delete");
     assert_eq!(status, 200);
-    let (status, _) =
-        request(addr, "GET", &format!("/campaigns/{other_id}"), None).expect("post-delete");
+    let (status, _) = exchange(
+        addr,
+        "GET",
+        &format!("/campaigns/{other_id}"),
+        None,
+        TIMEOUT,
+    )
+    .expect("post-delete");
     assert_eq!(status, 404);
 
     // Unknown and malformed ids are 404s, not store accesses.
-    let (status, _) = request(addr, "GET", "/campaigns/ffffffffffffffff", None).expect("unknown");
+    let (status, _) =
+        exchange(addr, "GET", "/campaigns/ffffffffffffffff", None, TIMEOUT).expect("unknown");
     assert_eq!(status, 404);
-    let (status, _) = request(addr, "GET", "/campaigns/../etc", None).expect("traversal");
+    let (status, _) = exchange(addr, "GET", "/campaigns/../etc", None, TIMEOUT).expect("traversal");
     assert_eq!(status, 404);
 
     // Bad specs are 400s.
-    let (status, _) = request(addr, "POST", "/campaigns", Some("{not json")).expect("bad json");
+    let (status, _) =
+        exchange(addr, "POST", "/campaigns", Some("{not json"), TIMEOUT).expect("bad json");
     assert_eq!(status, 400);
     let (status, _) =
-        request(addr, "POST", "/campaigns", Some("{\"version\":1}")).expect("bad spec");
+        exchange(addr, "POST", "/campaigns", Some("{\"version\":1}"), TIMEOUT).expect("bad spec");
     assert_eq!(status, 400);
 
     // Result of a still-unknown id refuses politely, then shut down.
-    let (status, _) = request(addr, "POST", "/shutdown", None).expect("shutdown");
+    let (status, _) = exchange(addr, "POST", "/shutdown", None, TIMEOUT).expect("shutdown");
     assert_eq!(status, 200);
     serving.join().expect("server drained");
     let _ = std::fs::remove_dir_all(&dir);

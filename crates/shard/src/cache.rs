@@ -24,11 +24,12 @@
 //! base spec restricted to the file's exact `[start, end)` range — the
 //! wire-format keying introduced for sharded dispatch, reused verbatim.
 //!
-//! Each file is a header line followed by one journal row per line:
+//! Each file is a row log of [`chunkpoint_campaign::rows`] — the format
+//! of a serve journal — written in index order, with no header:
 //!
 //! ```text
-//! {"version":1,"campaign_seed":…,"spec_hash":"<base hash>","start":s,"end":e,"rows":n}
-//! {"index":s, …}                    n = e - s rows, ascending, dense
+//! {"index":s, …}                    one ScenarioResult JSON row per line,
+//! {"index":s+1, …}                  e - s rows, ascending, dense
 //! …
 //! ```
 //!
@@ -36,22 +37,27 @@
 //!
 //! Writes are atomic (tmp + `sync_all` + rename, the `JobStore` idiom),
 //! so a crash never leaves a half-visible file under the final name.
-//! Reads trust nothing: a file whose name, header, row count, indices
-//! or seeds disagree with the spec and grid in hand — torn tail,
-//! truncation, bit rot, a journal from a different campaign — is
-//! skipped *whole*, degrading to a cache miss, never a panic or wrong
-//! bytes. Row validation delegates to [`ScenarioResult::from_json`]
-//! against the expected grid scenario, exactly like journal fetches
-//! from a live backend.
+//! On load, a file's range is read off its rows — the first row's index
+//! and the number of sealed rows — and must hash to the file's name.
+//! The name binds everything else: the campaign directory is the base
+//! hash, and each row's derived seed ties it to the campaign. Every row
+//! is then admitted against the spec's grid and the range must be
+//! covered exactly. A file failing any check — torn tail, a cut at a
+//! line boundary, a gap, a repeated index, a wrong name, a foreign
+//! campaign's rows — is skipped *whole*, degrading to a cache miss,
+//! never a panic.
+//!
+//! What is **not** checked is a row's measurements: a digit flipped in
+//! a sealed row's `energy_pj` leaves its index, seed and file name
+//! intact, so the row loads with the wrong value. Range files carry no
+//! content checksum (neither do serve journals or `result.json`).
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use chunkpoint_campaign::rows::{exact_cover, sealed_line, sealed_lines, RangeRows};
 use chunkpoint_campaign::{CampaignSpec, JsonValue, Scenario, ScenarioResult};
-
-/// On-disk format version of a cache file header.
-pub const CACHE_VERSION: u64 = 1;
 
 /// A disk-backed store of sealed journal rows, keyed by ranged
 /// `spec_hash`. Cheap to construct — directories are created lazily on
@@ -97,8 +103,8 @@ impl RangeCache {
     }
 
     /// Seals `rows` — which must cover exactly the global range
-    /// `[start, end)`, ascending and dense — under `spec`'s key.
-    /// Returns the path of the written range file.
+    /// `[start, end)` — under `spec`'s key, as a row log in index
+    /// order. Returns the path of the written range file.
     ///
     /// The write is atomic: concurrent writers of the same range race
     /// benignly (identical content, last rename wins).
@@ -114,39 +120,19 @@ impl RangeCache {
         rows: &[ScenarioResult],
     ) -> io::Result<PathBuf> {
         let (start, end) = range;
-        if start >= end || rows.len() != end - start {
-            return Err(io::Error::new(
+        let invalid = |why: String| {
+            io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("cache: {} rows cannot seal [{start}, {end})", rows.len()),
-            ));
+                format!("cache: cannot seal [{start}, {end}): {why}"),
+            )
+        };
+        if start >= end {
+            return Err(invalid("empty range".to_owned()));
         }
-        for (offset, row) in rows.iter().enumerate() {
-            if row.scenario.index != start + offset {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "cache: row {} found where index {} was expected in [{start}, {end})",
-                        row.scenario.index,
-                        start + offset
-                    ),
-                ));
-            }
-        }
+        let rows = exact_cover(start..end, rows.to_vec()).map_err(invalid)?;
+        let body: String = rows.iter().map(sealed_line).collect();
         let dir = self.campaign_dir(spec);
         std::fs::create_dir_all(&dir)?;
-        let header = JsonValue::object()
-            .field("version", CACHE_VERSION)
-            .field("campaign_seed", spec.campaign_seed)
-            .field("spec_hash", format!("{:016x}", base_hash(spec)))
-            .field("start", start as u64)
-            .field("end", end as u64)
-            .field("rows", rows.len() as u64);
-        let mut body = header.render();
-        body.push('\n');
-        for row in rows {
-            body.push_str(&row.to_json().render());
-            body.push('\n');
-        }
         let path = dir.join(format!("{:016x}.jsonl", ranged_hash(spec, range)));
         let tmp = dir.join(format!("{:016x}.tmp", ranged_hash(spec, range)));
         {
@@ -172,29 +158,19 @@ impl RangeCache {
         spec: &CampaignSpec,
         rows: &[ScenarioResult],
     ) -> io::Result<usize> {
-        let mut by_index: BTreeMap<usize, &ScenarioResult> = BTreeMap::new();
-        for row in rows {
-            by_index.entry(row.scenario.index).or_insert(row);
+        let mut rows = rows.to_vec();
+        // A stable sort keeps repeats in input order, so the dedup keeps
+        // the first occurrence.
+        rows.sort_by_key(|row| row.scenario.index);
+        rows.dedup_by_key(|row| row.scenario.index);
+        let runs: Vec<&[ScenarioResult]> = rows
+            .chunk_by(|a, b| b.scenario.index == a.scenario.index + 1)
+            .collect();
+        for run in &runs {
+            let start = run[0].scenario.index;
+            self.store(spec, (start, start + run.len()), run)?;
         }
-        let mut written = 0;
-        let mut run: Vec<ScenarioResult> = Vec::new();
-        for (&index, &row) in &by_index {
-            if let Some(last) = run.last() {
-                if index != last.scenario.index + 1 {
-                    let range = (run[0].scenario.index, last.scenario.index + 1);
-                    self.store(spec, range, &run)?;
-                    written += 1;
-                    run.clear();
-                }
-            }
-            run.push(row.clone());
-        }
-        if let Some(last) = run.last() {
-            let range = (run[0].scenario.index, last.scenario.index + 1);
-            self.store(spec, range, &run)?;
-            written += 1;
-        }
-        Ok(written)
+        Ok(runs.len())
     }
 
     /// Bounds the cache's on-disk footprint: while the total size of
@@ -293,7 +269,8 @@ impl RangeCache {
     }
 }
 
-/// Parses and fully validates one range file; `None` on *any*
+/// Reads one range file: its rows in index order if the file is
+/// exactly the sealed range its name promises, `None` on *any*
 /// irregularity (the whole-file-skip miss semantics).
 fn read_range_file(
     path: &Path,
@@ -302,40 +279,22 @@ fn read_range_file(
     grid: &[Scenario],
 ) -> Option<Vec<ScenarioResult>> {
     let text = std::fs::read_to_string(path).ok()?;
-    let mut lines = text.lines();
-    let header = JsonValue::parse(lines.next()?).ok()?;
-    let version = header.get("version")?.as_u64()?;
-    let campaign_seed = header.get("campaign_seed")?.as_u64()?;
-    let spec_hash = header.get("spec_hash")?.as_str()?;
-    let start = usize::try_from(header.get("start")?.as_u64()?).ok()?;
-    let end = usize::try_from(header.get("end")?.as_u64()?).ok()?;
-    let declared = usize::try_from(header.get("rows")?.as_u64()?).ok()?;
-    if version != CACHE_VERSION
-        || campaign_seed != spec.campaign_seed
-        || spec_hash != format!("{:016x}", base_hash(spec))
-        || start >= end
-        || end > grid.len()
-        || declared != end - start
-        || name != format!("{:016x}.jsonl", ranged_hash(spec, (start, end)))
-    {
+    let lines: Vec<JsonValue> = sealed_lines(&text)
+        .map(JsonValue::parse)
+        .collect::<Result<_, _>>()
+        .ok()?;
+    // The range is read off the rows; a torn, cut, padded or misnamed
+    // file reads as a range whose hash is not its name.
+    let start = usize::try_from(lines.first()?.get("index")?.as_u64()?).ok()?;
+    let end = start.checked_add(lines.len())?;
+    if name != format!("{:016x}.jsonl", ranged_hash(spec, (start, end))) {
         return None;
     }
-    let mut rows = Vec::with_capacity(declared);
-    for (offset, line) in lines.enumerate() {
-        let index = start + offset;
-        if index >= end {
-            return None; // more rows than the header declared
-        }
-        let value = JsonValue::parse(line).ok()?;
-        // Validates the row's index and derived seed against the grid
-        // scenario it claims to be — a foreign or shifted journal row
-        // cannot masquerade as this campaign's.
-        rows.push(ScenarioResult::from_json(&value, grid[index].clone()).ok()?);
+    let mut admitted = RangeRows::new(grid, start..end);
+    for line in &lines {
+        admitted.admit(line).ok()?;
     }
-    if rows.len() != declared {
-        return None; // torn tail: fewer rows than declared
-    }
-    Some(rows)
+    admitted.into_exact().ok()
 }
 
 #[cfg(test)]

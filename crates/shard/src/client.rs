@@ -2,15 +2,14 @@
 //! with **typed** failure modes.
 //!
 //! The coordinator's whole job is deciding what a backend failure means
-//! (strike it, re-dispatch its shard, give up), so unlike the service's
-//! own convenience client ([`chunkpoint_serve::http::request`], which
-//! folds everything into `std::io::Error`) this one distinguishes the
-//! cases the dispatch loop reacts to differently — and it is hardened
-//! against a misbehaving peer: one deadline bounds the **whole**
-//! exchange in time (re-armed before every read, so trickled bytes
-//! cannot stretch it), and hard caps on the response head and body
-//! bound it in memory. No input a backend can send makes these
-//! functions panic or hang.
+//! (strike it, re-dispatch its shard, give up), so this client
+//! distinguishes the cases the dispatch loop reacts to differently. It
+//! is the workspace's one client of the service protocol — tests,
+//! benches and examples call it too — and it is hardened against a
+//! misbehaving peer: one deadline bounds the **whole** exchange in time
+//! (re-armed before every read, so trickled bytes cannot stretch it),
+//! and hard caps on the response head and body bound it in memory. No
+//! input a backend can send makes these functions panic or hang.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};

@@ -17,6 +17,7 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use chunkpoint_campaign::rows::{exact_cover, RangeRows};
 use chunkpoint_campaign::{
     canonical_report_json, CampaignEvent, CampaignSpec, CancelToken, JsonValue, Scenario,
     ScenarioResult,
@@ -72,10 +73,11 @@ pub struct ShardConfig {
     /// before dispatching: ranges whose sealed rows are already on disk
     /// are spliced into the merge ([`CampaignEvent::CacheHit`]) instead of
     /// re-executed, and every shard that *does* seal writes its rows
-    /// back. `None` (the default) disables caching entirely. Safe by
-    /// construction: cached rows are validated against the spec's own
-    /// grid (index + derived seed) before splicing, so the report bytes
-    /// are identical with the cache cold, warm, or corrupted.
+    /// back. `None` (the default) disables caching entirely. Cached
+    /// rows are validated against the spec's own grid (index + derived
+    /// seed) before splicing, so the report bytes are identical with the
+    /// cache cold, warm, or structurally damaged; a row's measurements
+    /// are not checked (see [`RangeCache`]).
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -97,7 +99,7 @@ impl Default for ShardConfig {
 }
 
 /// What a sharded run salvaged before giving up: the graceful-degradation
-/// payload of [`ShardError::Exhausted`]. Ranges that completed (fetched
+/// payload of [`ExecError::Exhausted`]. Ranges that completed (fetched
 /// and row-validated) are reported with their rows and a canonical
 /// report over just those rows — so an operator keeps the finished
 /// slices of an overnight campaign instead of an opaque error, and a
@@ -124,80 +126,91 @@ impl PartialCampaign {
     }
 }
 
-/// Why a sharded campaign could not complete.
+/// Why a campaign did not produce its report — the one error enum of
+/// the shard coordinator and of every `chunkpoint_exec` executor, which
+/// re-exports it.
 #[derive(Debug)]
-pub enum ShardError {
-    /// The backend list was empty.
+pub enum ExecError {
+    /// The executor has no backends to run on.
     NoBackends,
-    /// The run was refused before any backend was contacted: the weight
-    /// list does not describe the backend list, or the spec enumerates
-    /// no feasible grid. Every backend would refuse it too.
-    Invalid(String),
-    /// A backend answered a submit with a client error — the sub-spec
-    /// itself is bad, so no amount of re-dispatching can help.
+    /// The spec itself was refused — an unenumerable grid, invalid
+    /// weights, or a backend 4xx. Retrying cannot help; every backend
+    /// would say the same.
     Rejected {
-        /// The backend that answered.
-        backend: String,
-        /// Its HTTP status.
-        status: u16,
-        /// Its error body.
-        body: String,
-    },
-    /// Every backend or dispatch attempt was exhausted with shards
-    /// still outstanding. The work that *did* finish is not thrown
-    /// away: `partial` carries the completed ranges, their validated
-    /// rows, and a canonical report over them.
-    Exhausted {
-        /// What the coordinator saw last.
+        /// The refusing backend, if one was involved.
+        backend: Option<String>,
+        /// The HTTP status, if the refusal came over the wire.
+        status: Option<u16>,
+        /// What was wrong.
         detail: String,
-        /// Completed ranges, rows, and the report over them.
+    },
+    /// Every backend or dispatch attempt was exhausted with work still
+    /// outstanding. The work that *did* finish is not thrown away:
+    /// `partial` carries the completed ranges, their validated rows,
+    /// and a canonical report over them (empty when nothing completed).
+    Exhausted {
+        /// What the executor saw last.
+        detail: String,
+        /// Completed ranges, validated rows, and the report over them.
         partial: Box<PartialCampaign>,
     },
-    /// The merged rows do not cover the grid exactly once each —
-    /// overlapping or gapped journals.
-    BadMerge(String),
+    /// The campaign's worker panicked.
+    JobFailed {
+        /// The panic message.
+        detail: String,
+    },
+    /// The collected rows do not cover the scenarios this run was to
+    /// execute exactly once each.
+    BadMerge {
+        /// What did not line up.
+        detail: String,
+    },
     /// The run was cancelled through its [`CancelToken`]. Outstanding
     /// shard jobs received a best-effort `DELETE` so their backends
     /// stop working; already-completed shards stay cached on theirs.
     Cancelled,
 }
 
-impl std::fmt::Display for ShardError {
+impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ShardError::NoBackends => write!(f, "no backends to shard across"),
-            ShardError::Invalid(why) => write!(f, "campaign refused: {why}"),
-            ShardError::Rejected {
+            ExecError::NoBackends => write!(f, "no backends to execute on"),
+            ExecError::Rejected {
                 backend,
                 status,
-                body,
-            } => write!(
-                f,
-                "backend {backend} rejected the sub-spec ({status}): {body}"
-            ),
-            ShardError::Exhausted { detail, partial } => {
-                write!(
-                    f,
-                    "every backend struck out: {detail} ({} scenarios salvaged across {} completed ranges)",
-                    partial.scenarios(),
-                    partial.completed_ranges.len()
-                )
+                detail,
+            } => {
+                write!(f, "spec rejected")?;
+                if let Some(backend) = backend {
+                    write!(f, " by {backend}")?;
+                }
+                if let Some(status) = status {
+                    write!(f, " ({status})")?;
+                }
+                write!(f, ": {detail}")
             }
-            ShardError::BadMerge(why) => write!(f, "journal merge failed: {why}"),
-            ShardError::Cancelled => write!(f, "sharded campaign cancelled"),
+            ExecError::Exhausted { detail, partial } => write!(
+                f,
+                "backends exhausted: {detail} ({} scenarios salvaged across {} completed ranges)",
+                partial.scenarios(),
+                partial.completed_ranges.len()
+            ),
+            ExecError::JobFailed { detail } => write!(f, "campaign failed: {detail}"),
+            ExecError::BadMerge { detail } => write!(f, "result merge failed: {detail}"),
+            ExecError::Cancelled => write!(f, "campaign cancelled"),
         }
     }
 }
 
-impl std::error::Error for ShardError {}
+impl std::error::Error for ExecError {}
 
-/// Fetches `GET /campaigns/:id/journal` from `addr` and validates the
-/// rows against `grid` for the half-open scenario `range`: every row
-/// must carry this campaign's `(index, derived seed)`, land inside the
-/// range, and the range must be covered exactly (journals are
-/// completion-ordered and — across a resume — may repeat an index;
-/// first occurrence wins, same as the service's own loader). Returns
-/// the rows in scenario-index order.
+/// Fetches `GET /campaigns/:id/journal` from `addr` and admits its
+/// rows for the half-open scenario `range` of `grid` under the
+/// [`chunkpoint_campaign::rows`] rules: every row must carry this
+/// campaign's `(index, derived seed)` inside the range, the first copy
+/// of a repeated index wins (journals are completion-ordered and may
+/// repeat an index across a resume), and the range must be covered
+/// exactly. Returns the rows in scenario-index order.
 ///
 /// This is the trust boundary every remote run goes through: a
 /// backend's journal is never merged without checking out row by row.
@@ -214,7 +227,6 @@ pub fn fetch_journal_rows(
     range: (usize, usize),
     timeout: Duration,
 ) -> Result<Vec<ScenarioResult>, String> {
-    let (start, end) = range;
     let (status, body) = exchange(
         addr,
         "GET",
@@ -231,31 +243,11 @@ pub fn fetch_journal_rows(
         .get("rows")
         .and_then(JsonValue::as_array)
         .ok_or("journal document has no \"rows\" array")?;
-    let mut out: Vec<Option<ScenarioResult>> = vec![None; end - start];
+    let mut admitted = RangeRows::new(grid, range.0..range.1);
     for row in rows {
-        let index = row
-            .get("index")
-            .and_then(JsonValue::as_u64)
-            .ok_or("journal row has no index")? as usize;
-        if index < start || index >= end {
-            return Err(format!(
-                "journal row indexes scenario {index} outside shard range [{start}, {end})"
-            ));
-        }
-        let slot = &mut out[index - start];
-        if slot.is_some() {
-            continue;
-        }
-        *slot = Some(ScenarioResult::from_json(row, grid[index].clone())?);
+        admitted.admit(row)?;
     }
-    let have = out.iter().filter(|slot| slot.is_some()).count();
-    if have != end - start {
-        return Err(format!(
-            "journal covers {have} of {} scenarios in [{start}, {end})",
-            end - start
-        ));
-    }
-    Ok(out.into_iter().map(|slot| slot.expect("counted")).collect())
+    admitted.into_exact()
 }
 
 /// A completed sharded campaign.
@@ -289,12 +281,12 @@ pub struct ShardRun {
 ///
 /// # Errors
 ///
-/// [`ShardError::BadMerge`] on duplicate, missing, or out-of-grid rows.
+/// [`ExecError::BadMerge`] on duplicate, missing, or out-of-grid rows.
 pub fn merged_report(
     campaign_seed: u64,
     grid_len: usize,
     rows: Vec<ScenarioResult>,
-) -> Result<(String, Vec<ScenarioResult>), ShardError> {
+) -> Result<(String, Vec<ScenarioResult>), ExecError> {
     merged_report_over(campaign_seed, 0..grid_len, rows)
 }
 
@@ -306,35 +298,13 @@ pub fn merged_report(
 ///
 /// # Errors
 ///
-/// [`ShardError::BadMerge`] on duplicate, missing, or out-of-range rows.
+/// [`ExecError::BadMerge`] on duplicate, missing, or out-of-range rows.
 pub fn merged_report_over(
     campaign_seed: u64,
     active: Range<usize>,
-    mut rows: Vec<ScenarioResult>,
-) -> Result<(String, Vec<ScenarioResult>), ShardError> {
-    rows.sort_by_key(|r| r.scenario.index);
-    if rows.len() != active.len() {
-        return Err(ShardError::BadMerge(format!(
-            "merged {} rows for {} scenarios [{}, {})",
-            rows.len(),
-            active.len(),
-            active.start,
-            active.end
-        )));
-    }
-    for (expected, row) in active.clone().zip(rows.iter()) {
-        if row.scenario.index != expected {
-            return Err(ShardError::BadMerge(format!(
-                "scenario {expected} is {}, found index {} in its place",
-                if row.scenario.index > expected {
-                    "missing"
-                } else {
-                    "duplicated"
-                },
-                row.scenario.index
-            )));
-        }
-    }
+    rows: Vec<ScenarioResult>,
+) -> Result<(String, Vec<ScenarioResult>), ExecError> {
+    let rows = exact_cover(active, rows).map_err(|detail| ExecError::BadMerge { detail })?;
     let report = canonical_report_json(campaign_seed, &rows, &REPORT_AXES).render();
     Ok((report, rows))
 }
@@ -540,7 +510,7 @@ impl Dispatcher<'_> {
 
     /// Builds the typed give-up error: what completed so far rides
     /// along as a [`PartialCampaign`] instead of being thrown away.
-    fn exhausted(&self, detail: String) -> ShardError {
+    fn exhausted(&self, detail: String) -> ExecError {
         let mut completed_ranges: Vec<(usize, usize)> = Vec::new();
         let mut results: Vec<ScenarioResult> = Vec::new();
         for shard in &self.shards {
@@ -553,7 +523,7 @@ impl Dispatcher<'_> {
         results.sort_by_key(|r| r.scenario.index);
         let report_so_far =
             canonical_report_json(self.spec.campaign_seed, &results, &REPORT_AXES).render();
-        ShardError::Exhausted {
+        ExecError::Exhausted {
             detail,
             partial: Box::new(PartialCampaign {
                 completed_ranges,
@@ -567,8 +537,8 @@ impl Dispatcher<'_> {
     /// shard: feeds the backend's breaker (emitting `ShardFailed {
     /// shard: None, .. }` the first time it opens) and charges the
     /// shard's failure budget, turning budget exhaustion into the typed
-    /// [`ShardError::Exhausted`].
-    fn fail(&mut self, shard: usize, backend: usize, why: &str) -> Result<(), ShardError> {
+    /// [`ExecError::Exhausted`].
+    fn fail(&mut self, shard: usize, backend: usize, why: &str) -> Result<(), ExecError> {
         self.failures += 1;
         self.telemetry[backend].strikes.inc();
         let now = self.now();
@@ -617,7 +587,7 @@ impl Dispatcher<'_> {
     /// its own journal there). With every breaker open the shard simply
     /// waits — the next half-open probe re-dispatches it, and the
     /// failure budget bounds how long the waiting can go on.
-    fn reassign(&mut self, shard: usize, avoid: usize) -> Result<(), ShardError> {
+    fn reassign(&mut self, shard: usize, avoid: usize) -> Result<(), ExecError> {
         let k = self.backends.len();
         let target = (1..k)
             .map(|offset| (avoid + offset) % k)
@@ -645,7 +615,7 @@ impl Dispatcher<'_> {
     /// Submits a shard's sub-spec to its assigned backend. An accepted
     /// job records its id; a 4xx refusal is fatal; every other answer
     /// is charged to the backend and moves the shard.
-    fn submit(&mut self, shard: usize) -> Result<(), ShardError> {
+    fn submit(&mut self, shard: usize) -> Result<(), ExecError> {
         let (start, end) = self.shards[shard].range;
         if self.shards[shard].attempts >= self.config.shard_attempts {
             return Err(self.exhausted(format!(
@@ -692,10 +662,10 @@ impl Dispatcher<'_> {
             // Any other 4xx is about the sub-spec itself; every backend
             // would say the same, so fail loudly now.
             Ok((status @ 400..=499, body)) => {
-                return Err(ShardError::Rejected {
-                    backend: addr,
-                    status,
-                    body,
+                return Err(ExecError::Rejected {
+                    backend: Some(addr),
+                    status: Some(status),
+                    detail: body,
                 })
             }
             // Everything else (503 draining, 500 store trouble) is this
@@ -746,7 +716,7 @@ impl Dispatcher<'_> {
 
     /// One poll of one outstanding shard. `Ok(())` means "keep going";
     /// shard completion is recorded in place.
-    fn poll(&mut self, shard: usize) -> Result<(), ShardError> {
+    fn poll(&mut self, shard: usize) -> Result<(), ExecError> {
         let backend = self.shards[shard].backend;
         let addr = self.backends[backend].addr.clone();
         let id = self.shards[shard]
@@ -851,7 +821,7 @@ impl Dispatcher<'_> {
     /// breaker, then submit if needed and poll. A shard on a
     /// cooling-down backend moves to a ready one if there is one, else
     /// waits for the breaker's next probe window.
-    fn step(&mut self, shard: usize) -> Result<(), ShardError> {
+    fn step(&mut self, shard: usize) -> Result<(), ExecError> {
         let backend = self.shards[shard].backend;
         if !self.ready(backend) {
             self.reassign(shard, backend)?;
@@ -935,13 +905,13 @@ fn plan_shards(
 ///
 /// # Errors
 ///
-/// See [`ShardError`]. Backend failures are survived as long as one
+/// See [`ExecError`]. Backend failures are survived as long as one
 /// backend lives; spec rejections and exhausted backends are fatal.
 pub fn run_sharded(
     spec: &CampaignSpec,
     backends: &[String],
     config: &ShardConfig,
-) -> Result<ShardRun, ShardError> {
+) -> Result<ShardRun, ExecError> {
     run_sharded_ctl(spec, backends, None, config, &CancelToken::new(), |_| {})
 }
 
@@ -956,7 +926,7 @@ pub fn run_sharded(
 /// * `cancel` — checked between poll sweeps; on cancellation every
 ///   outstanding shard's job receives a best-effort `DELETE` (so its
 ///   backend stops working) and the run returns
-///   [`ShardError::Cancelled`].
+///   [`ExecError::Cancelled`].
 /// * `on_event` — called with every [`CampaignEvent`] the moment it
 ///   happens: `Progress { done: 0, .. }` first; then dispatches,
 ///   re-dispatches, backend deaths (`ShardFailed { shard: None, .. }`)
@@ -976,9 +946,9 @@ pub fn run_sharded(
 ///
 /// # Errors
 ///
-/// See [`ShardError`]. Invalid weights and a spec that enumerates no
-/// feasible grid are [`ShardError::Invalid`], before any backend is
-/// contacted.
+/// See [`ExecError`]. Invalid weights and a spec that enumerates no
+/// feasible grid are [`ExecError::Rejected`] (no backend, no status),
+/// before any backend is contacted.
 pub fn run_sharded_ctl(
     spec: &CampaignSpec,
     backends: &[String],
@@ -986,13 +956,18 @@ pub fn run_sharded_ctl(
     config: &ShardConfig,
     cancel: &CancelToken,
     mut on_event: impl FnMut(&CampaignEvent),
-) -> Result<ShardRun, ShardError> {
+) -> Result<ShardRun, ExecError> {
     if backends.is_empty() {
-        return Err(ShardError::NoBackends);
+        return Err(ExecError::NoBackends);
     }
+    let refused = |detail| ExecError::Rejected {
+        backend: None,
+        status: None,
+        detail,
+    };
     if let Some(weights) = weights {
         // Value validation here, typed — so a caller's bad weights
-        // surface as Invalid, not as partition_weighted's panic.
+        // surface as Rejected, not as partition_weighted's panic.
         let valid = if weights.len() == backends.len() {
             crate::partition::validate_weights(weights)
         } else {
@@ -1002,9 +977,9 @@ pub fn run_sharded_ctl(
                 backends.len()
             ))
         };
-        valid.map_err(|why| ShardError::Invalid(format!("bad backend weights: {why}")))?;
+        valid.map_err(|why| refused(format!("bad backend weights: {why}")))?;
     }
-    let grid = spec.try_scenarios().map_err(ShardError::Invalid)?;
+    let grid = spec.try_scenarios().map_err(refused)?;
     // A ranged parent spec shards only its own execution slice — the
     // indices the local and remote paths would run — so the merged
     // report stays byte-identical across executors for ranged specs
@@ -1112,7 +1087,7 @@ pub fn run_sharded_ctl(
     loop {
         if cancel.is_cancelled() {
             dispatcher.cancel_outstanding();
-            return Err(ShardError::Cancelled);
+            return Err(ExecError::Cancelled);
         }
         let mut outstanding = false;
         let before = (
@@ -1242,7 +1217,7 @@ mod tests {
         let mut gapped = full.results.clone();
         gapped.remove(2);
         let err = merged_report(spec.campaign_seed, n, gapped).expect_err("gap");
-        assert!(matches!(err, ShardError::BadMerge(_)), "{err}");
+        assert!(matches!(err, ExecError::BadMerge { .. }), "{err}");
         // Duplicate: repeat one row (length back to n).
         let mut duplicated = full.results.clone();
         duplicated.remove(2);
@@ -1312,6 +1287,6 @@ mod tests {
     #[test]
     fn no_backends_is_a_typed_error() {
         let err = run_sharded(&small_spec(), &[], &ShardConfig::default()).expect_err("empty");
-        assert!(matches!(err, ShardError::NoBackends));
+        assert!(matches!(err, ExecError::NoBackends));
     }
 }

@@ -61,12 +61,12 @@ mod metrics;
 pub mod partition;
 
 pub use breaker::{Backoff, BreakerState, CircuitBreaker};
-pub use cache::{RangeCache, CACHE_VERSION};
+pub use cache::RangeCache;
 pub use client::{exchange, ClientError, MAX_RESPONSE_BYTES};
 pub use metrics::cache_evictions;
 
 pub use coordinator::{
-    fetch_journal_rows, merged_report, merged_report_over, run_sharded, run_sharded_ctl,
-    PartialCampaign, ShardConfig, ShardError, ShardRun,
+    fetch_journal_rows, merged_report, merged_report_over, run_sharded, run_sharded_ctl, ExecError,
+    PartialCampaign, ShardConfig, ShardRun,
 };
 pub use partition::{partition, partition_weighted, validate_weights};

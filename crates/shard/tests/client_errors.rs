@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use chunkpoint_campaign::{CampaignSpec, SchemeSpec};
 use chunkpoint_core::{MitigationScheme, SystemConfig};
 use chunkpoint_serve::server::{ServeConfig, Server};
-use chunkpoint_shard::{exchange, run_sharded, ClientError, ShardConfig, ShardError};
+use chunkpoint_shard::{exchange, run_sharded, ClientError, ExecError, ShardConfig};
 use chunkpoint_workloads::Benchmark;
 
 const TIMEOUT: Duration = Duration::from_secs(5);
@@ -108,6 +108,26 @@ fn non_utf8_body_is_torn() {
     assert!(matches!(err, ClientError::TornResponse(_)), "{err}");
 }
 
+/// A 4xx answer to a submit is about the spec itself: the run stops at
+/// once, with the backend, its status and its body typed in `Rejected`.
+#[test]
+fn client_error_on_submit_is_a_typed_rejection() {
+    let backend = spawn_raw(b"HTTP/1.1 400 Bad Request\r\nContent-Length: 8\r\n\r\nbad spec");
+    let mut config = SystemConfig::paper(0);
+    config.scale = 0.25;
+    let spec = CampaignSpec::new(config, 0x400)
+        .benchmarks(&[Benchmark::AdpcmEncode])
+        .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default));
+    match run_sharded(&spec, &[backend.clone()], &ShardConfig::default()) {
+        Err(ExecError::Rejected {
+            backend: Some(addr),
+            status: Some(400),
+            detail,
+        }) => assert_eq!((addr, detail.as_str()), (backend, "bad spec")),
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+}
+
 /// A fake backend that accepts every submission and reports every job
 /// failed — the deterministic-failure worst case (scenario that panics,
 /// disk full everywhere). Serves connections until the test ends.
@@ -156,7 +176,7 @@ fn deterministically_failing_job_exhausts_attempts() {
     let start = Instant::now();
     let err = run_sharded(&spec, &[backend], &shard_config).expect_err("must give up");
     match &err {
-        ShardError::Exhausted { detail, .. } => {
+        ExecError::Exhausted { detail, .. } => {
             assert!(detail.contains("dispatch attempts"), "{detail}");
         }
         other => panic!("expected Exhausted, got {other}"),
@@ -218,7 +238,7 @@ fn mid_poll_shutdown_surfaces_exhausted() {
         .join()
         .expect("coordinator thread must not panic");
     let err = outcome.expect_err("shutdown mid-poll must fail the run");
-    assert!(matches!(err, ShardError::Exhausted { .. }), "{err}");
+    assert!(matches!(err, ExecError::Exhausted { .. }), "{err}");
     assert!(
         start.elapsed() < Duration::from_secs(30),
         "coordinator hung after backend shutdown"

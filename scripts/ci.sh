@@ -27,8 +27,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace \
 
 # perfbench is a workspace of its own, so the tests above never build it:
 # without this, a break in a public API it calls would pass the gate.
+# --locked: a change that would rewrite perfbench/Cargo.lock (a crate
+# dependency edit) fails here instead of silently editing the benchmark.
 echo "== perfbench self-tests =="
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== smoke campaign (parallel path + determinism) =="
 cargo run --release -p chunkpoint_bench --bin bench_campaign -- --smoke --seeds 2 --threads 2
