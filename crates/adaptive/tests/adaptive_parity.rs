@@ -176,7 +176,6 @@ fn chaos_faults_leave_adaptive_bytes_identical() {
         request_timeout: Duration::from_secs(10),
         backend_strikes: strikes,
         shard_attempts: strikes.max(5),
-        poll_max: Duration::from_millis(200),
         backoff_seed: plan.seed,
         ..ShardConfig::default()
     };

@@ -85,14 +85,10 @@ fn main() {
     );
 
     let cached_config = ShardConfig {
-        poll_interval: std::time::Duration::from_millis(2),
         cache_dir: Some(cache_root.clone()),
         ..ShardConfig::default()
     };
-    let plain_config = ShardConfig {
-        poll_interval: std::time::Duration::from_millis(2),
-        ..ShardConfig::default()
-    };
+    let plain_config = ShardConfig::default();
 
     // Cold: first run of the original spec, sealing the cache.
     let start = Instant::now();

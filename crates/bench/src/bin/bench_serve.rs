@@ -108,8 +108,8 @@ fn main() {
         .expect("id");
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let (_, body) =
-            exchange(addr, "GET", &format!("/campaigns/{warm_id}"), None, TIMEOUT).expect("poll");
+        let status_path = format!("/campaigns/{warm_id}?wait_ms=5000");
+        let (_, body) = exchange(addr, "GET", &status_path, None, TIMEOUT).expect("status");
         if body.contains("\"status\":\"done\"") {
             break;
         }
@@ -118,7 +118,6 @@ fn main() {
             "warm job went sideways: {body}"
         );
         assert!(Instant::now() < deadline, "warm job never finished");
-        std::thread::sleep(Duration::from_millis(2));
     }
     let cache_hit_rps = measure(cache_n, |_| {
         let (status, response) =

@@ -8,7 +8,8 @@
 //! * `unsharded` — the same grid run in-process single-threaded (the
 //!   baseline the byte-identity is checked against);
 //! * `sharded 2x` — the coordinator splitting the grid across both
-//!   backends (dispatch + poll + journal fetch + merge included);
+//!   backends (dispatch + waiting status + journal fetch + merge
+//!   included);
 //! * `merge` — the journal-merge path alone, rows/second (the
 //!   coordinator-side cost that grows with grid size).
 //!
@@ -81,13 +82,9 @@ fn main() {
     let expected =
         canonical_report_json(spec.campaign_seed, &reference.results, &REPORT_AXES).render();
 
-    // Sharded end-to-end: dispatch, poll, journal fetch, merge. A tight
-    // poll keeps the figure about coordination overhead, not sleep
-    // quantum (the smoke grids here finish in a few poll sweeps).
-    let config = ShardConfig {
-        poll_interval: std::time::Duration::from_millis(2),
-        ..ShardConfig::default()
-    };
+    // Sharded end-to-end on the default config: dispatch, waiting
+    // status, journal fetch, merge.
+    let config = ShardConfig::default();
     let start = Instant::now();
     let run = run_sharded(&spec, &backends, &config).expect("sharded run");
     let sharded_secs = start.elapsed().as_secs_f64();
@@ -126,7 +123,7 @@ fn main() {
         .field(
             "note",
             "two in-process serve backends (1 job x 1 worker each) on ephemeral ports; \
-             sharded figure includes dispatch, polling, journal fetch and merge; \
+             sharded figure includes dispatch, waiting status requests, journal fetch and merge; \
              wall speedup is bounded by cpus_available",
         );
 

@@ -568,6 +568,30 @@ fn field_f64(value: &JsonValue, key: &str, context: &str) -> Result<f64, String>
         .ok_or_else(|| format!("{context}: missing or non-numeric {key:?}"))
 }
 
+/// The value ranges the simulator asserts, checked in one place so a
+/// spec off the wire that would trip one is refused before it runs:
+/// every strike rate in `[0, 1)` (`FaultProcess::new`) and the input
+/// scale in `(0, 4]` (`Benchmark::build_task_scaled`).
+fn check_simulator_ranges(spec: &CampaignSpec) -> Result<(), String> {
+    let scale = spec.base.scale;
+    if !(scale > 0.0 && scale <= 4.0) {
+        return Err(format!("base: scale must be in (0, 4], got {scale}"));
+    }
+    let rate_ok = |rate: f64| (0.0..1.0).contains(&rate);
+    let base_rate = spec.base.faults.error_rate;
+    if !rate_ok(base_rate) {
+        return Err(format!(
+            "base: error_rate must be in [0, 1), got {base_rate}"
+        ));
+    }
+    if let Some(&rate) = spec.error_rates.iter().find(|&&rate| !rate_ok(rate)) {
+        return Err(format!(
+            "error_rates: entries must be in [0, 1), got {rate}"
+        ));
+    }
+    Ok(())
+}
+
 fn narrow<T: TryFrom<u64>>(raw: u64, what: &str) -> Result<T, String> {
     T::try_from(raw).map_err(|_| format!("{what} out of range: {raw}"))
 }
@@ -734,7 +758,7 @@ impl CampaignSpec {
     ///
     /// Returns a message naming the offending field on any structural,
     /// type, or domain violation (unknown benchmark or scheme kind, zero
-    /// replicates, empty axes, non-finite or negative rates…).
+    /// replicates, empty axes, a rate outside [0, 1) or a scale outside (0, 4]…).
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
         let version = field_u64(value, "version", "spec")?;
         if version != SPEC_VERSION {
@@ -748,15 +772,6 @@ impl CampaignSpec {
             base.faults.seed = field_u64(base_json, "seed", "base")?;
             base.scale = field_f64(base_json, "scale", "base")?;
             base.faults.error_rate = field_f64(base_json, "error_rate", "base")?;
-            if !(base.scale.is_finite() && base.scale > 0.0) {
-                return Err(format!(
-                    "base: scale must be finite and > 0, got {}",
-                    base.scale
-                ));
-            }
-            if !(base.faults.error_rate.is_finite() && base.faults.error_rate >= 0.0) {
-                return Err("base: error_rate must be finite and >= 0".to_owned());
-            }
             let area = field_f64(base_json, "area_overhead", "base")?;
             let cycle = field_f64(base_json, "cycle_overhead", "base")?;
             if !(area > 0.0 && area < 1.0 && cycle > 0.0 && cycle < 1.0) {
@@ -810,9 +825,9 @@ impl CampaignSpec {
         }
         spec.error_rates = error_rates
             .iter()
-            .map(|r| match r.as_f64() {
-                Some(rate) if rate.is_finite() && rate >= 0.0 => Ok(rate),
-                _ => Err("error_rates: entries must be finite and >= 0".to_owned()),
+            .map(|r| {
+                r.as_f64()
+                    .ok_or_else(|| "error_rates: entries must be numbers".to_owned())
             })
             .collect::<Result<_, _>>()?;
         spec.chunk_words = value
@@ -874,6 +889,7 @@ impl CampaignSpec {
             }
             spec.scenario_range = Some((start, end));
         }
+        check_simulator_ranges(&spec)?;
         Ok(spec)
     }
 
@@ -1089,6 +1105,51 @@ mod tests {
                 "error {err:?} should mention {expect:?}"
             );
         }
+    }
+
+    /// Values the simulator asserts on are refused at parse time, so a
+    /// spec off the wire never reaches a worker that would panic on it.
+    #[test]
+    fn spec_from_json_refuses_values_the_simulator_asserts_on() {
+        let good = full_spec().to_json().render();
+        for (mutation, expect) in [
+            (
+                good.replace("\"error_rates\":[", "\"error_rates\":[2.0,"),
+                "error_rates: entries must be in [0, 1), got 2",
+            ),
+            (
+                good.replace("\"error_rates\":[", "\"error_rates\":[1,"),
+                "error_rates: entries must be in [0, 1), got 1",
+            ),
+            (
+                good.replace("\"error_rates\":[", "\"error_rates\":[-0.5,"),
+                "error_rates: entries must be in [0, 1)",
+            ),
+            (
+                good.replace("\"error_rate\":0.000002", "\"error_rate\":1.5"),
+                "base: error_rate must be in [0, 1), got 1.5",
+            ),
+            (
+                good.replace("\"scale\":0.5", "\"scale\":5.0"),
+                "base: scale must be in (0, 4], got 5",
+            ),
+            (
+                good.replace("\"scale\":0.5", "\"scale\":0"),
+                "base: scale must be in (0, 4], got 0",
+            ),
+        ] {
+            assert_ne!(mutation, good, "mutation {expect:?} did not apply");
+            let value = JsonValue::parse(&mutation).expect("still valid JSON");
+            let err = CampaignSpec::from_json(&value).expect_err(expect);
+            assert!(err.contains(expect), "error {err:?} should say {expect:?}");
+        }
+        // The edges of both ranges are accepted.
+        let edges = good
+            .replace("\"scale\":0.5", "\"scale\":4")
+            .replace("\"error_rates\":[", "\"error_rates\":[0,0.999,");
+        let spec = CampaignSpec::from_json(&JsonValue::parse(&edges).expect("JSON"))
+            .expect("scale 4 and rates 0 and 0.999 are in range");
+        assert!((spec.base.scale - 4.0).abs() < f64::EPSILON);
     }
 
     #[test]

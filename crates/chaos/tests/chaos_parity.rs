@@ -50,11 +50,17 @@ fn surviving_config(plan: &FaultPlan) -> ShardConfig {
         request_timeout: Duration::from_secs(10),
         backend_strikes: strikes,
         shard_attempts: strikes.max(5),
-        poll_max: Duration::from_millis(200),
         backoff_seed: plan.seed,
         ..ShardConfig::default()
     }
 }
+
+/// Campaigns one faulted plan may run through its proxy before it must
+/// have drawn a fault. How many connections a campaign makes depends on
+/// how long its jobs run, so the check runs campaigns until the plan
+/// bites instead of relying on one campaign reaching a faulted
+/// connection index.
+const MAX_CAMPAIGNS_PER_PLAN: u64 = 8;
 
 /// The headline: a grid of fault plans between the executor and a real
 /// `serve`. Mid-rate plans (with a strike budget sized from the plan)
@@ -74,26 +80,35 @@ fn faulted_runs_end_byte_identical_or_not_at_all() {
         FaultPlan::new(0xD4, 0.35),
     ];
     for (index, plan) in plans.into_iter().enumerate() {
-        let spec = chaos_spec(0xC0DE + index as u64);
-        let expected = expected_report(&spec);
         let config = surviving_config(&plan);
         let seed = plan.seed;
         let rate = plan.rate;
         let mut proxy = ChaosProxy::start(&backend.addr, plan.clone()).expect("start proxy");
-        let started = Instant::now();
-        let run = RemoteExecutor::new(proxy.addr())
-            .with_config(config)
-            .submit(&spec)
-            .wait()
-            .unwrap_or_else(|e| panic!("plan seed {seed:#x} rate {rate}: {e}"));
-        assert_eq!(
-            run.report, expected,
-            "plan seed {seed:#x} rate {rate} changed the report bytes"
-        );
-        assert!(
-            started.elapsed() < Duration::from_secs(120),
-            "plan seed {seed:#x} rate {rate} was not wall-clock bounded"
-        );
+        // Fresh-seeded campaigns through the same proxy until it has
+        // drawn a fault; every one must end byte-identical.
+        let mut failures = 0;
+        for campaign in 0..MAX_CAMPAIGNS_PER_PLAN {
+            let spec = chaos_spec(0xC0DE + index as u64 + (campaign << 8));
+            let expected = expected_report(&spec);
+            let started = Instant::now();
+            let run = RemoteExecutor::new(proxy.addr())
+                .with_config(config.clone())
+                .submit(&spec)
+                .wait()
+                .unwrap_or_else(|e| panic!("plan seed {seed:#x} rate {rate}: {e}"));
+            assert_eq!(
+                run.report, expected,
+                "plan seed {seed:#x} rate {rate} changed the report bytes"
+            );
+            assert!(
+                started.elapsed() < Duration::from_secs(120),
+                "plan seed {seed:#x} rate {rate} was not wall-clock bounded"
+            );
+            failures += run.failures;
+            if rate == 0.0 || proxy.faults() > 0 {
+                break;
+            }
+        }
         if rate > 0.0 {
             assert!(
                 proxy.faults() > 0,
@@ -107,13 +122,12 @@ fn faulted_runs_end_byte_identical_or_not_at_all() {
                 .filter(|f| !matches!(f.kind, FaultKind::Stall | FaultKind::SlowLoris))
                 .count();
             assert!(
-                run.failures >= damaging,
-                "plan seed {seed:#x}: {damaging} damaging faults but only {} observed failures",
-                run.failures
+                failures >= damaging,
+                "plan seed {seed:#x}: {damaging} damaging faults but only {failures} observed failures"
             );
         } else {
             assert_eq!(proxy.faults(), 0, "rate 0.0 must be a faithful relay");
-            assert_eq!(run.failures, 0);
+            assert_eq!(failures, 0);
         }
         proxy.shutdown();
     }
@@ -133,7 +147,6 @@ fn total_refusal_fails_typed_and_replays_identically() {
         request_timeout: Duration::from_secs(2),
         backend_strikes: 3,
         shard_attempts: 2,
-        poll_max: Duration::from_millis(50),
         backoff_seed: 7,
         ..ShardConfig::default()
     };
@@ -176,7 +189,6 @@ fn corruption_is_always_detected_never_consumed() {
             request_timeout: Duration::from_secs(2),
             backend_strikes: 2,
             shard_attempts: 2,
-            poll_max: Duration::from_millis(50),
             backoff_seed: 0,
             ..ShardConfig::default()
         })
@@ -215,7 +227,6 @@ fn sharded_run_survives_faulted_backends_byte_identical() {
             request_timeout: Duration::from_secs(10),
             backend_strikes: strikes,
             shard_attempts: 5,
-            poll_max: Duration::from_millis(200),
             breaker_cooldown: Duration::from_millis(25),
             breaker_max: Duration::from_millis(200),
             backoff_seed: 0x33,
@@ -258,7 +269,6 @@ fn exhaustion_salvages_completed_shards_as_partial_campaign() {
             request_timeout: Duration::from_secs(2),
             backend_strikes: 2,
             shard_attempts: 2,
-            poll_max: Duration::from_millis(100),
             breaker_cooldown: Duration::from_millis(25),
             breaker_max: Duration::from_millis(200),
             backoff_seed: 0,

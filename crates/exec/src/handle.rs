@@ -40,7 +40,7 @@ impl CampaignHandle {
     }
 
     /// Requests cooperative cancellation: the run stops at its next
-    /// check point (between scenarios locally, between poll sweeps
+    /// check point (between scenarios locally, between dispatch sweeps
     /// remotely — where outstanding backend jobs also receive a
     /// best-effort `DELETE`), and [`CampaignHandle::wait`] returns
     /// [`ExecError::Cancelled`]. Idempotent; safe from any thread.

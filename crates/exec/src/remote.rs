@@ -10,7 +10,7 @@ use crate::CampaignExecutor;
 
 /// Runs campaigns on one remote `serve` backend: a one-backend
 /// [`chunkpoint_shard::run_sharded_ctl`] run that submits the spec,
-/// polls the job, fetches and row-validates the journal, and renders
+/// waits on the job, fetches and row-validates the journal, and renders
 /// the canonical report locally — under the same breaker, backoff and
 /// resubmit rules as [`ShardedExecutor`](crate::ShardedExecutor).
 ///
@@ -43,7 +43,7 @@ impl RemoteExecutor {
         }
     }
 
-    /// Overrides the coordinator's poll/timeout/strike knobs.
+    /// Overrides the coordinator's wait/timeout/strike knobs.
     #[must_use]
     pub fn with_config(mut self, config: ShardConfig) -> Self {
         self.config = config;

@@ -53,7 +53,7 @@ impl ShardedExecutor {
         self
     }
 
-    /// Overrides the coordinator's poll/timeout/strike knobs.
+    /// Overrides the coordinator's wait/timeout/strike knobs.
     #[must_use]
     pub fn with_config(mut self, config: ShardConfig) -> Self {
         self.config = config;

@@ -33,8 +33,8 @@ const BODY_DEADLINE: Duration = Duration::from_secs(30);
 pub struct Request {
     /// Uppercase method (`GET`, `POST`, `DELETE`, …).
     pub method: String,
-    /// Path component of the request target (query strings are not used
-    /// by this service and are kept attached).
+    /// The request target: its path, with any query string still
+    /// attached (the router splits off the one it accepts, `?wait_ms=N`).
     pub path: String,
     /// Request body (empty when no `Content-Length` was sent).
     pub body: String,

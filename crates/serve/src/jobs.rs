@@ -11,11 +11,17 @@
 //! Each campaign itself runs on the engine's work-stealing pool with
 //! `campaign_threads` workers, so total simulation parallelism is
 //! bounded by `max_jobs × campaign_threads`.
+//!
+//! The in-memory registry holds only jobs that are queued, running,
+//! failed or cancelled. A job that finishes leaves it: its store
+//! directory (a present `result.json`) answers for it from then on, so
+//! the registry does not grow with every campaign the service has run.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use chunkpoint_campaign::{
     canonical_report_json, rows, run_grid_streaming, Axis, CampaignSpec, CancelToken, JsonValue,
@@ -27,6 +33,11 @@ use crate::store::JobStore;
 /// Axes of the canonical report's aggregate section. Fixed, so a cached
 /// report is a pure function of the spec.
 pub const REPORT_AXES: [Axis; 3] = [Axis::Benchmark, Axis::Scheme, Axis::ErrorRate];
+
+/// Longest a status request may wait for its job to leave queued or
+/// running ([`JobManager::wait_status`]): well under a client's request
+/// timeout, so a waiting request is never mistaken for a dead backend.
+pub const MAX_STATUS_WAIT: Duration = Duration::from_secs(5);
 
 /// Lifecycle of a submitted job.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,7 +108,7 @@ pub struct JobCounts {
     pub queued: usize,
     /// Currently executing on a runner.
     pub running: usize,
-    /// Finished with a cached result.
+    /// Finished with a cached result: counted, not held in memory.
     pub done: usize,
     /// Cancelled (journal kept unless deleted).
     pub cancelled: usize,
@@ -188,11 +199,15 @@ struct JobEntry {
 
 #[derive(Debug, Default)]
 struct ManagerState {
+    /// Queued, running, failed and cancelled jobs. A finished job lives
+    /// in its store directory only.
     jobs: HashMap<String, JobEntry>,
     queue: VecDeque<String>,
     shutdown: bool,
     /// Cumulative count of submits refused by admission control.
     shed: usize,
+    /// Finished jobs in the store.
+    done: usize,
 }
 
 /// The bounded job manager. All HTTP handlers and runner threads share
@@ -201,7 +216,11 @@ struct ManagerState {
 pub struct JobManager {
     store: JobStore,
     state: Mutex<ManagerState>,
+    /// Wakes runners when a job is enqueued, and on shutdown.
     wake: Condvar,
+    /// Wakes waiting status requests: notified whenever a job leaves
+    /// queued/running, is deleted, or the service shuts down.
+    settled: Condvar,
     campaign_threads: usize,
     /// Admission bound: new jobs are refused (shed) while this many are
     /// already queued. Joins onto known jobs and cache hits are exempt —
@@ -237,8 +256,9 @@ impl JobManager {
     }
 
     /// Builds a manager over `store`, **recovering** persisted jobs:
-    /// directories with a `result.json` register as done (cache hits),
-    /// everything else re-enqueues and resumes from its journal.
+    /// directories with a `result.json` are counted as done and stay on
+    /// disk (cache hits), everything else re-enqueues and resumes from
+    /// its journal.
     ///
     /// `max_queued` is the admission bound for *new* jobs (`0` means
     /// unbounded); recovered jobs re-enqueue regardless — they were
@@ -250,6 +270,7 @@ impl JobManager {
             store,
             state: Mutex::new(ManagerState::default()),
             wake: Condvar::new(),
+            settled: Condvar::new(),
             campaign_threads,
             max_queued: if max_queued == 0 {
                 usize::MAX
@@ -261,7 +282,10 @@ impl JobManager {
         {
             let mut state = manager.locked();
             for id in ids {
-                let scenarios = manager.store.load_scenario_count(&id).unwrap_or(0);
+                if manager.store.is_finished(&id) {
+                    state.done += 1;
+                    continue;
+                }
                 // The stored spec is the collision-check reference; a job
                 // whose spec no longer parses is skipped (a runner would
                 // only mark it Failed anyway).
@@ -272,38 +296,23 @@ impl JobManager {
                 else {
                     continue;
                 };
-                if manager.store.read_result(&id).is_some() {
-                    state.jobs.insert(
-                        id,
-                        JobEntry {
-                            state: JobState::Done,
-                            scenarios,
-                            completed: scenarios,
-                            cancel: CancelToken::new(),
-                            delete_after_cancel: false,
-                            canonical,
-                        },
-                    );
-                } else {
-                    // Journaled progress survives the restart: report the
-                    // sealed row count (unvalidated until a runner loads
-                    // the journal) so `completed` stays monotonic while
-                    // the job waits for a runner.
-                    let completed = manager.store.read_journal_rows(&id).len();
-                    state.jobs.insert(
-                        id.clone(),
-                        JobEntry {
-                            state: JobState::Queued,
-                            scenarios,
-                            completed,
-                            cancel: CancelToken::new(),
-                            delete_after_cancel: false,
-                            canonical,
-                        },
-                    );
-                    state.queue.push_back(id);
-                    metrics().jobs_recovered.inc();
-                }
+                // Journaled progress survives the restart: report the
+                // sealed row count (unvalidated until a runner loads the
+                // journal) so `completed` stays monotonic while the job
+                // waits for a runner.
+                state.jobs.insert(
+                    id.clone(),
+                    JobEntry {
+                        state: JobState::Queued,
+                        scenarios: manager.store.load_scenario_count(&id).unwrap_or(0),
+                        completed: manager.store.read_journal_rows(&id).len(),
+                        cancel: CancelToken::new(),
+                        delete_after_cancel: false,
+                        canonical,
+                    },
+                );
+                state.queue.push_back(id);
+                metrics().jobs_recovered.inc();
             }
         }
         manager
@@ -359,18 +368,21 @@ impl JobManager {
         if state.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
+        let collision = || {
+            SubmitError::Invalid(format!(
+                "spec hash collision: {id} already names a different campaign"
+            ))
+        };
         if state.jobs.contains_key(&id) {
             // The id is a 64-bit hash: before treating this as the same
             // campaign, make sure the known spec really is this spec
             // (string compare against the cached canonical rendering —
             // no disk I/O under the lock).
             if state.jobs[&id].canonical != canonical {
-                return Err(SubmitError::Invalid(format!(
-                    "spec hash collision: {id} already names a different campaign"
-                )));
+                return Err(collision());
             }
             // Failed/cancelled attempts re-enqueue and resume from their
-            // journal; done/queued/running jobs are simply reported.
+            // journal; queued/running jobs are simply reported.
             let entry = state.jobs.get_mut(&id).expect("checked above");
             // Resubmission revokes any pending DELETE: the spec is
             // wanted again, so a racing delete must not remove the job
@@ -384,18 +396,28 @@ impl JobManager {
                 state.queue.push_back(id.clone());
                 self.wake.notify_one();
             }
-            let entry = state.jobs.get(&id).expect("entry just touched");
-            if entry.state == JobState::Done {
-                metrics().jobs_cached.inc();
-            }
+            let status = snapshot(&id, &state.jobs[&id]);
             return Ok(Submission {
-                cached: entry.state == JobState::Done,
+                cached: false,
+                created: false,
+                status,
+            });
+        }
+        // A finished job answers from its directory, after the same
+        // check against its stored spec bytes.
+        if let Some(stored) = self.store.finished_spec(&id) {
+            if stored.strip_suffix('\n') != Some(canonical.as_str()) {
+                return Err(collision());
+            }
+            metrics().jobs_cached.inc();
+            return Ok(Submission {
+                cached: true,
                 created: false,
                 status: JobStatus {
                     id,
-                    state: entry.state.clone(),
-                    scenarios: entry.scenarios,
-                    completed: entry.completed,
+                    state: JobState::Done,
+                    scenarios,
+                    completed: scenarios,
                 },
             });
         }
@@ -442,12 +464,42 @@ impl JobManager {
     /// Status of one job.
     #[must_use]
     pub fn status(&self, id: &str) -> Option<JobStatus> {
-        let state = self.locked();
-        state.jobs.get(id).map(|entry| JobStatus {
-            id: id.to_owned(),
-            state: entry.state.clone(),
-            scenarios: entry.scenarios,
-            completed: entry.completed,
+        self.wait_status(id, Duration::ZERO)
+    }
+
+    /// Status of one job, answered as soon as the job is neither queued
+    /// nor running — or once `wait` (capped at [`MAX_STATUS_WAIT`]) has
+    /// passed, with the job's status at that moment. A done or unknown
+    /// job answers at once, as does every job once the service is
+    /// shutting down. The waiting thread holds no lock: it sleeps on a
+    /// condition variable that every transition out of queued/running,
+    /// every delete and shutdown notify.
+    #[must_use]
+    pub fn wait_status(&self, id: &str, wait: Duration) -> Option<JobStatus> {
+        let deadline = Instant::now() + wait.min(MAX_STATUS_WAIT);
+        let mut state = self.locked();
+        while let Some(entry) = state.jobs.get(id) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let settled = !matches!(entry.state, JobState::Queued | JobState::Running);
+            if settled || state.shutdown || left.is_zero() {
+                return Some(snapshot(id, entry));
+            }
+            state = self
+                .settled
+                .wait_timeout(state, left)
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .0;
+        }
+        drop(state);
+        // Not in memory: finished (its directory answers) or unknown.
+        self.store.is_finished(id).then(|| {
+            let scenarios = self.store.load_scenario_count(id).unwrap_or(0);
+            JobStatus {
+                id: id.to_owned(),
+                state: JobState::Done,
+                scenarios,
+                completed: scenarios,
+            }
         })
     }
 
@@ -455,7 +507,11 @@ impl JobManager {
     #[must_use]
     pub fn counts(&self) -> JobCounts {
         let state = self.locked();
-        let mut counts = JobCounts::default();
+        let mut counts = JobCounts {
+            done: state.done,
+            shed: state.shed,
+            ..JobCounts::default()
+        };
         for entry in state.jobs.values() {
             match entry.state {
                 JobState::Queued => counts.queued += 1,
@@ -465,7 +521,6 @@ impl JobManager {
                 JobState::Failed(_) => counts.failed += 1,
             }
         }
-        counts.shed = state.shed;
         counts
     }
 
@@ -474,10 +529,11 @@ impl JobManager {
     pub fn result(&self, id: &str) -> Option<String> {
         // Serve only completed jobs: a half-written journal is not a
         // result, and write_result is atomic, so presence ⇒ complete.
-        let report = self
-            .status(id)
-            .filter(|s| s.state == JobState::Done)
-            .and_then(|_| self.store.read_result(id));
+        // A job still in memory has not finished.
+        if self.locked().jobs.contains_key(id) {
+            return None;
+        }
+        let report = self.store.read_result(id);
         if report.is_some() {
             metrics().result_cache_hits.inc();
         }
@@ -521,7 +577,17 @@ impl JobManager {
     #[must_use]
     pub fn delete(&self, id: &str) -> Option<JobState> {
         let mut state = self.locked();
-        let entry = state.jobs.get_mut(id)?;
+        let Some(entry) = state.jobs.get_mut(id) else {
+            // Deleted under the lock, like every removal below: a
+            // concurrent resubmit must not re-create the directory
+            // between the check and the removal.
+            if !self.store.is_finished(id) {
+                return None;
+            }
+            let _ = self.store.delete_job(id);
+            state.done = state.done.saturating_sub(1);
+            return Some(JobState::Done);
+        };
         let was = entry.state.clone();
         match was {
             JobState::Running => {
@@ -535,6 +601,7 @@ impl JobManager {
                 // resubmit must not re-create the job directory between
                 // the map removal and the filesystem removal.
                 let _ = self.store.delete_job(id);
+                self.settled.notify_all();
             }
         }
         Some(was)
@@ -551,6 +618,7 @@ impl JobManager {
             }
         }
         self.wake.notify_all();
+        self.settled.notify_all();
         for runner in runners {
             let _ = runner.join();
         }
@@ -595,11 +663,6 @@ impl JobManager {
         let Some(entry) = state.jobs.get_mut(id) else {
             return;
         };
-        entry.state = match verdict {
-            Ok(true) => JobState::Done,
-            Ok(false) => JobState::Cancelled,
-            Err(message) => JobState::Failed(message),
-        };
         // A DELETE can race any campaign ending (completion, the cancel
         // itself, or a failure): the client was told "deleted", so the
         // job goes regardless of which verdict won the race. The
@@ -608,7 +671,18 @@ impl JobManager {
         if entry.delete_after_cancel {
             state.jobs.remove(id);
             let _ = self.store.delete_job(id);
+        } else {
+            match verdict {
+                // Finished: the directory answers for it from now on.
+                Ok(true) => {
+                    state.jobs.remove(id);
+                    state.done += 1;
+                }
+                Ok(false) => entry.state = JobState::Cancelled,
+                Err(message) => entry.state = JobState::Failed(message),
+            }
         }
+        self.settled.notify_all();
     }
 
     /// The actual campaign drive. `Ok(true)` = finished, `Ok(false)` =
@@ -682,6 +756,16 @@ impl JobManager {
     }
 }
 
+/// The status document fields of an in-memory job.
+fn snapshot(id: &str, entry: &JobEntry) -> JobStatus {
+    JobStatus {
+        id: id.to_owned(),
+        state: entry.state.clone(),
+        scenarios: entry.scenarios,
+        completed: entry.completed,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,6 +788,101 @@ mod tests {
             Err(SubmitError::Invalid(detail)) => assert!(detail.contains("feasible"), "{detail}"),
             other => panic!("expected Invalid, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    fn tiny_spec(seed: u64) -> CampaignSpec {
+        let mut config = SystemConfig::paper(0);
+        config.scale = 0.25;
+        CampaignSpec::new(config, seed)
+            .benchmarks(&[Benchmark::AdpcmEncode])
+            .scheme(
+                "Default",
+                SchemeSpec::Fixed(chunkpoint_core::MitigationScheme::Default),
+            )
+            .replicates(2)
+            .normalize(false)
+            .golden_check(false)
+    }
+
+    /// Everything a client can ask of a finished job, answered from its
+    /// directory alone.
+    fn assert_served_from_disk(manager: &JobManager, spec: &CampaignSpec) {
+        let id = JobStore::job_id(spec);
+        let status = manager.status(&id).expect("finished job is known");
+        assert_eq!(status.state, JobState::Done);
+        assert_eq!((status.scenarios, status.completed), (2, 2));
+        let waited = manager
+            .wait_status(&id, MAX_STATUS_WAIT)
+            .expect("a waiting status of a finished job");
+        assert_eq!(waited.state, JobState::Done);
+        assert!(manager
+            .result(&id)
+            .expect("result")
+            .contains("campaign_seed"));
+        let journal = manager.journal(&id).expect("journal");
+        assert!(journal.contains("\"status\":\"done\""), "{journal}");
+        assert_eq!(journal.matches("\"index\":").count(), 2, "{journal}");
+        let again = manager.submit(spec).expect("cached resubmit");
+        assert!(again.cached && !again.created);
+        assert_eq!(again.status.state, JobState::Done);
+        assert!(
+            manager.locked().jobs.is_empty(),
+            "no finished job may be held in memory"
+        );
+    }
+
+    #[test]
+    fn finished_jobs_live_on_disk_only() {
+        let root =
+            std::env::temp_dir().join(format!("chunkpoint_jobs_on_disk_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let manager = JobManager::recover(JobStore::open(&root).expect("open store"), 1, 0);
+        let runners = manager.spawn_runners(1);
+        let specs: Vec<CampaignSpec> = (0..4).map(|seed| tiny_spec(0xD15C + seed)).collect();
+        for spec in &specs {
+            let id = manager.submit(spec).expect("submit").status.id;
+            while manager
+                .wait_status(&id, MAX_STATUS_WAIT)
+                .expect("known")
+                .state
+                != JobState::Done
+            {}
+        }
+        assert_eq!(manager.counts().done, specs.len());
+        for spec in &specs {
+            assert_served_from_disk(&manager, spec);
+        }
+        manager.shutdown(runners);
+
+        // A restart over the same data dir counts the finished jobs
+        // without loading them.
+        let manager = JobManager::recover(JobStore::open(&root).expect("reopen"), 1, 0);
+        assert!(manager.locked().jobs.is_empty());
+        assert_eq!(manager.counts().done, specs.len());
+        for spec in &specs {
+            assert_served_from_disk(&manager, spec);
+        }
+
+        // The collision check compares the stored spec bytes: a finished
+        // job whose spec.json names another campaign refuses the submit.
+        let victim = JobStore::job_id(&specs[0]);
+        let other = specs[1].to_json().render() + "\n";
+        std::fs::write(root.join("jobs").join(&victim).join("spec.json"), other)
+            .expect("overwrite spec");
+        match manager.submit(&specs[0]) {
+            Err(SubmitError::Invalid(detail)) => assert!(detail.contains("collision"), "{detail}"),
+            other => panic!("expected a collision refusal, got {other:?}"),
+        }
+
+        // Delete of a finished job removes it from disk and the count.
+        let gone = JobStore::job_id(&specs[3]);
+        assert_eq!(manager.delete(&gone), Some(JobState::Done));
+        assert!(manager.status(&gone).is_none());
+        assert!(manager.result(&gone).is_none());
+        assert!(manager.journal(&gone).is_none());
+        assert!(manager.delete(&gone).is_none());
+        assert_eq!(manager.counts().done, specs.len() - 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -22,7 +22,8 @@ pub const ENDPOINTS: [&str; 10] = [
 
 /// Classifies a parsed request into its endpoint label.
 #[must_use]
-pub fn endpoint_of(method: &str, path: &str) -> &'static str {
+pub fn endpoint_of(method: &str, target: &str) -> &'static str {
+    let path = target.split_once('?').map_or(target, |(path, _)| path);
     match (method, path) {
         ("GET", "/healthz") => "healthz",
         ("GET", "/metrics") => "metrics",
@@ -146,6 +147,10 @@ mod tests {
         assert_eq!(endpoint_of("POST", "/shutdown"), "shutdown");
         assert_eq!(endpoint_of("POST", "/campaigns"), "submit");
         assert_eq!(endpoint_of("GET", "/campaigns/0123456789abcdef"), "status");
+        assert_eq!(
+            endpoint_of("GET", "/campaigns/0123456789abcdef?wait_ms=400"),
+            "status"
+        );
         assert_eq!(
             endpoint_of("GET", "/campaigns/0123456789abcdef/journal"),
             "journal"

@@ -2,16 +2,22 @@
 //!
 //! Endpoints:
 //!
-//! | Method & path                | Meaning                                      |
-//! |------------------------------|----------------------------------------------|
-//! | `POST /campaigns`            | submit a spec (body: canonical spec JSON)    |
-//! | `GET /campaigns/:id`         | job status                                   |
-//! | `GET /campaigns/:id/result`  | final report (cache-served once done)        |
-//! | `GET /campaigns/:id/journal` | sealed per-scenario rows journaled so far    |
-//! | `DELETE /campaigns/:id`      | cancel and remove a job                      |
-//! | `GET /healthz`               | liveness + job counts + uptime               |
-//! | `GET /metrics`               | Prometheus-style text exposition             |
-//! | `POST /shutdown`             | graceful shutdown (used by CI and tests)     |
+//! | Method & path                  | Meaning                                                 |
+//! |--------------------------------|---------------------------------------------------------|
+//! | `POST /campaigns`              | submit a spec (body: canonical spec JSON)               |
+//! | `GET /campaigns/:id`           | job status                                              |
+//! | `GET /campaigns/:id?wait_ms=N` | job status once it leaves queued/running, or after N ms |
+//! | `GET /campaigns/:id/result`    | final report (cache-served once done)                   |
+//! | `GET /campaigns/:id/journal`   | sealed per-scenario rows journaled so far               |
+//! | `DELETE /campaigns/:id`        | cancel and remove a job                                 |
+//! | `GET /healthz`                 | liveness + job counts + uptime                          |
+//! | `GET /metrics`                 | Prometheus-style text exposition                        |
+//! | `POST /shutdown`               | graceful shutdown (used by CI and tests)                |
+//!
+//! `?wait_ms=N` is the only query string the service accepts, and only
+//! on a status request; `N` is capped at
+//! [`MAX_STATUS_WAIT`](crate::jobs::MAX_STATUS_WAIT). Any other
+//! query is a `400`.
 //!
 //! Connections are handled one request each (`Connection: close`) on
 //! short-lived threads; campaign execution happens on the job manager's
@@ -223,8 +229,32 @@ fn campaign_route(path: &str) -> Option<(&str, Option<&str>)> {
     }
 }
 
+/// Splits a request target into its path and the status wait of a
+/// `?wait_ms=N` query (`None` without a query).
+fn split_wait(target: &str) -> Result<(&str, Option<Duration>), Response> {
+    let Some((path, query)) = target.split_once('?') else {
+        return Ok((target, None));
+    };
+    match query.strip_prefix("wait_ms=").map(str::parse::<u64>) {
+        Some(Ok(ms)) => Ok((path, Some(Duration::from_millis(ms)))),
+        _ => Err(Response::error(
+            400,
+            "the only query accepted is ?wait_ms=<u64> on GET /campaigns/:id",
+        )),
+    }
+}
+
 fn route(request: &Request, manager: &JobManager, stop: &AtomicBool, started: Instant) -> Response {
-    match (request.method.as_str(), request.path.as_str()) {
+    let (path, wait) = match split_wait(&request.path) {
+        Ok(split) => split,
+        Err(bad_query) => return bad_query,
+    };
+    let status_route =
+        request.method == "GET" && campaign_route(path).is_some_and(|(_, tail)| tail.is_none());
+    if wait.is_some() && !status_route {
+        return Response::error(400, "wait_ms applies only to GET /campaigns/:id");
+    }
+    match (request.method.as_str(), path) {
         ("GET", "/healthz") => Response::json(
             200,
             manager
@@ -245,7 +275,7 @@ fn route(request: &Request, manager: &JobManager, stop: &AtomicBool, started: In
         ("POST", "/campaigns") => submit(request, manager),
         (method, path) => match campaign_route(path) {
             Some((id, tail)) if JobStore::valid_id(id) => match (method, tail) {
-                ("GET", None) => match manager.status(id) {
+                ("GET", None) => match manager.wait_status(id, wait.unwrap_or_default()) {
                     Some(status) => Response::json(200, status.to_json().render()),
                     None => Response::error(404, "unknown campaign"),
                 },
@@ -374,6 +404,26 @@ mod tests {
         // Traversal-shaped ids never reach the store (valid_id gate).
         let (id, _) = campaign_route("/campaigns/../../etc/passwd").unwrap();
         assert!(!JobStore::valid_id(id));
+    }
+
+    #[test]
+    fn only_a_wait_ms_query_is_accepted() {
+        assert_eq!(
+            split_wait("/campaigns/0123456789abcdef").ok(),
+            Some(("/campaigns/0123456789abcdef", None))
+        );
+        assert_eq!(
+            split_wait("/campaigns/0123456789abcdef?wait_ms=250").ok(),
+            Some((
+                "/campaigns/0123456789abcdef",
+                Some(Duration::from_millis(250))
+            ))
+        );
+        for bad in ["?wait_ms=x", "?foo=1", "?wait_ms=", "?wait_ms=-1", "?"] {
+            let target = format!("/campaigns/0123456789abcdef{bad}");
+            let status = split_wait(&target).err().map(|response| response.status);
+            assert_eq!(status, Some(400), "{bad}");
+        }
     }
 
     #[test]

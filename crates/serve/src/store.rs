@@ -17,6 +17,11 @@
 //! spec lands on the same directory, and a present `result.json` answers
 //! it without running anything.
 //!
+//! A present `result.json` is also what marks a job done. The job
+//! manager keeps no finished job in memory: the directory alone answers
+//! status (`meta.json` gives its size), result, journal, delete, and a
+//! resubmit's collision check (the stored `spec.json` bytes).
+//!
 //! The journal is the crash-safety mechanism. Every completed scenario
 //! appends one line and flushes; a process killed mid-campaign leaves a
 //! journal whose newline-sealed lines are read back and an interrupted
@@ -293,6 +298,25 @@ impl JobStore {
     #[must_use]
     pub fn read_result(&self, id: &str) -> Option<String> {
         fs::read_to_string(self.result_path(id)).ok()
+    }
+
+    /// Whether the job finished: its `result.json` is present (written
+    /// atomically, so presence means complete).
+    #[must_use]
+    pub fn is_finished(&self, id: &str) -> bool {
+        self.result_path(id).is_file()
+    }
+
+    /// The stored canonical spec of a finished job, as written (one
+    /// rendering plus a newline) — the reference a resubmit's collision
+    /// check compares against. `None` unless the job finished and its
+    /// spec is readable.
+    #[must_use]
+    pub fn finished_spec(&self, id: &str) -> Option<String> {
+        if !self.is_finished(id) {
+            return None;
+        }
+        fs::read_to_string(self.spec_path(id)).ok()
     }
 
     /// Removes a job and everything it journaled.

@@ -157,6 +157,28 @@ fn malformed_inputs_get_typed_errors_and_the_service_survives() {
     );
     assert_alive(&addr, "a grid past the scenario limit");
 
+    // 9. An error rate of 2: a strike rate is a probability per word
+    // and cycle, so the fault process would refuse it mid-run.
+    let rate_two = br#"{"version":1,"campaign_seed":7,"benchmarks":["ADPCM encode"],
+  "schemes":[{"label":"Default","spec":{"kind":"fixed","scheme":{"kind":"default"}}}],
+  "error_rates":[2.0],"replicates":1,"normalize":false,"golden_check":false}"#;
+    let response = post_campaigns(&addr, rate_two);
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(response.contains("error_rates"), "{response}");
+    assert!(response.contains("[0, 1)"), "{response}");
+    assert_alive(&addr, "an error rate of 2");
+
+    // 10. An input scale past the workloads' (0, 4] range.
+    let scale_five = br#"{"version":1,"campaign_seed":7,"base":{"seed":0,"scale":5.0,
+  "error_rate":0.000001,"area_overhead":0.2,"cycle_overhead":0.2},"benchmarks":["ADPCM encode"],
+  "schemes":[{"label":"Default","spec":{"kind":"fixed","scheme":{"kind":"default"}}}],
+  "error_rates":[0.000001],"replicates":1,"normalize":false,"golden_check":false}"#;
+    let response = post_campaigns(&addr, scale_five);
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(response.contains("scale"), "{response}");
+    assert!(response.contains("(0, 4]"), "{response}");
+    assert_alive(&addr, "a scale of 5");
+
     // After all of it, the service still does real work end to end.
     let good = tiny_spec(0x60D).to_json().render();
     let response = post_campaigns(&addr, good.as_bytes());

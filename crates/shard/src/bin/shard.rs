@@ -39,8 +39,8 @@ const USAGE: &str = "chunkpoint shard coordinator:
   --spec PATH        campaign spec JSON (canonical wire form), required
   --json PATH        write the merged canonical report here (default: stdout)
   --weights LIST     comma-separated per-backend weights (default: even split)
-  --poll-ms N        base poll sweep interval in milliseconds (default 25);
-                     idle sweeps back off exponentially with jitter
+  --poll-ms N        wait bound of one sweep in milliseconds (default 400): the
+                     longest a status request waits at a backend for its job
   --timeout-secs N   per-request timeout in seconds (default 10)
   --strikes N        consecutive failures opening a backend's breaker (default 3)
   --attempts N       dispatch attempts per shard before giving up (default 5)

@@ -34,11 +34,15 @@ use crate::partition::{partition, partition_weighted};
 /// Coordinator knobs. The defaults suit a LAN of `serve` instances.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Base pause between poll sweeps over the outstanding shards. The
-    /// actual sleep follows the deterministic [`Backoff`] schedule:
-    /// `poll_interval` while the run makes progress, doubling (with
-    /// seeded jitter) toward [`ShardConfig::poll_max`] across idle
-    /// sweeps.
+    /// The wait bound of one sweep over the outstanding shards: the
+    /// longest the sweep waits at the backends for jobs to finish. Each
+    /// status request asks its backend to hold the answer until the job
+    /// leaves queued/running (`GET /campaigns/:id?wait_ms=N`), for what
+    /// is left of the bound, so a shard seals the moment its job ends
+    /// and a long-running job costs one status request per bound. A
+    /// sweep that can send nothing — every outstanding shard's backend
+    /// cooling down — sleeps until the first breaker's probe window,
+    /// for at most the bound.
     pub poll_interval: Duration,
     /// Connect/read/write timeout of every HTTP exchange.
     pub request_timeout: Duration,
@@ -52,15 +56,13 @@ pub struct ShardConfig {
     /// full disk everywhere), which transport strikes alone would
     /// ping-pong forever.
     pub shard_attempts: u32,
-    /// Cap of the idle-sweep poll backoff.
-    pub poll_max: Duration,
     /// Base cooldown of a backend's circuit breaker when it opens; each
     /// consecutive re-open doubles it (with seeded jitter).
     pub breaker_cooldown: Duration,
     /// Cap of the breaker cooldown ladder.
     pub breaker_max: Duration,
-    /// Seed of the deterministic backoff jitter schedules — same seed,
-    /// same poll cadence and same cooldowns, every run.
+    /// Seed of the deterministic jitter of the breaker cooldowns — same
+    /// seed, same cooldowns, every run.
     pub backoff_seed: u64,
     /// Trace sink of the run's dispatch decisions. The default —
     /// [`Tracer::disabled`] — costs nothing; a live tracer turns every
@@ -84,11 +86,10 @@ pub struct ShardConfig {
 impl Default for ShardConfig {
     fn default() -> Self {
         Self {
-            poll_interval: Duration::from_millis(25),
+            poll_interval: Duration::from_millis(400),
             request_timeout: Duration::from_secs(10),
             backend_strikes: 3,
             shard_attempts: 5,
-            poll_max: Duration::from_millis(400),
             breaker_cooldown: Duration::from_millis(100),
             breaker_max: Duration::from_secs(2),
             backoff_seed: 0,
@@ -714,9 +715,11 @@ impl Dispatcher<'_> {
         )
     }
 
-    /// One poll of one outstanding shard. `Ok(())` means "keep going";
-    /// shard completion is recorded in place.
-    fn poll(&mut self, shard: usize) -> Result<(), ExecError> {
+    /// One status request for one outstanding shard, held by the
+    /// backend until the job leaves queued/running or `wait` passes.
+    /// `Ok(())` means "keep going"; shard completion is recorded in
+    /// place.
+    fn poll(&mut self, shard: usize, wait: Duration) -> Result<(), ExecError> {
         let backend = self.shards[shard].backend;
         let addr = self.backends[backend].addr.clone();
         let id = self.shards[shard]
@@ -726,7 +729,7 @@ impl Dispatcher<'_> {
         match exchange(
             &addr,
             "GET",
-            &format!("/campaigns/{id}"),
+            &format!("/campaigns/{id}?wait_ms={}", wait.as_millis()),
             None,
             self.config.request_timeout,
         ) {
@@ -774,8 +777,8 @@ impl Dispatcher<'_> {
                         self.shards[shard].job_id = None;
                         Ok(())
                     }
-                    // Queued / running. A rising `completed` count is live
-                    // progress; it does not reset the sweep backoff.
+                    // Queued / running past the wait. A rising
+                    // `completed` count is live progress.
                     Some(_) => {
                         if let Some(completed) = field("completed").and_then(JsonValue::as_u64) {
                             self.advance(shard, completed as usize);
@@ -817,28 +820,55 @@ impl Dispatcher<'_> {
         }
     }
 
-    /// One step of one outstanding shard: gate on the backend's
-    /// breaker, then submit if needed and poll. A shard on a
+    /// One sweep over the outstanding shards, bounded by
+    /// [`ShardConfig::poll_interval`]. First every shard without a job
+    /// is submitted, so the backends run side by side; a shard on a
     /// cooling-down backend moves to a ready one if there is one, else
-    /// waits for the breaker's next probe window.
-    fn step(&mut self, shard: usize) -> Result<(), ExecError> {
-        let backend = self.shards[shard].backend;
-        if !self.ready(backend) {
-            self.reassign(shard, backend)?;
-            if !self.ready(self.shards[shard].backend) {
-                return Ok(()); // still gated: everyone is cooling down
+    /// waits for the breaker's next probe window. Then each submitted
+    /// shard gets one status request that waits what is left of the
+    /// bound, and every shard reported done seals. A sweep that could
+    /// send nothing sleeps until the earliest probe window instead.
+    fn sweep(&mut self) -> Result<(), ExecError> {
+        let bound = self.config.poll_interval;
+        let deadline = Instant::now() + bound;
+        let mut sent = false;
+        for shard in 0..self.shards.len() {
+            if self.shards[shard].rows.is_some() {
+                continue;
+            }
+            let backend = self.shards[shard].backend;
+            if !self.ready(backend) {
+                self.reassign(shard, backend)?;
+            }
+            if self.shards[shard].job_id.is_none() && self.ready(self.shards[shard].backend) {
+                self.submit(shard)?;
+                sent = true;
             }
         }
-        if self.shards[shard].job_id.is_none() {
-            self.submit(shard)?;
-            // An accepted job is polled at once, not after a sweep's
-            // sleep: a backend that already holds the result seals it
-            // straight away.
-            if self.shards[shard].job_id.is_none() {
-                return Ok(());
+        for shard in 0..self.shards.len() {
+            let waiting = self.shards[shard].rows.is_none() && self.shards[shard].job_id.is_some();
+            if waiting && self.ready(self.shards[shard].backend) {
+                // Half the request timeout at most: a held answer must
+                // never read as a dead backend.
+                let wait = deadline
+                    .saturating_duration_since(Instant::now())
+                    .min(self.config.request_timeout / 2);
+                self.poll(shard, wait)?;
+                sent = true;
             }
         }
-        self.poll(shard)
+        if !sent {
+            let now = self.now();
+            let until_probe = self
+                .backends
+                .iter()
+                .filter_map(|backend| backend.breaker.retry_at())
+                .filter(|&at| at > now)
+                .min()
+                .map_or(bound, |at| at - now);
+            std::thread::sleep(until_probe.min(bound));
+        }
+        Ok(())
     }
 }
 
@@ -891,8 +921,8 @@ fn plan_shards(
 
 /// Runs `spec` sharded across `backends` (each a `HOST:PORT` of a
 /// running `serve` instance): partition the grid into contiguous
-/// scenario ranges, submit one ranged sub-spec per backend, poll to
-/// completion re-dispatching failed or unreachable shards to the
+/// scenario ranges, submit one ranged sub-spec per backend, wait on
+/// each to completion re-dispatching failed or unreachable shards to the
 /// survivors, and merge the journals into the canonical report.
 ///
 /// The returned report is **byte-identical** to
@@ -923,7 +953,7 @@ pub fn run_sharded(
 ///   backend); the grid partitions proportionally via
 ///   [`partition_weighted`] instead of evenly. Backends whose share
 ///   rounds to zero scenarios simply receive no initial shard.
-/// * `cancel` — checked between poll sweeps; on cancellation every
+/// * `cancel` — checked between sweeps; on cancellation every
 ///   outstanding shard's job receives a best-effort `DELETE` (so its
 ///   backend stops working) and the run returns
 ///   [`ExecError::Cancelled`].
@@ -1078,55 +1108,16 @@ pub fn run_sharded_ctl(
             }
         }
     }
-    // Sweep pacing: `poll_interval` while the run makes progress,
-    // backing off deterministically toward `poll_max` across idle
-    // sweeps — a long-running shard is not hammered at submit cadence.
-    let poll_backoff = Backoff::new(config.poll_interval, config.poll_max, config.backoff_seed);
+    // Sweep until the last shard seals; cancellation is checked between
+    // sweeps, so it is seen within one wait bound.
     let sweeps = poll_sweeps();
-    let mut idle_sweeps = 0u32;
-    loop {
+    while dispatcher.shards.iter().any(|shard| shard.rows.is_none()) {
         if cancel.is_cancelled() {
             dispatcher.cancel_outstanding();
             return Err(ExecError::Cancelled);
         }
-        let mut outstanding = false;
-        let before = (
-            dispatcher.dispatches,
-            dispatcher.failures,
-            dispatcher
-                .shards
-                .iter()
-                .filter(|s| s.rows.is_some())
-                .count(),
-        );
-        for shard in 0..dispatcher.shards.len() {
-            if dispatcher.shards[shard].rows.is_some() {
-                continue;
-            }
-            outstanding = true;
-            dispatcher.step(shard)?;
-        }
-        if !outstanding {
-            break;
-        }
-        let after = (
-            dispatcher.dispatches,
-            dispatcher.failures,
-            dispatcher
-                .shards
-                .iter()
-                .filter(|s| s.rows.is_some())
-                .count(),
-        );
-        // Anything observable — a dispatch, a failure, a finished shard
-        // — resets the backoff; only truly idle sweeps stretch it.
-        if after == before {
-            idle_sweeps = idle_sweeps.saturating_add(1);
-        } else {
-            idle_sweeps = 0;
-        }
+        dispatcher.sweep()?;
         sweeps.inc();
-        std::thread::sleep(poll_backoff.delay(idle_sweeps));
     }
     let rows: Vec<ScenarioResult> = dispatcher
         .shards

@@ -5,9 +5,9 @@
 //! [`CampaignSpec`](chunkpoint_campaign::CampaignSpec), split its
 //! scenario index space into contiguous ranges (the spec wire format's
 //! optional `scenario_range` field), submit one ranged sub-spec per
-//! backend, poll to completion — re-dispatching a failed or unreachable
-//! shard to a surviving backend — and merge the per-shard journals into
-//! one canonical report.
+//! backend, wait on each to completion — re-dispatching a failed or
+//! unreachable shard to a surviving backend — and merge the per-shard
+//! journals into one canonical report.
 //!
 //! The three layers:
 //!

@@ -59,8 +59,8 @@ pub(crate) fn backend_telemetry(addr: &str) -> BackendTelemetry {
 }
 
 /// The coordinator's poll-sweep counter — one increment per pass over
-/// the outstanding shards, so idle-backoff stretching is visible as a
-/// falling sweep rate.
+/// the outstanding shards; a job that outlasts the wait bound costs one
+/// sweep per bound.
 pub(crate) fn poll_sweeps() -> Arc<Counter> {
     chunkpoint_telemetry::global().counter(
         "shard_poll_sweeps_total",

@@ -51,7 +51,7 @@ echo "scenario smoke OK (expect verdicts typed, local and remote bytes identical
 # Later stages install their own EXIT traps, so clean up eagerly here.
 rm -rf "$SCN_DIR"
 
-echo "== service smoke (submit, poll, cached resubmit, clean shutdown) =="
+echo "== service smoke (submit, waiting status, cached resubmit, clean shutdown) =="
 SERVE_DIR="$(mktemp -d)"
 # Failure paths exit mid-test: take the background server down with us
 # (no-op after the success path's wait) before removing its data dir.
@@ -74,16 +74,10 @@ SPEC='{"version":1,"campaign_seed":7,"benchmarks":["ADPCM encode"],
 SUBMIT="$(curl -sf -X POST --data "$SPEC" "$BASE/campaigns")"
 ID="$(printf '%s' "$SUBMIT" | sed -n 's/.*"id":"\([0-9a-f]\{16\}\)".*/\1/p')"
 [ -n "$ID" ] || { echo "submit failed: $SUBMIT"; exit 1; }
-STATUS=""
-for _ in $(seq 1 200); do
-    STATUS="$(curl -sf "$BASE/campaigns/$ID")"
-    case "$STATUS" in
-        *'"status":"done"'*) break ;;
-        *'"status":"failed"'*) echo "job failed: $STATUS"; exit 1 ;;
-    esac
-    sleep 0.05
-done
-case "$STATUS" in *'"status":"done"'*) ;; *) echo "job never finished: $STATUS"; exit 1 ;; esac
+# One status request that waits for the job to finish (the service
+# caps the wait at 5 s; the job takes milliseconds).
+STATUS="$(curl -sf "$BASE/campaigns/$ID?wait_ms=10000")"
+case "$STATUS" in *'"status":"done"'*) ;; *) echo "job not done after a waiting status: $STATUS"; exit 1 ;; esac
 curl -sf "$BASE/campaigns/$ID/result" | grep -q '"campaign_seed":7' \
     || { echo "result endpoint returned no report"; exit 1; }
 # The cached resubmit must answer instantly (content-addressed hit).
@@ -97,13 +91,18 @@ esac
 ELAPSED_MS=$(( (T1 - T0) / 1000000 ))
 [ "$ELAPSED_MS" -lt 1000 ] || { echo "cache hit took ${ELAPSED_MS}ms"; exit 1; }
 # Metrics smoke: the same counters, after. Two submits (one fresh, one
-# cached), one new job, one cache hit — and the latency histogram's
-# _count must track the request counter on the submit endpoint.
+# cached), one status request, one new job, one cache hit — and the
+# latency histogram's _count must track the request counter on the
+# submit endpoint.
 METRICS_AFTER="$(curl -sf "$BASE/metrics")"
 SUB0="$(mval "$METRICS_BEFORE" 'serve_requests_total{endpoint="submit"}')"
 SUB1="$(mval "$METRICS_AFTER" 'serve_requests_total{endpoint="submit"}')"
 [ "$((SUB1 - SUB0))" -eq 2 ] \
     || { echo "submit request counter moved $SUB0 -> $SUB1, wanted +2"; exit 1; }
+STATUS0="$(mval "$METRICS_BEFORE" 'serve_requests_total{endpoint="status"}')"
+STATUS1="$(mval "$METRICS_AFTER" 'serve_requests_total{endpoint="status"}')"
+[ "$((STATUS1 - STATUS0))" -eq 1 ] \
+    || { echo "status request counter moved $STATUS0 -> $STATUS1, wanted +1"; exit 1; }
 JOBS0="$(mval "$METRICS_BEFORE" 'serve_jobs_submitted_total')"
 JOBS1="$(mval "$METRICS_AFTER" 'serve_jobs_submitted_total')"
 [ "$((JOBS1 - JOBS0))" -eq 1 ] \
