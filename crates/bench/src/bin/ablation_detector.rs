@@ -4,7 +4,7 @@
 //! the *same* hybrid protocol with both detectors and measures how often
 //! each configuration silently hands over corrupted output — the
 //! executable justification for this reproduction's interleaved-parity
-//! substitution (DESIGN.md §2).
+//! substitution (`chunkpoint_core::DETECTOR_WAYS`).
 //!
 //! Runs on the campaign engine: `--threads/--seeds/--seed/--json`.
 

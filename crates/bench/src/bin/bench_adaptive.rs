@@ -1,33 +1,22 @@
-//! Adaptive-controller measurement, emitting `BENCH_adaptive.json`: how
-//! many scenarios the sequential-sampling stopping rule saves against
-//! the fixed grid at the same CI target, and what the pure round
-//! planner costs per decision.
-//!
-//! Three figures:
+//! Adaptive-controller cost, written to `BENCH_adaptive.json`. Each
+//! round times three figures:
 //!
 //! * `fixed` — the full grid through `LocalExecutor::submit`, every
-//!   cell running all of its replicates (the budget the adaptive run is
-//!   measured against);
+//!   cell running all of its replicates (the budget);
 //! * `adaptive` — the same `(spec, target CI)` through
-//!   [`AdaptiveController`]: cells stop at the first round boundary
+//!   [`AdaptiveController`], cells stopping at the first round boundary
 //!   where their live CI95 half-width is inside the relative target.
-//!   The acceptance bar is `executed < budget` with every stopped cell
-//!   converged;
+//!   The bin asserts that fewer scenarios than the budget ran;
 //! * `plan_round` — nanoseconds per call of the pure planner over a
-//!   synthetic many-cell progress table, bounding the controller's
-//!   per-round decision overhead (it is nowhere near the scenario
-//!   cost).
+//!   synthetic 256-cell progress table: the controller's per-round
+//!   decision overhead.
 //!
 //! Run with `cargo run --release -p chunkpoint_bench --bin
-//! bench_adaptive`. `--smoke` shrinks the grid for CI; `--json PATH`
-//! overrides the output path.
-
-use std::time::Instant;
+//! bench_adaptive` (`--smoke` for CI).
 
 use chunkpoint_adaptive::{plan_round, AdaptiveController, AdaptivePolicy, CellProgress};
-use chunkpoint_campaign::{
-    pool::default_threads, CampaignArgs, CampaignSpec, JsonValue, SchemeSpec,
-};
+use chunkpoint_bench::harness::Bench;
+use chunkpoint_campaign::{CampaignSpec, JsonValue, SchemeSpec};
 use chunkpoint_core::{MitigationScheme, SystemConfig};
 use chunkpoint_exec::{CampaignExecutor, LocalExecutor};
 use chunkpoint_workloads::Benchmark;
@@ -46,13 +35,10 @@ fn grid_spec(seed: u64, replicates: u64) -> CampaignSpec {
 }
 
 fn main() {
-    let args = CampaignArgs::parse_or_exit(1, 0xADA_BE7C);
+    let bench = Bench::new("adaptive", 1, 0xADA_BE7C);
+    let args = &bench.args;
     let replicates = if args.smoke { 6 } else { 24 };
-    let threads = if args.threads == 0 {
-        default_threads()
-    } else {
-        args.threads
-    };
+    let threads = bench.threads();
     let spec = grid_spec(args.seed, replicates);
     let budget = spec.scenarios().len();
     // The CI target both sides are held to: half-width within 40% of
@@ -62,31 +48,6 @@ fn main() {
         .round_replicates(3)
         .rel_ci(0.4);
     println!("bench_adaptive: {budget}-scenario grid, {threads} thread(s), rel CI target 0.4");
-
-    // Fixed grid: every cell runs all of its replicates.
-    let start = Instant::now();
-    let fixed = LocalExecutor::new(threads)
-        .submit(&spec)
-        .wait()
-        .expect("fixed-grid run");
-    let fixed_secs = start.elapsed().as_secs_f64();
-    assert_eq!(fixed.scenarios, budget);
-
-    // Adaptive: the same spec and target, cells stopping at round
-    // boundaries once their live CI95 is inside the target.
-    let start = Instant::now();
-    let adaptive = AdaptiveController::new(LocalExecutor::new(threads), policy.clone())
-        .run(&spec)
-        .expect("adaptive run");
-    let adaptive_secs = start.elapsed().as_secs_f64();
-    let converged = adaptive.cells.iter().filter(|c| c.stop.converged).count();
-    assert!(
-        adaptive.executed < budget,
-        "adaptive executed the whole grid: {} of {budget}",
-        adaptive.executed
-    );
-    let saved = budget - adaptive.executed;
-    let saved_pct = 100.0 * saved as f64 / budget as f64;
 
     // Decision overhead: the pure planner over a synthetic 256-cell
     // progress table (16 replicates of LCG noise each) — the entire
@@ -102,63 +63,61 @@ fn main() {
             cell.spent += 1;
         }
     }
-    let plan_calls = if args.smoke { 2_000 } else { 50_000 };
-    let start = Instant::now();
-    let mut stops = 0usize;
-    for round in 0..plan_calls {
-        let plan = plan_round(&policy, 32, (round % 8) as u32 + 1, &cells, 0);
-        stops += plan.stops.len();
-    }
-    let plan_ns = start.elapsed().as_nanos() as f64 / plan_calls as f64;
-    assert!(stops > 0, "synthetic table never converged");
+    let plan_calls: u32 = if args.smoke { 2_000 } else { 50_000 };
 
+    let mut adaptive = None;
+    let figures = bench.run(|round| {
+        let fixed = round.secs("fixed_secs", || {
+            LocalExecutor::new(threads).submit(&spec).wait()
+        });
+        assert_eq!(fixed.expect("fixed-grid run").scenarios, budget);
+        // The same spec and target, cells stopping at round boundaries
+        // once their live CI95 is inside the target.
+        let run = round.secs("adaptive_secs", || {
+            AdaptiveController::new(LocalExecutor::new(threads), policy.clone()).run(&spec)
+        });
+        let run = run.expect("adaptive run");
+        assert!(
+            run.executed < budget,
+            "adaptive executed the whole grid: {} of {budget}",
+            run.executed
+        );
+        adaptive = Some(run);
+        let per_call = |secs: f64| secs * 1e9 / plan_calls as f64;
+        let stops = round.time("plan_round_ns", per_call, || {
+            let plan = |r: u32| plan_round(&policy, 32, r % 8 + 1, &cells, 0).stops.len();
+            (0..plan_calls).map(plan).sum::<usize>()
+        });
+        assert!(stops > 0, "synthetic table never converged");
+    });
+    let adaptive = adaptive.expect("at least one round");
+    let converged = adaptive.cells.iter().filter(|c| c.stop.converged).count();
+    let saved = budget - adaptive.executed;
     println!(
-        "fixed:     {budget:>4} scenarios in {fixed_secs:>6.2}s ({:.1} scenarios/s)",
-        budget as f64 / fixed_secs.max(1e-9)
-    );
-    println!(
-        "adaptive:  {:>4} scenarios in {adaptive_secs:>6.2}s ({saved} saved, {saved_pct:.1}%, \
-         {converged}/{} cells converged, {} rounds)",
+        "adaptive: {} of {budget} scenarios ({saved} saved), {converged}/{} cells converged, \
+         {} rounds",
         adaptive.executed,
         adaptive.cells.len(),
         adaptive.rounds
     );
-    println!("plan_round: {plan_ns:>8.0} ns/call over 256 cells");
 
-    let doc = JsonValue::object()
-        .field("bench", "adaptive_controller")
-        .field("cpus_available", default_threads())
+    let fields = JsonValue::object()
         .field("threads", threads)
         .field("rel_ci_target", 0.4)
         .field("grid_scenarios", budget)
-        .field("fixed_scenarios", budget)
-        .field("fixed_secs", fixed_secs)
         .field("adaptive_scenarios", adaptive.executed)
-        .field("adaptive_secs", adaptive_secs)
         .field("scenarios_saved", saved)
-        .field("scenarios_saved_pct", saved_pct)
+        .field("scenarios_saved_pct", 100.0 * saved as f64 / budget as f64)
         .field("cells", adaptive.cells.len())
         .field("cells_converged", converged)
         .field("control_rounds", adaptive.rounds as u64)
-        .field("plan_round_ns", plan_ns)
         .field(
             "note",
             "fixed = full grid through LocalExecutor; adaptive = the same (spec, rel CI \
              target 0.4) through AdaptiveController, cells stopping at round boundaries \
              once their live CI95 half-width is inside the target (floor 3 replicates); \
              plan_round = the pure per-round planner over a synthetic 256-cell table. \
-             Acceptance: adaptive_scenarios < fixed_scenarios with converged cells",
+             Acceptance: adaptive_scenarios < grid_scenarios with converged cells",
         );
-
-    if args.smoke {
-        println!("smoke run: adaptive paths exercised");
-        if let Some(path) = &args.json {
-            std::fs::write(path, doc.render() + "\n").expect("write json report");
-            println!("wrote {path}");
-        }
-    } else {
-        let path = args.json.as_deref().unwrap_or("BENCH_adaptive.json");
-        std::fs::write(path, doc.render() + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
+    bench.write(fields, &figures);
 }

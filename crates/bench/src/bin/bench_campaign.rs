@@ -1,33 +1,25 @@
-//! Campaign-engine throughput measurement, emitting `BENCH_campaign.json`
-//! so successive PRs have a comparable scenarios/second trajectory (the
-//! campaign counterpart of `bench_ecc` / `BENCH_ecc.json`).
+//! Campaign-engine throughput, written to `BENCH_campaign.json` so
+//! successive PRs have a comparable scenarios/second trajectory.
 //!
-//! Runs a fixed evaluation grid at 1 / 2 / 4 / 8 worker threads,
-//! reporting the median throughput of several samples per thread count
-//! and cross-checking that every thread count produced **bit-identical**
-//! per-scenario results (the engine's core guarantee). Wall-clock
-//! scaling is bounded by the machine — the JSON records
-//! `cpus_available` so a single-core CI box reporting ~1x speedup is
-//! interpretable — but the determinism check is hardware-independent.
+//! Runs a fixed evaluation grid at 1 / 2 / 4 / 8 worker threads, every
+//! round timing each ladder point once, and checks that every thread
+//! count renders the same canonical report bytes as a 1-thread run (the
+//! engine's core guarantee). Wall-clock scaling is bounded by the
+//! machine — the file records `cpus_available` — but the determinism
+//! check is hardware-independent.
 //!
 //! Run with `cargo run --release -p chunkpoint_bench --bin
-//! bench_campaign`. `--smoke --seeds 2 --threads 2` runs the reduced CI
-//! grid in a couple of seconds without touching `BENCH_campaign.json`
-//! (unless `--json` is given).
+//! bench_campaign`. CI runs `--smoke --seeds 2 --threads 2`: the reduced
+//! grid at 1 and 2 threads.
 
-use std::time::Instant;
-
+use chunkpoint_bench::harness::Bench;
 use chunkpoint_campaign::{
-    pool::default_threads, run_campaign, CampaignArgs, CampaignSpec, JsonValue, ScenarioResult,
-    SchemeSpec,
+    canonical_report_json, run_campaign, CampaignSpec, JsonValue, ScenarioResult, SchemeSpec,
 };
 use chunkpoint_core::{MitigationScheme, SystemConfig};
+use chunkpoint_serve::REPORT_AXES;
 use chunkpoint_workloads::Benchmark;
 
-/// Timed samples per thread count; the median is reported with the
-/// min and max (shared machines are noisy, and the median is robust
-/// against interference).
-const SAMPLES: usize = 7;
 /// Thread counts of the scaling ladder.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -56,110 +48,52 @@ fn grid(smoke: bool, seeds: u64, campaign_seed: u64) -> CampaignSpec {
         .replicates(seeds)
 }
 
-fn fingerprint(results: &[ScenarioResult]) -> Vec<(u64, u64, u64, u64)> {
-    results
-        .iter()
-        .map(|r| (r.energy_pj.to_bits(), r.cycles, r.rollbacks, r.restarts))
-        .collect()
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
+fn report(spec: &CampaignSpec, results: &[ScenarioResult]) -> String {
+    canonical_report_json(spec.campaign_seed, results, &REPORT_AXES).render()
 }
 
 fn main() {
-    let args = CampaignArgs::parse_or_exit(12, 0xCA4A);
+    let bench = Bench::new("campaign", 12, 0xCA4A);
+    let args = &bench.args;
     let spec = grid(args.smoke, args.seeds, args.seed);
-    let scenario_count = spec.scenarios().len();
-    println!(
-        "campaign throughput: {} scenarios/grid ({}), {} samples/thread-count",
-        scenario_count,
-        if args.smoke {
-            "smoke grid"
-        } else {
-            "full grid"
-        },
-        SAMPLES
-    );
-
-    let ladder: Vec<usize> = if args.smoke {
+    let scenarios = spec.scenarios().len();
+    let mut ladder = if args.smoke {
         vec![1, args.threads.max(1)]
     } else {
         THREADS.to_vec()
     };
+    ladder.dedup();
+    let rate = |threads: usize| format!("threads_{threads}.scenarios_per_sec");
+    println!("bench_campaign: {scenarios}-scenario grid at {ladder:?} threads");
 
-    // Reference fingerprint at 1 thread; every other count must match it.
-    let reference = fingerprint(&run_campaign(&spec, 1).results);
-    let mut rows = Vec::new();
-    let mut base_rate = 0.0f64;
-    for &threads in &ladder {
-        let mut rates = Vec::with_capacity(SAMPLES);
-        let mut elapsed = Vec::with_capacity(SAMPLES);
-        for _ in 0..SAMPLES {
-            let start = Instant::now();
-            let result = run_campaign(&spec, threads);
-            let secs = start.elapsed().as_secs_f64();
-            assert_eq!(
-                fingerprint(&result.results),
-                reference,
-                "results diverged at {threads} threads — determinism broken"
+    // Every ladder point must render the 1-thread report byte for byte.
+    let reference = report(&spec, &run_campaign(&spec, 1).results);
+    let mut figures = bench.run(|round| {
+        for &threads in &ladder {
+            let result = round.rate(&rate(threads), scenarios as f64, || {
+                run_campaign(&spec, threads)
+            });
+            assert!(
+                report(&spec, &result.results) == reference,
+                "report bytes diverged at {threads} threads — determinism broken"
             );
-            rates.push(result.results.len() as f64 / secs);
-            elapsed.push(secs);
         }
-        let (min, max) = rates.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &r| {
-            (lo.min(r), hi.max(r))
-        });
-        let rate = median(rates);
-        if threads == 1 {
-            base_rate = rate;
-        }
-        let speedup = if base_rate > 0.0 {
-            rate / base_rate
-        } else {
-            1.0
-        };
-        println!(
-            "{threads:>2} threads: {rate:>10.1} scenarios/s  (median of {SAMPLES}, \
-             min {min:.1}, max {max:.1}; {speedup:.2}x vs 1 thread)"
-        );
-        rows.push(
-            JsonValue::object()
-                .field("threads", threads)
-                .field("samples", SAMPLES)
-                .field("scenarios_per_sec", rate)
-                .field("scenarios_per_sec_min", min)
-                .field("scenarios_per_sec_max", max)
-                .field("elapsed_secs", median(elapsed))
-                .field("speedup_vs_1_thread", speedup),
-        );
+    });
+    for &threads in &ladder[1..] {
+        let speedup = format!("threads_{threads}.speedup_vs_1_thread");
+        figures.ratio(&speedup, &rate(threads), &rate(1));
     }
+    println!("canonical report bytes identical at every ladder point");
 
-    let cpus = default_threads();
-    let doc = JsonValue::object()
-        .field("bench", "campaign_engine_throughput")
-        .field("grid_scenarios", scenario_count)
+    let fields = JsonValue::object()
+        .field("grid_scenarios", scenarios)
         .field("campaign_seed", args.seed)
         .field("seeds_per_cell", args.seeds)
-        .field("cpus_available", cpus)
+        .field("deterministic_across_thread_counts", true)
         .field(
             "note",
-            "per-scenario results verified bit-identical at every thread count; \
+            "canonical report bytes verified identical at every thread count; \
              wall-clock speedup is bounded by cpus_available",
-        )
-        .field("deterministic_across_thread_counts", true)
-        .field("threads", JsonValue::Array(rows));
-
-    if args.smoke {
-        println!("smoke grid: determinism verified at every ladder point");
-        if let Some(path) = &args.json {
-            std::fs::write(path, doc.render() + "\n").expect("write json report");
-            println!("wrote {path}");
-        }
-    } else {
-        let path = args.json.as_deref().unwrap_or("BENCH_campaign.json");
-        std::fs::write(path, doc.render() + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
+        );
+    bench.write(fields, &figures);
 }

@@ -1,42 +1,27 @@
-//! Chaos-throughput measurement, emitting `BENCH_chaos.json` so
-//! successive PRs have a comparable view of what fault injection costs:
-//! spec-submission throughput through a [`chunkpoint_chaos::ChaosProxy`]
-//! at 0 % / 10 % / 30 % fault rates, plus the shard layer's default
-//! circuit-breaker cooldown schedule (the deterministic ladder a dying
-//! backend walks before being declared dead).
+//! Chaos throughput, written to `BENCH_chaos.json` so successive PRs
+//! have a comparable view of what fault injection costs: spec-submission
+//! throughput through a [`chunkpoint_chaos::ChaosProxy`] at 0 % / 10 % /
+//! 30 % fault rates, plus the shard layer's default circuit-breaker
+//! cooldown schedule (the deterministic ladder a dying backend walks
+//! before being declared dead).
 //!
-//! Every fault is drawn from a seeded [`FaultPlan`], so a given rate
-//! injects the *same* refusals, truncations, and stalls on every run —
-//! the numbers move only when the code does.
+//! Every fault is drawn from a seeded [`FaultPlan`], and each round
+//! starts a fresh proxy per rate, so a given rate injects the *same*
+//! refusals, truncations, and stalls in every round — the numbers move
+//! only when the code does. Each round submits specs of its own and
+//! then waits for the backend to drain.
 //!
-//! Run with `cargo run --release -p chunkpoint_bench --bin bench_chaos`.
-//! `--smoke` shrinks the submission counts for CI; `--json PATH`
-//! overrides the output path.
+//! Run with `cargo run --release -p chunkpoint_bench --bin bench_chaos`
+//! (`--smoke` for CI).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use chunkpoint_campaign::{
-    pool::default_threads, CampaignArgs, CampaignSpec, JsonValue, SchemeSpec,
-};
+use chunkpoint_bench::harness::{tiny_spec, Backends, Bench};
+use chunkpoint_campaign::JsonValue;
 use chunkpoint_chaos::{ChaosProxy, FaultPlan};
-use chunkpoint_core::{MitigationScheme, SystemConfig};
-use chunkpoint_serve::server::{ServeConfig, Server};
-use chunkpoint_shard::{exchange, Backoff};
-use chunkpoint_workloads::Benchmark;
+use chunkpoint_shard::{exchange, Backoff, ShardConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
-
-/// A one-scenario spec, unique per `campaign_seed` (distinct content
-/// hash), cheap enough that the runner pool drains submissions fast.
-fn tiny_spec(campaign_seed: u64) -> CampaignSpec {
-    let mut config = SystemConfig::paper(0);
-    config.scale = 0.25;
-    CampaignSpec::new(config, campaign_seed)
-        .benchmarks(&[Benchmark::AdpcmEncode])
-        .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default))
-        .normalize(false)
-        .golden_check(false)
-}
 
 /// Submits one spec through the proxy, retrying transport failures and
 /// retryable statuses up to the strike budget. Returns the attempts the
@@ -45,10 +30,7 @@ fn submit_with_strikes(addr: &str, body: &str, strikes: u64) -> u64 {
     let mut last = String::new();
     for attempt in 1..=strikes.max(1) {
         match exchange(addr, "POST", "/campaigns", Some(body), TIMEOUT) {
-            Ok((status @ (200 | 202), _)) => {
-                let _ = status;
-                return attempt;
-            }
+            Ok((200 | 202, _)) => return attempt,
             Ok((status @ (408 | 429 | 500..), response)) => last = format!("{status} {response}"),
             Ok((status, response)) => panic!("submit rejected outright: {status} {response}"),
             Err(error) => last = error.to_string(),
@@ -58,101 +40,71 @@ fn submit_with_strikes(addr: &str, body: &str, strikes: u64) -> u64 {
 }
 
 fn main() {
-    let args = CampaignArgs::parse_or_exit(1, 0xC4A0);
+    let bench = Bench::new("chaos", 1, 0xC4A0);
+    let args = &bench.args;
     let submit_n: u64 = if args.smoke { 8 } else { 40 };
-    let rates = [0.0, 0.10, 0.30];
-
-    let data_dir =
-        std::env::temp_dir().join(format!("chunkpoint_bench_chaos_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&data_dir);
-    let server = Server::bind(&ServeConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        data_dir: data_dir.clone(),
-        max_jobs: 2,
-        campaign_threads: args.threads,
-        max_queued: 0, // unbounded: this bench measures the wire, not shedding
-        trace_out: None,
-    })
-    .expect("bind server");
-    let upstream = server.local_addr().expect("addr").to_string();
-    let serving = std::thread::spawn(move || server.run());
+    let backends = Backends::start(1, 2, args.threads);
+    let upstream = &backends.addrs[0];
     println!("bench_chaos: service on {upstream} ({submit_n} submissions per rate)");
 
-    let mut rate_docs = Vec::new();
-    for (index, &rate) in rates.iter().enumerate() {
-        let plan = FaultPlan::new(args.seed ^ (index as u64 + 1), rate);
-        // Sequential submissions: total connections are bounded by
-        // n * strikes, so a fault-run scan over a generous window yields
-        // a strike budget that deterministically outlasts any streak.
-        let strikes = plan.max_fault_run(8_192) + 2;
-        let mut proxy = ChaosProxy::start(&upstream, plan).expect("start proxy");
-        let start = Instant::now();
-        let mut attempts_total = 0u64;
-        for i in 0..submit_n {
-            let body = tiny_spec(args.seed + 1 + index as u64 * 10_000 + i)
-                .to_json()
-                .render();
-            attempts_total += submit_with_strikes(&proxy.addr(), &body, strikes);
+    let mut rates = Vec::new();
+    let figures = bench.run(|round| {
+        rates.clear();
+        for (index, rate) in [0.0, 0.10, 0.30].into_iter().enumerate() {
+            let plan = FaultPlan::new(args.seed ^ (index as u64 + 1), rate);
+            // Sequential submissions: total connections are bounded by
+            // n * strikes, so a fault-run scan over a generous window
+            // yields a strike budget that outlasts any streak.
+            let strikes = plan.max_fault_run(8_192) + 2;
+            let mut proxy = ChaosProxy::start(upstream, plan).expect("start proxy");
+            let first = args.seed + 1 + index as u64 * 10_000 + round.index() as u64 * submit_n;
+            let name = format!("fault_{:.0}pct.submit_rps", rate * 100.0);
+            let attempts: u64 = round.rate(&name, submit_n as f64, || {
+                (first..first + submit_n)
+                    .map(|seed| {
+                        let body = tiny_spec(seed).to_json().render();
+                        submit_with_strikes(&proxy.addr(), &body, strikes)
+                    })
+                    .sum()
+            });
+            rates.push(
+                JsonValue::object()
+                    .field("fault_rate", rate)
+                    .field("connections", proxy.connections())
+                    .field("faults_injected", proxy.faults())
+                    .field("attempts", attempts)
+                    .field("strike_budget", strikes),
+            );
+            proxy.shutdown();
         }
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        let submit_rps = submit_n as f64 / elapsed;
-        let (connections, faults) = (proxy.connections(), proxy.faults());
-        proxy.shutdown();
-        println!(
-            "rate {:>4.0}%: {submit_rps:>7.1} submits/s  ({connections} connections, \
-             {faults} faulted, {attempts_total} attempts, strike budget {strikes})",
-            rate * 100.0
-        );
-        rate_docs.push(
-            JsonValue::object()
-                .field("fault_rate", rate)
-                .field("submit_rps", submit_rps)
-                .field("connections", connections)
-                .field("faults_injected", faults)
-                .field("attempts", attempts_total)
-                .field("strike_budget", strikes),
-        );
-    }
+        backends.wait_idle();
+    });
 
-    // The default shard-layer breaker ladder: cooldown after the 1st,
-    // 2nd, ... consecutive open, deterministic from seed 0.
-    let backoff = Backoff::new(Duration::from_millis(100), Duration::from_secs(2), 0);
-    let cooldown_ms: Vec<JsonValue> = (0..8)
-        .map(|step| JsonValue::from(backoff.delay(step).as_millis() as u64))
-        .collect();
-    println!(
-        "breaker cooldown ladder (ms): {:?}",
-        (0..8)
-            .map(|s| backoff.delay(s).as_millis())
-            .collect::<Vec<_>>()
+    // The shard layer's default breaker ladder (backend 0's jitter
+    // lane): the cooldown after the 1st, 2nd, ... consecutive open.
+    let config = ShardConfig::default();
+    let backoff = Backoff::new(
+        config.breaker_cooldown,
+        config.breaker_max,
+        config.backoff_seed,
     );
+    let ladder: Vec<u64> = (0..8)
+        .map(|step| backoff.delay(step).as_millis() as u64)
+        .collect();
+    println!("breaker cooldown ladder (ms): {ladder:?}");
 
-    let doc = JsonValue::object()
-        .field("bench", "chaos_submit_throughput")
-        .field("cpus_available", default_threads())
+    let fields = JsonValue::object()
         .field("submissions_per_rate", submit_n)
-        .field("rates", JsonValue::from(rate_docs))
-        .field("breaker_cooldown_ms", JsonValue::from(cooldown_ms))
+        .field("rates", JsonValue::from(rates))
+        .field(
+            "breaker_cooldown_ms",
+            JsonValue::from(ladder.into_iter().map(JsonValue::from).collect::<Vec<_>>()),
+        )
         .field(
             "note",
             "sequential unique-spec submissions through a seeded fault-injecting proxy; \
              strike budget = max_fault_run + 2 so every run completes deterministically; \
-             breaker ladder = shard-layer default Backoff(100ms, 2s, seed 0)",
+             breaker ladder = ShardConfig::default()'s cooldown, cap and seed",
         );
-
-    if args.smoke {
-        println!("smoke run: chaos submission path exercised at every rate");
-        if let Some(path) = &args.json {
-            std::fs::write(path, doc.render() + "\n").expect("write json report");
-            println!("wrote {path}");
-        }
-    } else {
-        let path = args.json.as_deref().unwrap_or("BENCH_chaos.json");
-        std::fs::write(path, doc.render() + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
-
-    let _ = exchange(&upstream, "POST", "/shutdown", None, TIMEOUT).expect("shutdown");
-    serving.join().expect("server drained");
-    let _ = std::fs::remove_dir_all(&data_dir);
+    bench.write(fields, &figures);
 }

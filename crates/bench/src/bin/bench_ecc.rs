@@ -1,313 +1,194 @@
-//! Fixed-iteration ECC and SRAM throughput measurement, emitting
-//! `BENCH_ecc.json` so successive PRs have a comparable perf trajectory.
+//! ECC and SRAM throughput, written to `BENCH_ecc.json` so successive
+//! PRs have a comparable trajectory: words/second of every catalog
+//! code's encode, clean decode and faulty decode, of the retained
+//! bit-serial references beside the table-driven paths that replaced
+//! them (each speedup paired round by round), and of SRAM block and
+//! word transfers.
 //!
-//! Unlike the criterion micro-benches (which calibrate to wall-clock
-//! budgets), this harness runs a fixed number of operations per cell and
-//! reports words/second, plus the speedup of the table-driven hot paths
-//! over the retained bit-serial references.
-//!
-//! Run with `cargo run --release -p chunkpoint_bench --bin bench_ecc`.
+//! Run with `cargo run --release -p chunkpoint_bench --bin bench_ecc`
+//! (`--smoke` for CI).
 
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
+use chunkpoint_bench::harness::{Bench, Round};
+use chunkpoint_campaign::JsonValue;
 use chunkpoint_ecc::{build_scheme, BchCode, BitBuf, Decoded, EccKind, EccScheme, SecdedCode};
 use chunkpoint_sim::{FaultProcess, Sram};
 
-/// Iterations for the table-driven paths.
+/// Operations per table-driven figure.
 const FAST_ITERS: u64 = 100_000;
-/// Iterations for the bit-serial references (slow by design).
+/// Operations per bit-serial reference figure (slow by design).
 const REF_ITERS: u64 = 8_000;
-/// Timed samples per cell; the median is reported (shared machines are
-/// noisy, and the median is robust against scheduler interference).
-const SAMPLES: usize = 5;
-/// Words per SRAM block-transfer measurement.
+/// Words per SRAM block transfer.
 const SRAM_WORDS: usize = 1024;
-/// Block-transfer rounds per SRAM measurement.
+/// Block transfers per SRAM figure.
 const SRAM_ROUNDS: u64 = 100;
 
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+const KINDS: [EccKind; 9] = [
+    EccKind::Parity,
+    EccKind::InterleavedParity { ways: 6 },
+    EccKind::Secded,
+    EccKind::TwoDimParity,
+    EccKind::InterleavedSecded { ways: 4 },
+    EccKind::Bch { t: 4 },
+    EccKind::Bch { t: 8 },
+    EccKind::Bch { t: 12 },
+    EccKind::Bch { t: 16 },
+];
+
+/// The data word of operation `i`.
+fn word(i: u64) -> u32 {
+    black_box(0x9E37_79B9u32.wrapping_mul(i as u32))
 }
 
-fn words_per_sec(iters: u64, mut op: impl FnMut(u64)) -> f64 {
-    // Small warmup so lazily-faulted pages and branch predictors settle.
-    for i in 0..iters / 20 + 1 {
-        op(i);
-    }
-    let mut samples = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let start = Instant::now();
-        for i in 0..iters {
-            op(i);
+/// Records `iters` calls of `op` as a words/second figure.
+fn words(round: &mut Round<'_>, name: &str, iters: u64, mut op: impl FnMut(u64)) {
+    round.rate(name, iters as f64, || (0..iters).for_each(&mut op));
+}
+
+/// A catalog code, its test codewords, and its bit-serial reference.
+struct Code {
+    kind: EccKind,
+    scheme: Box<dyn EccScheme>,
+    clean: BitBuf,
+    faulty: BitBuf,
+    bch: Option<BchCode>,
+}
+
+impl Code {
+    fn new(kind: EccKind) -> Self {
+        let scheme = build_scheme(kind).expect("catalog kind builds");
+        // Correcting codes decode a full-strength error pattern;
+        // detect-only codes (parity) time the detection path on one flip.
+        let flips = scheme.correctable_bits().max(1);
+        let mut faulty = scheme.encode(0x1234_5678);
+        let len = faulty.len();
+        for e in 0..flips {
+            faulty.flip((e * len / flips + e) % len);
         }
-        samples.push(iters as f64 / start.elapsed().as_secs_f64());
-    }
-    median(samples)
-}
-
-/// Measures a fast/reference pair with temporally interleaved samples, so
-/// scheduler noise on a shared machine hits both sides alike and the
-/// reported speedup stays honest.
-fn paired_words_per_sec(
-    iters_fast: u64,
-    iters_ref: u64,
-    mut fast: impl FnMut(u64),
-    mut reference: impl FnMut(u64),
-) -> (f64, f64) {
-    for i in 0..iters_fast / 20 + 1 {
-        fast(i);
-    }
-    for i in 0..iters_ref / 20 + 1 {
-        reference(i);
-    }
-    let mut fast_samples = Vec::with_capacity(SAMPLES);
-    let mut ref_samples = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let start = Instant::now();
-        for i in 0..iters_fast {
-            fast(i);
+        Self {
+            kind,
+            clean: scheme.encode(0x1234_5678),
+            faulty,
+            bch: match kind {
+                EccKind::Bch { t } => Some(BchCode::for_word(t as usize).expect("valid strength")),
+                _ => None,
+            },
+            scheme,
         }
-        fast_samples.push(iters_fast as f64 / start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        for i in 0..iters_ref {
-            reference(i);
-        }
-        ref_samples.push(iters_ref as f64 / start.elapsed().as_secs_f64());
     }
-    (median(fast_samples), median(ref_samples))
-}
 
-fn corrupt(scheme: &dyn EccScheme, data: u32, flips: usize) -> BitBuf {
-    let mut stored = scheme.encode(data);
-    let len = stored.len();
-    for e in 0..flips {
-        stored.flip((e * len / flips.max(1) + e) % len);
+    /// The operations that have a reference figure beside them.
+    fn referenced(&self) -> &'static [&'static str] {
+        match self.kind {
+            EccKind::Bch { .. } => &["encode", "decode_clean", "decode_faulty"],
+            EccKind::Secded => &["encode"],
+            _ => &[],
+        }
     }
-    stored
-}
 
-struct KindReport {
-    kind: String,
-    encode_wps: f64,
-    decode_clean_wps: f64,
-    decode_faulty_wps: f64,
-    /// Reference rates; None for kinds whose hot path *is* the reference.
-    encode_ref_wps: Option<f64>,
-    decode_clean_ref_wps: Option<f64>,
-    decode_faulty_ref_wps: Option<f64>,
-}
-
-fn measure_kind(kind: EccKind) -> KindReport {
-    let scheme = build_scheme(kind).expect("catalog kind builds");
-    let clean = scheme.encode(0x1234_5678);
-    // Correcting codes decode a full-strength error pattern; detect-only
-    // codes (parity) measure the detection path on a single flip.
-    let flips = scheme.correctable_bits().max(1);
-    let faulty = corrupt(scheme.as_ref(), 0x1234_5678, flips);
-
-    let mut encode_wps = words_per_sec(FAST_ITERS, |i| {
-        black_box(scheme.encode(black_box(0x9E37_79B9u32.wrapping_mul(i as u32))));
-    });
-    let mut decode_clean_wps = words_per_sec(FAST_ITERS, |_| {
-        black_box(scheme.decode(black_box(&clean)));
-    });
-    let mut decode_faulty_wps = words_per_sec(FAST_ITERS / 10, |_| {
-        black_box(scheme.decode(black_box(&faulty)));
-    });
-
-    let (encode_ref_wps, decode_clean_ref_wps, decode_faulty_ref_wps) = match kind {
-        EccKind::Bch { t } => {
-            let code = BchCode::for_word(t as usize).expect("valid strength");
-            let (enc_fast, enc_ref) = paired_words_per_sec(
-                FAST_ITERS,
-                REF_ITERS,
-                |i| {
-                    black_box(scheme.encode(black_box(0x9E37_79B9u32.wrapping_mul(i as u32))));
-                },
-                |i| {
-                    black_box(
-                        code.encode_reference(black_box(0x9E37_79B9u32.wrapping_mul(i as u32))),
-                    );
-                },
-            );
-            let (clean_fast, clean_ref) = paired_words_per_sec(
-                FAST_ITERS,
-                REF_ITERS,
-                |_| {
-                    black_box(scheme.decode(black_box(&clean)));
-                },
-                |_| {
-                    black_box(code.decode_reference(black_box(&clean)));
-                },
-            );
-            let (faulty_fast, faulty_ref) = paired_words_per_sec(
-                FAST_ITERS / 10,
-                REF_ITERS / 5,
-                |_| {
-                    black_box(scheme.decode(black_box(&faulty)));
-                },
-                |_| {
-                    black_box(code.decode_reference(black_box(&faulty)));
-                },
-            );
-            encode_wps = enc_fast;
-            decode_clean_wps = clean_fast;
-            decode_faulty_wps = faulty_fast;
-            (Some(enc_ref), Some(clean_ref), Some(faulty_ref))
+    /// One round: each operation, then its reference, if any.
+    fn time(&self, round: &mut Round<'_>, secded: &SecdedCode) {
+        let name = |figure: &str| format!("{}.{figure}", self.kind);
+        let (scheme, clean, faulty) = (&self.scheme, &self.clean, &self.faulty);
+        words(round, &name("encode_wps"), FAST_ITERS, |i| {
+            black_box(scheme.encode(word(i)));
+        });
+        match &self.bch {
+            Some(bch) => words(round, &name("encode_ref_wps"), REF_ITERS, |i| {
+                black_box(bch.encode_reference(word(i)));
+            }),
+            None if self.kind == EccKind::Secded => {
+                words(round, &name("encode_ref_wps"), REF_ITERS, |i| {
+                    black_box(secded.encode_reference(word(i)));
+                });
+            }
+            None => {}
         }
-        EccKind::Secded => {
-            let code = SecdedCode::new();
-            (
-                Some(words_per_sec(REF_ITERS, |i| {
-                    black_box(
-                        code.encode_reference(black_box(0x9E37_79B9u32.wrapping_mul(i as u32))),
-                    );
-                })),
-                None,
-                None,
-            )
+        words(round, &name("decode_clean_wps"), FAST_ITERS, |_| {
+            black_box(scheme.decode(black_box(clean)));
+        });
+        if let Some(bch) = &self.bch {
+            words(round, &name("decode_clean_ref_wps"), REF_ITERS, |_| {
+                black_box(bch.decode_reference(black_box(clean)));
+            });
         }
-        _ => (None, None, None),
-    };
-
-    KindReport {
-        kind: kind.to_string(),
-        encode_wps,
-        decode_clean_wps,
-        decode_faulty_wps,
-        encode_ref_wps,
-        decode_clean_ref_wps,
-        decode_faulty_ref_wps,
+        words(round, &name("decode_faulty_wps"), FAST_ITERS / 10, |_| {
+            black_box(scheme.decode(black_box(faulty)));
+        });
+        if let Some(bch) = &self.bch {
+            words(round, &name("decode_faulty_ref_wps"), REF_ITERS / 5, |_| {
+                black_box(bch.decode_reference(black_box(faulty)));
+            });
+        }
     }
 }
 
-struct SramReport {
-    kind: String,
-    write_block_wps: f64,
-    read_block_wps: f64,
-    read_word_wps: f64,
-}
-
-fn measure_sram(kind: EccKind) -> SramReport {
-    let values: Vec<u32> = (0..SRAM_WORDS as u32)
-        .map(|i| i.wrapping_mul(0x9E37_79B9))
-        .collect();
-    let mut mem = Sram::new("bench", SRAM_WORDS, kind, FaultProcess::disabled())
-        .expect("catalog kind builds");
+/// One round of block writes, block reads and word reads on `mem`.
+fn time_sram(round: &mut Round<'_>, mem: &mut Sram, values: &[u32]) {
+    let kind = mem.kind();
+    let units = (SRAM_ROUNDS * SRAM_WORDS as u64) as f64;
     let mut sink = Vec::with_capacity(SRAM_WORDS);
-
-    let write_rate = words_per_sec(SRAM_ROUNDS, |i| {
-        mem.write_block(0, &values, i);
-    }) * SRAM_WORDS as f64;
-    let read_rate = words_per_sec(SRAM_ROUNDS, |i| {
-        sink.clear();
-        mem.read_block(0, SRAM_WORDS, SRAM_ROUNDS + i, &mut sink)
-            .expect("fault-free read");
-    }) * SRAM_WORDS as f64;
-    let read_word_rate = words_per_sec(SRAM_ROUNDS, |i| {
-        sink.clear();
-        for addr in 0..SRAM_WORDS {
-            match mem.read(addr, 2 * SRAM_ROUNDS + i) {
-                Decoded::Clean { data } | Decoded::Corrected { data, .. } => sink.push(data),
-                Decoded::DetectedUncorrectable => unreachable!("fault-free read"),
+    round.rate(&format!("sram.{kind}.write_block_wps"), units, || {
+        (0..SRAM_ROUNDS).for_each(|i| mem.write_block(0, values, i));
+    });
+    round.rate(&format!("sram.{kind}.read_block_wps"), units, || {
+        for i in 0..SRAM_ROUNDS {
+            sink.clear();
+            mem.read_block(0, SRAM_WORDS, SRAM_ROUNDS + i, &mut sink)
+                .expect("fault-free read");
+        }
+    });
+    round.rate(&format!("sram.{kind}.read_word_wps"), units, || {
+        for i in 0..SRAM_ROUNDS {
+            sink.clear();
+            for addr in 0..SRAM_WORDS {
+                match mem.read(addr, 2 * SRAM_ROUNDS + i) {
+                    Decoded::Clean { data } | Decoded::Corrected { data, .. } => sink.push(data),
+                    Decoded::DetectedUncorrectable => unreachable!("fault-free read"),
+                }
             }
         }
-    }) * SRAM_WORDS as f64;
-
-    SramReport {
-        kind: kind.to_string(),
-        write_block_wps: write_rate,
-        read_block_wps: read_rate,
-        read_word_wps: read_word_rate,
-    }
-}
-
-fn push_rate(json: &mut String, key: &str, value: f64) {
-    let _ = write!(json, "\"{key}\": {value:.0}, ");
-}
-
-fn push_opt_rate_and_speedup(json: &mut String, key: &str, fast: f64, reference: Option<f64>) {
-    if let Some(r) = reference {
-        let _ = write!(json, "\"{key}_ref_wps\": {r:.0}, ");
-        let _ = write!(json, "\"{key}_speedup\": {:.2}, ", fast / r);
-    }
+    });
 }
 
 fn main() {
-    let kinds = [
-        EccKind::Parity,
-        EccKind::InterleavedParity { ways: 6 },
-        EccKind::Secded,
-        EccKind::TwoDimParity,
-        EccKind::InterleavedSecded { ways: 4 },
-        EccKind::Bch { t: 4 },
-        EccKind::Bch { t: 8 },
-        EccKind::Bch { t: 12 },
-        EccKind::Bch { t: 16 },
-    ];
+    let bench = Bench::new("ecc", 1, 0);
+    let codes: Vec<Code> = KINDS.into_iter().map(Code::new).collect();
+    let secded = SecdedCode::new();
+    let values: Vec<u32> = (0..SRAM_WORDS as u32)
+        .map(|i| i.wrapping_mul(0x9E37_79B9))
+        .collect();
+    let mut srams: Vec<Sram> = [EccKind::Secded, EccKind::Bch { t: 8 }]
+        .into_iter()
+        .map(|kind| {
+            Sram::new("bench", SRAM_WORDS, kind, FaultProcess::disabled())
+                .expect("catalog kind builds")
+        })
+        .collect();
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"harness\": \"bench_ecc\", \"fast_iters\": {FAST_ITERS}, \"ref_iters\": {REF_ITERS},"
-    );
-    json.push_str("  \"kinds\": [\n");
-    for (i, &kind) in kinds.iter().enumerate() {
-        let r = measure_kind(kind);
-        println!(
-            "{:12} encode {:>12.0} w/s   clean decode {:>12.0} w/s   faulty decode {:>11.0} w/s{}",
-            r.kind,
-            r.encode_wps,
-            r.decode_clean_wps,
-            r.decode_faulty_wps,
-            r.encode_ref_wps
-                .map(|re| format!("   (encode speedup {:.1}x)", r.encode_wps / re))
-                .unwrap_or_default(),
-        );
-        json.push_str("    {");
-        let _ = write!(json, "\"kind\": \"{}\", ", r.kind);
-        push_rate(&mut json, "encode_wps", r.encode_wps);
-        push_opt_rate_and_speedup(&mut json, "encode", r.encode_wps, r.encode_ref_wps);
-        push_rate(&mut json, "decode_clean_wps", r.decode_clean_wps);
-        push_opt_rate_and_speedup(
-            &mut json,
-            "decode_clean",
-            r.decode_clean_wps,
-            r.decode_clean_ref_wps,
-        );
-        push_opt_rate_and_speedup(
-            &mut json,
-            "decode_faulty",
-            r.decode_faulty_wps,
-            r.decode_faulty_ref_wps,
-        );
-        let _ = write!(json, "\"decode_faulty_wps\": {:.0}", r.decode_faulty_wps);
-        json.push_str(if i + 1 < kinds.len() { "},\n" } else { "}\n" });
+    let mut figures = bench.run(|round| {
+        for code in &codes {
+            code.time(round, &secded);
+        }
+        for mem in &mut srams {
+            time_sram(round, mem, &values);
+        }
+    });
+    for code in &codes {
+        for op in code.referenced() {
+            let name = |figure: &str| format!("{}.{op}{figure}", code.kind);
+            figures.ratio(&name("_speedup"), &name("_wps"), &name("_ref_wps"));
+        }
     }
-    json.push_str("  ],\n  \"sram\": [\n");
-    let sram_kinds = [EccKind::Secded, EccKind::Bch { t: 8 }];
-    for (i, &kind) in sram_kinds.iter().enumerate() {
-        let r = measure_sram(kind);
-        println!(
-            "sram {:8} write_block {:>12.0} w/s   read_block {:>12.0} w/s   read(word) {:>12.0} w/s",
-            r.kind, r.write_block_wps, r.read_block_wps, r.read_word_wps
-        );
-        json.push_str("    {");
-        let _ = write!(json, "\"kind\": \"{}\", ", r.kind);
-        push_rate(&mut json, "write_block_wps", r.write_block_wps);
-        push_rate(&mut json, "read_block_wps", r.read_block_wps);
-        let _ = write!(json, "\"read_word_wps\": {:.0}", r.read_word_wps);
-        json.push_str(if i + 1 < sram_kinds.len() {
-            "},\n"
-        } else {
-            "}\n"
-        });
-    }
-    json.push_str("  ]\n}\n");
 
-    std::fs::write("BENCH_ecc.json", &json).expect("write BENCH_ecc.json");
-    println!("\nwrote BENCH_ecc.json");
+    let fields = JsonValue::object()
+        .field("fast_iters", FAST_ITERS)
+        .field("ref_iters", REF_ITERS)
+        .field(
+            "note",
+            "words/second per figure; *_ref_wps time the bit-serial references, and \
+             *_speedup pairs each table-driven figure with its reference round by round",
+        );
+    bench.write(fields, &figures);
 }

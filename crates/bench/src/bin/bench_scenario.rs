@@ -1,10 +1,7 @@
-//! Timeline-scenario cost measurement, emitting `BENCH_scenario.json`:
-//! what the scenario axis — fault-burst timelines, error-rate shifts,
-//! scrub schedules, and `expect` verdicts — adds on top of a plain
-//! static grid of the same size.
-//!
-//! Two in-process campaigns over the same benchmarks, schemes, and
-//! seeds:
+//! Timeline-scenario cost, written to `BENCH_scenario.json`: what the
+//! scenario axis adds on top of a plain static grid of the same size.
+//! Each round runs two in-process campaigns over the same benchmarks,
+//! schemes, and seeds:
 //!
 //! * `plain` — the static cross-product, replicates scaled up so both
 //!   grids hold the same number of scenario rows;
@@ -14,14 +11,10 @@
 //!   bookkeeping and a third of them pay expect evaluation.
 //!
 //! Run with `cargo run --release -p chunkpoint_bench --bin
-//! bench_scenario`. `--smoke` shrinks the grid for CI; `--json PATH`
-//! overrides the output path.
+//! bench_scenario` (`--smoke` for CI).
 
-use std::time::Instant;
-
-use chunkpoint_campaign::{
-    pool::default_threads, run_campaign, CampaignArgs, CampaignSpec, JsonValue, SchemeSpec,
-};
+use chunkpoint_bench::harness::Bench;
+use chunkpoint_campaign::{run_campaign, CampaignSpec, JsonValue, SchemeSpec};
 use chunkpoint_core::{MitigationScheme, SystemConfig};
 use chunkpoint_scenario::{
     ExpectField, ExpectOp, ExpectValue, Expectation, ScenarioDef, TimelineEvent,
@@ -74,13 +67,10 @@ fn base_spec(seed: u64, scale: f64, replicates: u64) -> CampaignSpec {
 }
 
 fn main() {
-    let args = CampaignArgs::parse_or_exit(1, 0x5CE7);
+    let bench = Bench::new("scenario", 1, 0x5CE7);
+    let args = &bench.args;
     let (scale, replicates) = if args.smoke { (0.25, 3) } else { (1.0, 30) };
-    let threads = if args.threads == 0 {
-        default_threads()
-    } else {
-        args.threads
-    };
+    let threads = bench.threads();
 
     // Same row count on both sides: the timeline grid multiplies cells
     // by its three scenarios, so the plain grid gets 3x the replicates.
@@ -95,50 +85,40 @@ fn main() {
     );
     println!("bench_scenario: {rows} rows per grid, {threads} threads");
 
-    let start = Instant::now();
-    let plain = run_campaign(&plain_spec, threads);
-    let plain_secs = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let timeline = run_campaign(&timeline_spec, threads);
-    let timeline_secs = start.elapsed().as_secs_f64();
-
-    // The verdicts the bench grid guarantees: every calm row passes its
-    // expect block, storm and scrubbed rows carry none.
     let mut expects_passed = 0usize;
-    for row in &timeline.results {
-        match row.scenario.scenario.as_deref() {
-            Some("calm") => {
-                assert_eq!(row.expect_passed, Some(true), "calm row failed its expect");
-                expects_passed += 1;
+    let mut figures = bench.run(|round| {
+        let plain = round.rate("plain_rows_per_sec", rows as f64, || {
+            run_campaign(&plain_spec, threads)
+        });
+        let timeline = round.rate("timeline_rows_per_sec", rows as f64, || {
+            run_campaign(&timeline_spec, threads)
+        });
+        assert_eq!(plain.results.len(), rows);
+        assert_eq!(timeline.results.len(), rows);
+        // The verdicts the bench grid guarantees: every calm row passes
+        // its expect block, storm and scrubbed rows carry none.
+        expects_passed = 0;
+        for row in &timeline.results {
+            match row.scenario.scenario.as_deref() {
+                Some("calm") => {
+                    assert_eq!(row.expect_passed, Some(true), "calm row failed its expect");
+                    expects_passed += 1;
+                }
+                _ => assert_eq!(row.expect_passed, None),
             }
-            _ => assert_eq!(row.expect_passed, None),
         }
-    }
-    assert_eq!(plain.results.len(), rows);
-    assert_eq!(timeline.results.len(), rows);
-
-    let plain_rps = rows as f64 / plain_secs.max(1e-9);
-    let timeline_rps = rows as f64 / timeline_secs.max(1e-9);
-    let overhead = timeline_secs / plain_secs.max(1e-9) - 1.0;
-    println!("plain grid:     {plain_secs:>8.3} s ({plain_rps:.0} rows/s)");
-    println!("timeline grid:  {timeline_secs:>8.3} s ({timeline_rps:.0} rows/s)");
-    println!(
-        "axis overhead:  {:+.1}% ({expects_passed} expect verdicts)",
-        overhead * 100.0
+    });
+    // Above 1: the timeline axis costs that much more wall time per row.
+    figures.ratio(
+        "timeline_cost_vs_plain",
+        "plain_rows_per_sec",
+        "timeline_rows_per_sec",
     );
 
-    let doc = JsonValue::object()
-        .field("bench", "timeline_scenarios_vs_plain_grid")
-        .field("cpus_available", default_threads())
+    let fields = JsonValue::object()
         .field("threads", threads)
         .field("rows_per_grid", rows)
         .field("scenario_axis", scenario_axis().len())
-        .field("plain_secs", plain_secs)
-        .field("timeline_secs", timeline_secs)
-        .field("plain_rows_per_sec", plain_rps)
-        .field("timeline_rows_per_sec", timeline_rps)
-        .field("axis_overhead_frac", overhead)
         .field("expect_verdicts", expects_passed)
         .field(
             "note",
@@ -146,16 +126,5 @@ fn main() {
              3-scenario timeline axis); timeline rows pay burst/shift/scrub bookkeeping in \
              the fault process plus expect evaluation on the calm third",
         );
-
-    if args.smoke {
-        println!("smoke run: scenario axis exercised");
-        if let Some(path) = &args.json {
-            std::fs::write(path, doc.render() + "\n").expect("write json report");
-            println!("wrote {path}");
-        }
-    } else {
-        let path = args.json.as_deref().unwrap_or("BENCH_scenario.json");
-        std::fs::write(path, doc.render() + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
+    bench.write(fields, &figures);
 }

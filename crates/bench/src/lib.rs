@@ -1,7 +1,7 @@
 //! # chunkpoint-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (see `DESIGN.md` for the experiment index):
+//! evaluation, plus the per-layer throughput benches:
 //!
 //! | Binary | Regenerates |
 //! |--------|-------------|
@@ -12,18 +12,26 @@
 //! | `ablation_error_rate`   | λ sweep (1e-8 … 1e-5) |
 //! | `ablation_area_budget`  | OV1 sweep (1 … 10 %) |
 //! | `ablation_chunk_sweep`  | energy vs chunk size (the optimum's interior shape) |
-//! | `bench_campaign`        | campaign-engine throughput trajectory (`BENCH_campaign.json`) |
+//! | `ablation_ecc_designs`, `ablation_detector`, `ablation_scrubbing`, `deadline_qos` | design-space ablations |
+//! | `render_figures`        | the figures as text plots, with a Fig. 1-style timeline |
+//! | `bench_ecc`             | ECC and SRAM words/second (`BENCH_ecc.json`) |
+//! | `bench_campaign`        | campaign-engine scenarios/second per thread count (`BENCH_campaign.json`) |
+//! | `bench_scenario`        | timeline-scenario axis vs a plain grid (`BENCH_scenario.json`) |
+//! | `bench_serve`           | `serve` requests/second (`BENCH_serve.json`) |
+//! | `bench_chaos`           | submissions/second through the chaos proxy (`BENCH_chaos.json`) |
+//! | `bench_cache`           | range cache: cold, warm splice, full and incremental re-runs (`BENCH_cache.json`) |
+//! | `bench_adaptive`        | adaptive controller vs the fixed grid (`BENCH_adaptive.json`) |
 //!
 //! The Monte Carlo bins all run on the `chunkpoint_campaign` engine and
 //! share its `--threads/--seeds/--seed/--json` flags; per-scenario
-//! results are bit-identical at any thread count. Criterion
-//! micro-benchmarks for the codecs and the mitigation runner live in
-//! `benches/`.
+//! results are bit-identical at any thread count. The `bench_*` bins
+//! time through one [`harness`], which adds `--smoke`.
 
 use chunkpoint_campaign::{run_cell, SchemeSpec};
-use chunkpoint_core::{run, MitigationScheme, RunReport, SystemConfig};
+use chunkpoint_core::{MitigationScheme, SystemConfig};
 use chunkpoint_workloads::Benchmark;
 
+pub mod harness;
 pub mod plot;
 pub mod report;
 
@@ -31,12 +39,6 @@ pub use report::print_row;
 
 /// Number of fault-process seeds averaged per reported data point.
 pub const DEFAULT_SEEDS: u64 = 8;
-
-/// Mean of `f(seed)` over `n` seeds.
-pub fn mean_over_seeds(n: u64, mut f: impl FnMut(u64) -> f64) -> f64 {
-    assert!(n > 0, "need at least one seed");
-    (0..n).map(&mut f).sum::<f64>() / n as f64
-}
 
 /// Energy and timing of one (benchmark, scheme) cell, averaged over
 /// seeds and normalised to the same-seed *Default* run.
@@ -126,24 +128,9 @@ pub fn fig5_schemes(
         .collect()
 }
 
-/// Convenience: a full single-seed report for debugging.
-pub fn debug_report(
-    benchmark: Benchmark,
-    scheme: MitigationScheme,
-    config: &SystemConfig,
-) -> RunReport {
-    run(benchmark, scheme, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_over_seeds_averages() {
-        let m = mean_over_seeds(4, |s| s as f64);
-        assert!((m - 1.5).abs() < 1e-12);
-    }
 
     #[test]
     fn fig5_scheme_list_has_paper_columns() {

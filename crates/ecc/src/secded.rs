@@ -114,7 +114,7 @@ impl HammingSecded {
 
     /// Bit-serial reference for the mask-based `compute_checks` (the original
     /// per-payload-position loop), kept for differential testing and as
-    /// the baseline the criterion benches compare against.
+    /// the baseline `bench_ecc`'s SECDED encode speedup compares against.
     #[must_use]
     pub fn compute_checks_reference(&self, data: u32) -> u32 {
         let mut checks = 0u32;

@@ -138,12 +138,6 @@ impl JobStore {
         Ok(())
     }
 
-    /// Whether a job directory exists for `id`.
-    #[must_use]
-    pub fn job_exists(&self, id: &str) -> bool {
-        self.spec_path(id).is_file()
-    }
-
     /// Every job id present in the store, sorted (deterministic recovery
     /// order).
     #[must_use]

@@ -113,12 +113,6 @@ impl EnergyLedger {
         self.energy_pj.values().sum()
     }
 
-    /// Total energy in µJ.
-    #[must_use]
-    pub fn total_uj(&self) -> f64 {
-        self.total_pj() / 1.0e6
-    }
-
     /// Folds another ledger into this one (cycles add up too).
     pub fn merge(&mut self, other: &EnergyLedger) {
         for (&component, &pj) in &other.energy_pj {

@@ -39,15 +39,6 @@ impl UpsetModel {
         }
     }
 
-    /// Maximum burst width this model can produce.
-    #[must_use]
-    pub fn max_width(&self) -> usize {
-        match self {
-            UpsetModel::SingleBit => 1,
-            UpsetModel::MultiBit { weights } => weights.len(),
-        }
-    }
-
     fn sample_width(&self, rng: &mut StdRng) -> usize {
         match self {
             UpsetModel::SingleBit => 1,

@@ -50,4 +50,4 @@ pub use energy::{Component, EnergyLedger};
 pub use fault::{Burst, FaultEvent, FaultProcess, FaultTimeline, UpsetModel};
 pub use platform::{Platform, WORD_BYTES};
 pub use sram::{Sram, SramStats};
-pub use trace::{replay_records, AccessRecord, RecordingBus, Trace, TraceEvent};
+pub use trace::{Trace, TraceEvent};

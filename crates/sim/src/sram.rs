@@ -157,11 +157,6 @@ impl Sram {
         &self.event_log
     }
 
-    /// Replaces the fault process (e.g. to disable faults for a golden run).
-    pub fn set_faults(&mut self, faults: FaultProcess) {
-        self.faults = faults;
-    }
-
     fn expose(&mut self, addr: usize, now: u64) {
         let elapsed = now.saturating_sub(self.last_touch[addr]);
         if elapsed > 0 {

@@ -1,9 +1,7 @@
 //! Lightweight execution tracing for debugging and for reconstructing the
-//! paper's Fig. 1 timeline (phases, checkpoints, errors, rollbacks) —
-//! plus the access-granular [`RecordingBus`] wrapper that captures a
-//! workload's exact load/store/tick sequence for trace-driven replay.
+//! paper's Fig. 1 timeline (phases, checkpoints, errors, rollbacks).
 
-use crate::bus::{MemoryBus, ReadFault, WordAddr};
+use crate::bus::WordAddr;
 
 /// One traced event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -176,105 +174,6 @@ impl Trace {
     }
 }
 
-/// One recorded bus access, the unit of trace-driven replay.
-///
-/// Loads record the address only — a replay re-issues the load against
-/// its own bus and takes whatever that bus returns, so faults during
-/// replay behave exactly as they would under the original workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessRecord {
-    /// A checked word load.
-    Load(WordAddr),
-    /// A word store with its payload.
-    Store(WordAddr, u32),
-    /// Pure computation time.
-    Tick(u64),
-}
-
-/// A [`MemoryBus`] wrapper that forwards every access to an inner bus
-/// while appending it to an access log. Run a workload through one of
-/// these once, then replay the captured sequence through any mitigation
-/// stack — same addresses, same payloads, same compute gaps.
-pub struct RecordingBus<'a> {
-    inner: &'a mut dyn MemoryBus,
-    log: Vec<AccessRecord>,
-}
-
-impl std::fmt::Debug for RecordingBus<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecordingBus")
-            .field("recorded", &self.log.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> RecordingBus<'a> {
-    /// Wraps `inner`, starting with an empty log.
-    #[must_use]
-    pub fn new(inner: &'a mut dyn MemoryBus) -> Self {
-        Self {
-            inner,
-            log: Vec::new(),
-        }
-    }
-
-    /// The accesses recorded so far, in issue order.
-    #[must_use]
-    pub fn log(&self) -> &[AccessRecord] {
-        &self.log
-    }
-
-    /// Drains and returns the log, leaving the recorder empty — the
-    /// segment boundary primitive (call after `init`, then after each
-    /// block).
-    pub fn take_log(&mut self) -> Vec<AccessRecord> {
-        std::mem::take(&mut self.log)
-    }
-}
-
-impl MemoryBus for RecordingBus<'_> {
-    fn load(&mut self, addr: WordAddr) -> Result<u32, ReadFault> {
-        self.log.push(AccessRecord::Load(addr));
-        self.inner.load(addr)
-    }
-
-    fn store(&mut self, addr: WordAddr, value: u32) {
-        self.log.push(AccessRecord::Store(addr, value));
-        self.inner.store(addr, value);
-    }
-
-    fn tick(&mut self, cycles: u64) {
-        self.log.push(AccessRecord::Tick(cycles));
-        self.inner.tick(cycles);
-    }
-
-    fn now(&self) -> u64 {
-        self.inner.now()
-    }
-}
-
-/// Replays a recorded access sequence against `bus`.
-///
-/// Loads are re-issued checked (their payloads are discarded), stores
-/// replay the recorded payloads, ticks advance time — so the bus sees
-/// the original workload's exact access pattern.
-///
-/// # Errors
-///
-/// Returns the first [`ReadFault`] a replayed load hits.
-pub fn replay_records(records: &[AccessRecord], bus: &mut dyn MemoryBus) -> Result<(), ReadFault> {
-    for record in records {
-        match *record {
-            AccessRecord::Load(addr) => {
-                bus.load(addr)?;
-            }
-            AccessRecord::Store(addr, value) => bus.store(addr, value),
-            AccessRecord::Tick(cycles) => bus.tick(cycles),
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,40 +212,6 @@ mod tests {
         trace.push(TraceEvent::TaskRestart { cycle: 1 });
         assert!(trace.events().is_empty());
         assert_eq!(trace.dropped(), 1);
-    }
-
-    #[test]
-    fn recording_and_replay_reproduce_the_bus_state() {
-        use crate::energy::Component;
-        use crate::fault::FaultProcess;
-        use crate::platform::Platform;
-        use crate::sram::Sram;
-        use crate::PlainBus;
-        use chunkpoint_ecc::EccKind;
-
-        let fresh = || {
-            let sram = Sram::new("l1", 64, EccKind::Secded, FaultProcess::disabled()).unwrap();
-            PlainBus::new(sram, Platform::lh7a400(), Component::L1)
-        };
-        let mut original = fresh();
-        let mut recorder = RecordingBus::new(&mut original);
-        for i in 0..8u32 {
-            recorder.store(i, i * 3 + 1);
-        }
-        recorder.tick(100);
-        for i in 0..8u32 {
-            recorder.load(i).unwrap();
-        }
-        let log = recorder.take_log();
-        assert!(recorder.log().is_empty());
-        assert_eq!(log.len(), 17);
-
-        let mut replayed = fresh();
-        replay_records(&log, &mut replayed).unwrap();
-        assert_eq!(replayed.now(), original.now());
-        for i in 0..8u32 {
-            assert_eq!(replayed.load(i).unwrap(), original.load(i).unwrap());
-        }
     }
 
     #[test]

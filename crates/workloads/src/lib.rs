@@ -8,7 +8,6 @@
 //! ## Codecs (pure, host-callable)
 //!
 //! * [`adpcm`] — IMA/DVI ADPCM (MediaBench `adpcm`)
-//! * [`g711`] — ITU-T G.711 µ-law / A-law companding
 //! * [`g722`] — G.722-style sub-band ADPCM (QMF bank + per-band IMA)
 //! * [`g726`] — ITU-T G.726 at 32 kbit/s (≡ G.721, MediaBench `g721`)
 //! * [`jpeg`] — baseline grayscale JPEG encoder + robust resumable decoder
@@ -39,18 +38,15 @@
 #![warn(missing_debug_implementations)]
 
 pub mod adpcm;
-pub mod g711;
 pub mod g722;
 pub mod g726;
 pub mod jpeg;
 
 mod input;
-mod replay;
 mod stream;
 mod tasks;
 
 pub use input::{speech_pcm, test_image};
-pub use replay::{record_task, ReplayTask, TaskRecording};
 pub use stream::{
     pack_bytes, pack_i16, read_region, unpack_bytes, unpack_i16, write_region, write_region_at,
     StreamingTask, TaskError, TaskProfile,

@@ -23,7 +23,7 @@ RUSTFLAGS="-D warnings" cargo check --offline --workspace --all-targets
 # pointing at items that were renamed or deleted.
 echo "== cargo doc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace \
-    --exclude rand --exclude proptest --exclude criterion
+    --exclude rand --exclude proptest
 
 # perfbench is a workspace of its own, so the tests above never build it:
 # without this, a break in a public API it calls would pass the gate.
@@ -32,8 +32,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace \
 echo "== perfbench self-tests =="
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+# A bench smoke must never rewrite the committed per-layer numbers:
+# hash every BENCH_*.json before the first smoke, check after the last.
+BENCH_SUMS="$(sha256sum BENCH_*.json)"
+
 echo "== smoke campaign (parallel path + determinism) =="
 cargo run --release -p chunkpoint_bench --bin bench_campaign -- --smoke --seeds 2 --threads 2
+
+echo "== ECC bench smoke (codec and SRAM words/second, one round) =="
+cargo run --release -p chunkpoint_bench --bin bench_ecc -- --smoke
 
 echo "== exec smoke (one executor API: local + remote parity on a 1-second grid) =="
 cargo run --release --example exec_parity
@@ -117,6 +124,9 @@ SUBCOUNT1="$(mval "$METRICS_AFTER" 'serve_request_seconds_count{endpoint="submit
 curl -sf -X POST "$BASE/shutdown" >/dev/null
 wait "$SERVE_PID"
 echo "service smoke OK (job $ID, cached resubmit in ${ELAPSED_MS}ms, metrics counters advanced)"
+
+echo "== serve bench smoke (healthz, cache hit and submission request rates) =="
+cargo run --release -p chunkpoint_bench --bin bench_serve -- --smoke
 
 echo "== shard smoke (two serves + coordinator on a 1-second grid) =="
 SHARD_DIR="$(mktemp -d)"
@@ -267,5 +277,12 @@ cargo run --release --example adaptive_campaign
 
 echo "== adaptive bench smoke (fixed grid vs adaptive replicates-to-CI) =="
 cargo run --release -p chunkpoint_bench --bin bench_adaptive -- --smoke
+
+echo "== committed BENCH files untouched by the bench smokes =="
+[ "$(sha256sum BENCH_*.json)" = "$BENCH_SUMS" ] || {
+    echo "a bench smoke rewrote a committed BENCH file:"
+    printf '%s\n' "$BENCH_SUMS" | sha256sum -c - || true
+    exit 1
+}
 
 echo "CI OK"

@@ -14,7 +14,7 @@
 //!   bit-accurate fault-prone SRAM, Poisson SMU injection, 65 nm
 //!   area/energy/timing models, cycle/energy ledger;
 //! * [`workloads`] — MediaBench-equivalent streaming kernels (IMA ADPCM,
-//!   G.711, G.726/G.721, baseline JPEG) instrumented to run their live
+//!   G.722, G.726/G.721, baseline JPEG) instrumented to run their live
 //!   data through the simulated memory;
 //! * [`core`] — the paper's contribution: data chunks, checkpoints, the
 //!   BCH-protected L1′ buffer, the Read-Error-Interrupt rollback protocol,
@@ -66,10 +66,9 @@
 //! assert!(report.output_matches(&golden(Benchmark::AdpcmEncode, &config)));
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the
-//! system inventory and experiment index, and `EXPERIMENTS.md` for
-//! paper-vs-measured results. The binaries in `chunkpoint-bench`
-//! regenerate every table and figure of the paper's evaluation.
+//! See `README.md` for the architecture overview. The binaries in
+//! `chunkpoint-bench` regenerate every table and figure of the paper's
+//! evaluation.
 
 #![warn(missing_docs)]
 
