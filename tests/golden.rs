@@ -4,7 +4,8 @@
 //! The parity suites compare execution paths with each other inside one
 //! build, so a change that moves every path the same way passes them all.
 //! These fixtures pin the numbers themselves: Table I's optimizer points,
-//! a Fig. 5 grid's canonical report, and one timeline-scenario campaign.
+//! a Fig. 5 grid's canonical report, every task under every scheme, and
+//! one timeline-scenario campaign.
 //! An intended change to results shows up as a reviewed diff of these
 //! files. Regenerate them with
 //!
@@ -101,6 +102,42 @@ fn fig5_grid_report() {
     let rows = run_campaign(&spec, 2).results;
     check(
         "fig5_grid.json",
+        &canonical_report_json(spec.campaign_seed, &rows, &REPORT_AXES).render(),
+    );
+}
+
+/// Every task under every scheme at two rates, so that a change to one
+/// task or one executor shows up here even where the Fig. 5 grid does not
+/// run it. At scale 0.3 the three encoders see odd sample counts, which
+/// pins the odd-tail coding rule too.
+#[test]
+fn every_task_under_every_scheme() {
+    let mut config = SystemConfig::paper(0);
+    config.scale = 0.3;
+    let mut spec = CampaignSpec::new(config, 0xA11)
+        .benchmarks(&Benchmark::ALL)
+        .error_rates(&[1e-5, 1e-4]);
+    for scheme in [
+        MitigationScheme::Default,
+        MitigationScheme::SwRestart,
+        MitigationScheme::hw_baseline(),
+        MitigationScheme::Hybrid {
+            chunk_words: 16,
+            l1_prime_t: 8,
+        },
+        MitigationScheme::HybridSingleParity {
+            chunk_words: 16,
+            l1_prime_t: 8,
+        },
+        MitigationScheme::ScrubbedSecded {
+            interval_cycles: 5_000,
+        },
+    ] {
+        spec = spec.scheme(&scheme.label(), SchemeSpec::Fixed(scheme));
+    }
+    let rows = run_campaign(&spec, 2).results;
+    check(
+        "all_tasks.json",
         &canonical_report_json(spec.campaign_seed, &rows, &REPORT_AXES).render(),
     );
 }
