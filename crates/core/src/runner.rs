@@ -195,18 +195,17 @@ pub fn run_task(
         MitigationScheme::Default | MitigationScheme::HwEcc { .. } => {
             run_straight(source, scheme, config)
         }
-        MitigationScheme::SwRestart => run_sw_restart(source, config),
+        MitigationScheme::SwRestart | MitigationScheme::ScrubbedSecded { .. } => {
+            run_restarting(source, scheme, config)
+        }
         MitigationScheme::Hybrid {
             chunk_words,
             l1_prime_t,
-        } => run_hybrid(source, scheme, chunk_words, l1_prime_t, config),
-        MitigationScheme::HybridSingleParity {
+        }
+        | MitigationScheme::HybridSingleParity {
             chunk_words,
             l1_prime_t,
         } => run_hybrid(source, scheme, chunk_words, l1_prime_t, config),
-        MitigationScheme::ScrubbedSecded { interval_cycles } => {
-            run_scrubbed(source, interval_cycles, config)
-        }
     };
     // Single per-run clone; the executors themselves never touch the name.
     report.task = source.name.clone();
@@ -304,142 +303,41 @@ fn run_straight(
     }
 }
 
-/// SW baseline: parity detection, whole-task restart on any detected
-/// error.
-fn run_sw_restart(source: &TaskSource<'_>, config: &SystemConfig) -> RunReport {
+/// SW baseline and SECDED + scrubbing: run every phase, and restart the
+/// whole task on any detected error. Under scrubbing, every
+/// `interval_cycles` a sweep between blocks corrects the task's live
+/// regions; a multi-bit strike it meets restarts the task too.
+fn run_restarting(
+    source: &TaskSource<'_>,
+    scheme: MitigationScheme,
+    config: &SystemConfig,
+) -> RunReport {
+    let (seed_salt, scrub_interval) = match scheme {
+        MitigationScheme::ScrubbedSecded { interval_cycles } => {
+            (0x5157_0005, Some(u64::from(interval_cycles)))
+        }
+        _ => (0x5157_0002, None),
+    };
     let mut task = (source.build)(source.default_chunk_words);
-    let mut bus = build_l1_bus(MitigationScheme::SwRestart, config, 0x5157_0002);
+    let mut bus = build_l1_bus(scheme, config, seed_salt);
     let mut trace = Trace::new(4096);
     let mut output = Vec::new();
     let mut errors = 0u64;
     let mut restarts = 0u64;
     let mut completed = false;
-    'attempts: while restarts <= u64::from(MAX_RESTARTS) {
-        output.clear();
-        if task.init(&mut bus).is_err() {
-            restarts += 1;
-            errors += 1;
-            trace.push(TraceEvent::TaskRestart { cycle: bus.now() });
-            continue;
-        }
-        let mut produced_per_block = vec![0u32; task.total_blocks()];
-        let mut block = 0usize;
-        while block < task.total_blocks() {
-            match task.run_block(block, &mut bus) {
-                Ok(produced) => produced_per_block[block] = produced,
-                Err(TaskError::Read(_)) | Err(TaskError::Malformed(_)) => {
-                    errors += 1;
-                    restarts += 1;
-                    trace.push(TraceEvent::TaskRestart { cycle: bus.now() });
-                    continue 'attempts;
-                }
-                Err(TaskError::Config(_)) => break 'attempts,
+    while restarts <= u64::from(MAX_RESTARTS) {
+        match run_attempt(task.as_mut(), &mut bus, scrub_interval, &mut output) {
+            Ok(()) => {
+                completed = true;
+                break;
             }
-            block += 1;
-        }
-        // End-of-frame DMA-out; a detected error here also restarts.
-        if drain_frame(task.as_ref(), &mut bus, &produced_per_block, &mut output).is_err() {
-            errors += 1;
-            restarts += 1;
-            trace.push(TraceEvent::TaskRestart { cycle: bus.now() });
-            continue 'attempts;
-        }
-        completed = true;
-        break;
-    }
-    charge_leakage(&mut bus, 0.0);
-    let (ledger, _) = bus.into_parts();
-    RunReport {
-        task: String::new(), // filled in once by run_task
-        scheme: MitigationScheme::SwRestart,
-        ledger,
-        output,
-        errors_detected: errors,
-        rollbacks: 0,
-        restarts,
-        checkpoints: 0,
-        completed,
-        trace,
-    }
-}
-
-/// SECDED + periodic scrubbing: between blocks, sweep the task's live
-/// regions (correcting accumulated single-bit upsets) and charge the
-/// energy of sweeping the whole array. A detected-uncorrectable word —
-/// i.e. any multi-bit strike — restarts the task, like the SW baseline.
-fn run_scrubbed(source: &TaskSource<'_>, interval_cycles: u32, config: &SystemConfig) -> RunReport {
-    let scheme = MitigationScheme::ScrubbedSecded { interval_cycles };
-    let mut task = (source.build)(source.default_chunk_words);
-    let mut bus = build_l1_bus(scheme, config, 0x5157_0005);
-    let mut trace = Trace::new(4096);
-    let mut output = Vec::new();
-    let mut errors = 0u64;
-    let mut restarts = 0u64;
-    let mut completed = false;
-    let l1_words = config.platform.l1_words as u64;
-    'attempts: while restarts <= u64::from(MAX_RESTARTS) {
-        output.clear();
-        let mut next_scrub = bus.now() + u64::from(interval_cycles);
-        if task.init(&mut bus).is_err() {
-            restarts += 1;
-            errors += 1;
-            continue;
-        }
-        let mut produced_per_block = vec![0u32; task.total_blocks()];
-        let mut block = 0usize;
-        while block < task.total_blocks() {
-            match task.run_block(block, &mut bus) {
-                Ok(produced) => produced_per_block[block] = produced,
-                Err(TaskError::Read(_)) | Err(TaskError::Malformed(_)) => {
-                    errors += 1;
-                    restarts += 1;
-                    trace.push(TraceEvent::TaskRestart { cycle: bus.now() });
-                    continue 'attempts;
-                }
-                Err(TaskError::Config(_)) => break 'attempts,
+            Err(Stop::Restart) => {
+                errors += 1;
+                restarts += 1;
+                trace.push(TraceEvent::TaskRestart { cycle: bus.now() });
             }
-            // Periodic scrub sweep.
-            if bus.now() >= next_scrub {
-                next_scrub = bus.now() + u64::from(interval_cycles);
-                let regions = [task.state_region(), task.output_region()];
-                for region in regions {
-                    for addr in region.iter() {
-                        match bus.load(addr) {
-                            Ok(value) => bus.store(addr, value),
-                            Err(_) => {
-                                // Multi-bit strike: beyond SECDED. The
-                                // scrubber invalidates the word (a real
-                                // system would mark/refill it) so the
-                                // restart does not re-trip on it before
-                                // the task rewrites it.
-                                bus.store(addr, 0);
-                                errors += 1;
-                                restarts += 1;
-                                trace.push(TraceEvent::TaskRestart { cycle: bus.now() });
-                                continue 'attempts;
-                            }
-                        }
-                    }
-                }
-                // Charge the sweep of the rest of the array (the scrubber
-                // does not know the live set); time overlaps execution via
-                // cycle stealing, energy does not.
-                let swept: u64 = regions.iter().map(|r| u64::from(r.words)).sum();
-                let rest = l1_words.saturating_sub(swept) as f64;
-                let model = bus.sram().model();
-                let pj = rest * (model.read_energy_pj() + model.write_energy_pj());
-                bus.ledger_mut().add(Component::L1, pj);
-            }
-            block += 1;
+            Err(Stop::Abort) => break,
         }
-        if drain_frame(task.as_ref(), &mut bus, &produced_per_block, &mut output).is_err() {
-            errors += 1;
-            restarts += 1;
-            trace.push(TraceEvent::TaskRestart { cycle: bus.now() });
-            continue 'attempts;
-        }
-        completed = true;
-        break;
     }
     charge_leakage(&mut bus, 0.0);
     let (ledger, _) = bus.into_parts();
@@ -455,6 +353,71 @@ fn run_scrubbed(source: &TaskSource<'_>, interval_cycles: u32, config: &SystemCo
         completed,
         trace,
     }
+}
+
+/// Why an attempt of a restarting run ended before its frame drained.
+enum Stop {
+    /// A detected error: restart the task from scratch.
+    Restart,
+    /// The task is misconfigured: give up.
+    Abort,
+}
+
+/// One attempt of a restarting run: init, every phase (each followed by
+/// a scrub sweep once `scrub_interval` cycles have passed, if set), then
+/// the end-of-frame DMA-out into `output`.
+fn run_attempt(
+    task: &mut dyn StreamingTask,
+    bus: &mut PlainBus,
+    scrub_interval: Option<u64>,
+    output: &mut Vec<u32>,
+) -> Result<(), Stop> {
+    output.clear();
+    let mut next_scrub = bus.now() + scrub_interval.unwrap_or(0);
+    task.init(bus).map_err(|_| Stop::Restart)?;
+    let mut produced_per_block = vec![0u32; task.total_blocks()];
+    for (block, produced) in produced_per_block.iter_mut().enumerate() {
+        *produced = task.run_block(block, bus).map_err(|e| match e {
+            TaskError::Read(_) | TaskError::Malformed(_) => Stop::Restart,
+            TaskError::Config(_) => Stop::Abort,
+        })?;
+        if let Some(interval) = scrub_interval {
+            if bus.now() >= next_scrub {
+                next_scrub = bus.now() + interval;
+                scrub(task, bus).map_err(|_| Stop::Restart)?;
+            }
+        }
+    }
+    drain_frame(task, bus, &produced_per_block, output).map_err(|_| Stop::Restart)
+}
+
+/// A scrub sweep: reads and rewrites the task's live regions (correcting
+/// accumulated single-bit upsets), and charges the energy of sweeping the
+/// whole array. A detected-uncorrectable word — a multi-bit strike,
+/// beyond SECDED — is invalidated (a real system would mark/refill it) so
+/// the restart does not re-trip on it before the task rewrites it.
+fn scrub(task: &dyn StreamingTask, bus: &mut PlainBus) -> Result<(), chunkpoint_sim::ReadFault> {
+    let regions = [task.state_region(), task.output_region()];
+    for region in regions {
+        for addr in region.iter() {
+            match bus.load(addr) {
+                Ok(value) => bus.store(addr, value),
+                Err(fault) => {
+                    bus.store(addr, 0);
+                    return Err(fault);
+                }
+            }
+        }
+    }
+    // Charge the sweep of the rest of the array (the scrubber does not
+    // know the live set); time overlaps execution via cycle stealing,
+    // energy does not.
+    let swept: u64 = regions.iter().map(|r| u64::from(r.words)).sum();
+    let rest = (bus.sram().len() as u64).saturating_sub(swept) as f64;
+    let model = bus.sram().model();
+    let pj = rest * (model.read_energy_pj() + model.write_energy_pj());
+    bus.ledger_mut().add(Component::L1, pj);
+    Ok(())
 }
 
 /// The proposed hybrid executor (shared by the sound interleaved-parity
@@ -510,94 +473,56 @@ fn run_hybrid(
                     phase: block,
                     cycle: bus.now(),
                 });
-                let produced = match task.run_block(block, &mut bus) {
-                    Ok(produced) => produced,
-                    Err(TaskError::Read(fault)) => {
-                        trace.push(TraceEvent::ReadError {
-                            addr: fault.addr,
-                            cycle: fault.cycle,
-                        });
-                        errors += 1;
-                        if service_read_error(
-                            task.as_mut(),
-                            &mut bus,
-                            &mut l1_prime,
-                            state_words,
-                            &mut trace,
-                            block,
-                        )
-                        .is_err()
-                        {
-                            restarts += 1;
-                            continue 'restart;
+                let fault = match task.run_block(block, &mut bus) {
+                    // Commit CH(block+1): verify chunk + state through the
+                    // parity-checked bus, then buffer into L1′.
+                    Ok(produced) => match commit_checkpoint(
+                        task.as_mut(),
+                        &mut bus,
+                        &mut l1_prime,
+                        block + 1,
+                        Some((block, produced)),
+                        &mut trace,
+                    ) {
+                        Ok(chunk) => {
+                            checkpoints += 1;
+                            output.extend_from_slice(&chunk[state_words as usize..]);
+                            trace.push(TraceEvent::PhaseEnd {
+                                phase: block,
+                                cycle: bus.now(),
+                            });
+                            break;
                         }
-                        rollbacks += 1;
-                        continue;
-                    }
-                    Err(TaskError::Malformed(_)) => {
-                        // Parity missed a corruption (even-weight flip) and
-                        // the stream structure broke: roll back and
-                        // re-execute; the input window is re-DMAed clean.
-                        errors += 1;
-                        if service_read_error(
-                            task.as_mut(),
-                            &mut bus,
-                            &mut l1_prime,
-                            state_words,
-                            &mut trace,
-                            block,
-                        )
-                        .is_err()
-                        {
-                            restarts += 1;
-                            continue 'restart;
-                        }
-                        rollbacks += 1;
-                        continue;
-                    }
+                        Err(fault) => Some(fault),
+                    },
+                    Err(TaskError::Read(fault)) => Some(fault),
+                    // Parity missed a corruption (even-weight flip) and the
+                    // stream structure broke: roll back and re-execute; the
+                    // input window is re-DMAed clean.
+                    Err(TaskError::Malformed(_)) => None,
                     Err(TaskError::Config(_)) => break 'restart,
                 };
-                // Commit CH(block+1): verify chunk + state through the
-                // parity-checked bus, then buffer into L1′.
-                match commit_checkpoint(
+                if let Some(fault) = fault {
+                    trace.push(TraceEvent::ReadError {
+                        addr: fault.addr,
+                        cycle: fault.cycle,
+                    });
+                }
+                errors += 1;
+                if service_read_error(
                     task.as_mut(),
                     &mut bus,
                     &mut l1_prime,
-                    block + 1,
-                    Some((block, produced)),
+                    state_words,
                     &mut trace,
-                ) {
-                    Ok(chunk) => {
-                        checkpoints += 1;
-                        output.extend_from_slice(&chunk[state_words as usize..]);
-                        trace.push(TraceEvent::PhaseEnd {
-                            phase: block,
-                            cycle: bus.now(),
-                        });
-                        break;
-                    }
-                    Err(fault) => {
-                        trace.push(TraceEvent::ReadError {
-                            addr: fault.addr,
-                            cycle: fault.cycle,
-                        });
-                        errors += 1;
-                        if service_read_error(
-                            task.as_mut(),
-                            &mut bus,
-                            &mut l1_prime,
-                            state_words,
-                            &mut trace,
-                            block,
-                        )
-                        .is_err()
-                        {
-                            restarts += 1;
-                            continue 'restart;
-                        }
-                        rollbacks += 1;
-                    }
+                    block,
+                )
+                .is_err()
+                {
+                    restarts += 1;
+                    continue 'restart;
                 }
+                rollbacks += 1;
             }
             block += 1;
         }

@@ -100,8 +100,7 @@ impl JobStatus {
 }
 
 /// Jobs known to the manager, counted by lifecycle state — the payload
-/// of `GET /healthz` and the capacity signal a shard coordinator can
-/// weight its partitioning by.
+/// of `GET /healthz`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobCounts {
     /// Waiting for a runner thread.
@@ -114,9 +113,9 @@ pub struct JobCounts {
     pub cancelled: usize,
     /// Failed with an error message.
     pub failed: usize,
-    /// Submits refused by admission control since startup (cumulative,
-    /// not a lifecycle state — shed submissions never became jobs).
-    /// The overload signal for healthz-driven backend weighting.
+    /// Submits refused by admission control since startup: a cumulative
+    /// counter, not a lifecycle state (shed submissions never became
+    /// jobs).
     pub shed: usize,
 }
 

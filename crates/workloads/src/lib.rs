@@ -20,6 +20,13 @@
 //! mitigation layer restores that region — the contract the paper's
 //! checkpoint/rollback scheme relies on.
 //!
+//! The six speech benchmarks are one codec kernel each (ADPCM, G.726,
+//! G.722) on two shared task templates, an encoder and a decoder; JPEG
+//! decode is [`JpegDecodeTask`]. Each task family has one profile formula:
+//! a built task's [`StreamingTask::profile`] and L1 layout come from it,
+//! and so does [`Benchmark::profile_for_chunk`], which the chunk-size
+//! optimizer calls without building the task.
+//!
 //! ```
 //! use chunkpoint_workloads::{Benchmark, StreamingTask};
 //! use chunkpoint_sim::{Component, FaultProcess, MemoryBus, PlainBus, Platform, Sram};
@@ -51,7 +58,4 @@ pub use stream::{
     pack_bytes, pack_i16, read_region, unpack_bytes, unpack_i16, write_region, write_region_at,
     StreamingTask, TaskError, TaskProfile,
 };
-pub use tasks::{
-    AdpcmDecodeTask, AdpcmEncodeTask, Benchmark, G721DecodeTask, G721EncodeTask, G722DecodeTask,
-    G722EncodeTask, JpegDecodeTask,
-};
+pub use tasks::{Benchmark, JpegDecodeTask};

@@ -1,13 +1,19 @@
-//! [`StreamingTask`] implementations wrapping each codec — the five
-//! MediaBench-equivalent benchmarks of the paper's Table I / Fig. 5, plus
-//! the wideband G.722 sub-band pair used by timeline scenarios.
+//! [`StreamingTask`] implementations for the five MediaBench-equivalent
+//! benchmarks of the paper's Table I / Fig. 5, plus the wideband G.722
+//! sub-band pair used by timeline scenarios.
 //!
-//! Every task follows the same restartable pattern (see [`crate::stream`]):
-//! per block it DMAs its input window into L1, loads state + input through
-//! checked bus reads, computes, and stores the output chunk + new state.
-//! ROM-resident constants (codec tables, parsed JPEG headers) stay on the
-//! Rust side: instruction/constant memory is not the vulnerable SRAM the
-//! paper protects.
+//! Each speech benchmark is one codec kernel (IMA ADPCM, G.726, G.722) on
+//! two shared task templates, an encoder and a decoder; JPEG decode is a
+//! task of its own. Every task follows the same restartable pattern (see
+//! [`crate::stream`]): per block it DMAs its input window into L1, loads
+//! state + input through checked bus reads, computes, and stores the
+//! output chunk + new state. A task's profile and L1 layout come from its
+//! family's profile formula, the same one [`Benchmark::profile_for_chunk`]
+//! hands the chunk-size optimizer. ROM-resident constants (codec tables,
+//! parsed JPEG headers) stay on the Rust side: instruction/constant memory
+//! is not the vulnerable SRAM the paper protects.
+
+use std::marker::PhantomData;
 
 use chunkpoint_sim::{MemoryBus, Region};
 
@@ -21,31 +27,60 @@ use crate::stream::{
     StreamingTask, TaskError, TaskProfile,
 };
 
-/// Per-sample cycle estimate for IMA ADPCM (table lookups + few ALU ops).
-const ADPCM_CYCLES_PER_SAMPLE: u64 = 45;
-/// Per-sample cycle estimate for G.726 (predictor + quantizer + update).
-const G726_CYCLES_PER_SAMPLE: u64 = 180;
-/// Per-sample cycle estimate for G.722 (12 QMF MACs + one band update).
-const G722_CYCLES_PER_SAMPLE: u64 = 110;
 /// Per-8×8-block cycle estimate for JPEG decode (Huffman + IDCT).
 const JPEG_CYCLES_PER_BLOCK: u64 = 2816;
 /// Worst-case entropy bytes per 8×8 block used to size refill windows.
 const JPEG_WINDOW_BYTES_PER_BLOCK: usize = 256;
 
-fn layout(state_words: u32, input_words: u32, output_words: u32) -> (Region, Region, Region) {
-    let state = Region {
-        base: 0,
-        words: state_words,
-    };
-    let input = Region {
-        base: state.end(),
-        words: input_words,
-    };
-    let output = Region {
-        base: input.end(),
-        words: output_words,
-    };
-    (state, input, output)
+/// A task's profile and its L1 regions.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    profile: TaskProfile,
+    state: Region,
+    input: Region,
+    output: Region,
+}
+
+impl Shape {
+    /// Lays out state, input window and frame output (one chunk per
+    /// block) from word 0 up, and counts a block's L1 accesses: the input
+    /// window is stored and loaded back, the chunk stored, and the state
+    /// loaded and stored.
+    fn new(
+        total_blocks: usize,
+        block_words: u32,
+        state_words: u32,
+        compute_cycles_per_block: u64,
+        input_words: u32,
+    ) -> Self {
+        let state = Region {
+            base: 0,
+            words: state_words,
+        };
+        let input = Region {
+            base: state.end(),
+            words: input_words,
+        };
+        let output = Region {
+            base: input.end(),
+            words: block_words * total_blocks as u32,
+        };
+        let profile = TaskProfile {
+            total_blocks,
+            block_words,
+            state_words,
+            compute_cycles_per_block,
+            accesses_per_block: 2 * u64::from(input_words)
+                + u64::from(block_words)
+                + 2 * u64::from(state_words),
+        };
+        Self {
+            profile,
+            state,
+            input,
+            output,
+        }
+    }
 }
 
 fn read_words(bus: &mut dyn MemoryBus, region: Region, n: usize) -> Result<Vec<u32>, TaskError> {
@@ -56,672 +91,365 @@ fn read_words(bus: &mut dyn MemoryBus, region: Region, n: usize) -> Result<Vec<u
 }
 
 // ---------------------------------------------------------------------------
-// IMA ADPCM encode / decode
+// Speech codecs: one kernel each, on an encoder and a decoder template
 // ---------------------------------------------------------------------------
 
-/// MediaBench `rawcaudio`: IMA ADPCM encoder over PCM input.
-#[derive(Debug, Clone)]
-pub struct AdpcmEncodeTask {
-    samples: Vec<i16>,
-    chunk_words: u32,
-    regions: (Region, Region, Region),
+/// One speech codec kernel as the two task templates run it. The codec
+/// state is what a task keeps in its L1 state region.
+trait SpeechCodec: Default {
+    /// Task names of the encoder and of the decoder.
+    const NAMES: [&'static str; 2];
+    /// Words the state occupies in the state region.
+    const STATE_WORDS: u32;
+    /// Per-sample cycle estimate.
+    const CYCLES_PER_SAMPLE: u64;
+
+    /// Stores the state into the state region.
+    fn save(&self, bus: &mut dyn MemoryBus, region: Region);
+    /// Rebuilds the state from the words loaded from the state region.
+    fn load(words: &[u32]) -> Self;
+    /// Codes one sample pair (one sample at an odd tail) into a byte.
+    fn encode_pair(&mut self, pair: &[i16]) -> u8;
+    /// Decodes one code byte into at most `wanted` (≥ 1) samples.
+    fn decode_byte(&mut self, byte: u8, wanted: usize, out: &mut Vec<i16>);
 }
 
-impl AdpcmEncodeTask {
+/// ADPCM and G.726 pack two 4-bit codes per byte, low nibble first. A
+/// missing odd-tail sample codes as 0 and never runs through the codec.
+fn encode_nibbles(pair: &[i16], mut encode: impl FnMut(i16) -> u8) -> u8 {
+    let lo = encode(pair[0]);
+    let hi = pair.get(1).map_or(0, |&sample| encode(sample));
+    lo | (hi << 4)
+}
+
+/// The inverse of `encode_nibbles`: a nibble past the sample count is not
+/// decoded.
+fn decode_nibbles(byte: u8, wanted: usize, out: &mut Vec<i16>, decode: impl FnMut(u8) -> i16) {
+    out.extend(
+        [byte & 0x0F, byte >> 4]
+            .into_iter()
+            .take(wanted)
+            .map(decode),
+    );
+}
+
+impl SpeechCodec for AdpcmState {
+    const NAMES: [&'static str; 2] = ["adpcm-encode", "adpcm-decode"];
+    const STATE_WORDS: u32 = 2;
+    // Table lookups + few ALU ops.
+    const CYCLES_PER_SAMPLE: u64 = 45;
+
+    fn save(&self, bus: &mut dyn MemoryBus, region: Region) {
+        write_region(bus, region, &self.to_words());
+    }
+
+    fn load(words: &[u32]) -> Self {
+        Self::from_words(words.try_into().expect("state region holds the state"))
+    }
+
+    fn encode_pair(&mut self, pair: &[i16]) -> u8 {
+        encode_nibbles(pair, |sample| adpcm::encode_sample(self, sample))
+    }
+
+    fn decode_byte(&mut self, byte: u8, wanted: usize, out: &mut Vec<i16>) {
+        decode_nibbles(byte, wanted, out, |code| adpcm::decode_sample(self, code));
+    }
+}
+
+impl SpeechCodec for G726State {
+    const NAMES: [&'static str; 2] = ["g721-encode", "g721-decode"];
+    const STATE_WORDS: u32 = Self::WORDS as u32;
+    // Predictor + quantizer + update.
+    const CYCLES_PER_SAMPLE: u64 = 180;
+
+    fn save(&self, bus: &mut dyn MemoryBus, region: Region) {
+        write_region(bus, region, &self.to_words());
+    }
+
+    fn load(words: &[u32]) -> Self {
+        Self::from_words(words.try_into().expect("state region holds the state"))
+    }
+
+    fn encode_pair(&mut self, pair: &[i16]) -> u8 {
+        encode_nibbles(pair, |sample| g726::encode_sample(self, sample))
+    }
+
+    fn decode_byte(&mut self, byte: u8, wanted: usize, out: &mut Vec<i16>) {
+        decode_nibbles(byte, wanted, out, |code| g726::decode_sample(self, code));
+    }
+}
+
+impl SpeechCodec for G722State {
+    const NAMES: [&'static str; 2] = ["g722-encode", "g722-decode"];
+    const STATE_WORDS: u32 = Self::WORDS as u32;
+    // 12 QMF MACs + one band update.
+    const CYCLES_PER_SAMPLE: u64 = 110;
+
+    fn save(&self, bus: &mut dyn MemoryBus, region: Region) {
+        write_region(bus, region, &self.to_words());
+    }
+
+    fn load(words: &[u32]) -> Self {
+        Self::from_words(words.try_into().expect("state region holds the state"))
+    }
+
+    /// One byte per pair; an odd tail is paired with silence.
+    fn encode_pair(&mut self, pair: &[i16]) -> u8 {
+        g722::encode_pair(self, pair[0], pair.get(1).copied().unwrap_or(0))
+    }
+
+    fn decode_byte(&mut self, byte: u8, wanted: usize, out: &mut Vec<i16>) {
+        let (x0, x1) = g722::decode_pair(self, byte);
+        out.extend([x0, x1].into_iter().take(wanted));
+    }
+}
+
+/// Which way a speech task codes.
+#[derive(Clone, Copy)]
+enum Direction {
+    Encode,
+    Decode,
+}
+
+impl Direction {
+    /// Samples per output word and per input word: a word of codes holds
+    /// 8 samples (4 code bytes of 2 samples each), a word of PCM 2.
+    fn samples_per_word(self) -> (u32, u32) {
+        match self {
+            Direction::Encode => (8, 2),
+            Direction::Decode => (2, 8),
+        }
+    }
+
+    fn samples_per_block(self, chunk_words: u32) -> usize {
+        (chunk_words * self.samples_per_word().0) as usize
+    }
+}
+
+/// The speech formula: the shape of codec `C`'s task in `direction` over
+/// `total_samples` samples, `chunk_words` output words per block.
+fn speech_shape<C: SpeechCodec>(
+    direction: Direction,
+    chunk_words: u32,
+    total_samples: usize,
+) -> Shape {
+    let (per_output_word, per_input_word) = direction.samples_per_word();
+    let samples_per_block = chunk_words * per_output_word;
+    Shape::new(
+        total_samples.div_ceil(samples_per_block as usize),
+        chunk_words,
+        C::STATE_WORDS,
+        C::CYCLES_PER_SAMPLE * u64::from(samples_per_block),
+        samples_per_block.div_ceil(per_input_word),
+    )
+}
+
+/// Runs one block of a speech task: DMA the packed input `window` into
+/// L1, load the codec state and the window back through checked loads,
+/// charge `samples` samples of compute, let `code` turn the loaded window
+/// into output words, then store the chunk and the new state.
+fn speech_block<C: SpeechCodec>(
+    shape: &Shape,
+    block: usize,
+    bus: &mut dyn MemoryBus,
+    window: &[u32],
+    samples: usize,
+    code: impl FnOnce(&mut C, &[u32]) -> Vec<u32>,
+) -> Result<u32, TaskError> {
+    write_region(bus, shape.input, window);
+    let mut codec = C::load(&read_region(bus, shape.state)?);
+    let raw = read_words(bus, shape.input, window.len())?;
+    bus.tick(C::CYCLES_PER_SAMPLE * samples as u64);
+    let out_words = code(&mut codec, &raw);
+    let offset = block as u32 * shape.profile.block_words;
+    write_region_at(bus, shape.output, offset, &out_words);
+    codec.save(bus, shape.state);
+    Ok(out_words.len() as u32)
+}
+
+/// The encoder template: codes PCM input with codec `C` (MediaBench
+/// `rawcaudio` and `g721 encode`, and the G.722 encoder).
+struct SpeechEncoder<C> {
+    samples: Vec<i16>,
+    shape: Shape,
+    codec: PhantomData<C>,
+}
+
+impl<C: SpeechCodec> SpeechEncoder<C> {
     /// Creates the task over `samples`, producing `chunk_words` words of
     /// codes per block.
     ///
     /// # Panics
     ///
     /// Panics if `chunk_words == 0` or `samples` is empty.
-    #[must_use]
-    pub fn new(samples: Vec<i16>, chunk_words: u32) -> Self {
+    fn new(samples: Vec<i16>, chunk_words: u32) -> Self {
         assert!(chunk_words > 0, "chunk must be at least one word");
         assert!(!samples.is_empty(), "empty input");
-        // One output word = 8 samples (4-bit codes).
-        let spb = chunk_words * 8;
-        let input_words = spb.div_ceil(2);
-        let blocks = samples.len().div_ceil(spb as usize) as u32;
+        let shape = speech_shape::<C>(Direction::Encode, chunk_words, samples.len());
         Self {
             samples,
-            chunk_words,
-            regions: layout(2, input_words, chunk_words * blocks),
+            shape,
+            codec: PhantomData,
         }
-    }
-
-    fn samples_per_block(&self) -> usize {
-        self.chunk_words as usize * 8
     }
 }
 
-impl StreamingTask for AdpcmEncodeTask {
+impl<C: SpeechCodec> StreamingTask for SpeechEncoder<C> {
     fn name(&self) -> String {
-        "adpcm-encode".to_owned()
+        C::NAMES[0].to_owned()
     }
 
     fn total_blocks(&self) -> usize {
-        self.samples.len().div_ceil(self.samples_per_block())
+        self.shape.profile.total_blocks
     }
 
     fn profile(&self) -> TaskProfile {
-        let spb = self.samples_per_block() as u64;
-        TaskProfile {
-            total_blocks: self.total_blocks(),
-            block_words: self.chunk_words,
-            state_words: 2,
-            compute_cycles_per_block: ADPCM_CYCLES_PER_SAMPLE * spb,
-            accesses_per_block: u64::from(self.regions.1.words) * 2
-                + u64::from(self.chunk_words)
-                + 4,
-        }
+        self.shape.profile
     }
 
     fn state_region(&self) -> Region {
-        self.regions.0
+        self.shape.state
     }
 
     fn output_region(&self) -> Region {
-        self.regions.2
+        self.shape.output
     }
 
     fn init(&mut self, bus: &mut dyn MemoryBus) -> Result<(), TaskError> {
-        write_region(bus, self.regions.0, &AdpcmState::new().to_words());
+        C::default().save(bus, self.shape.state);
         Ok(())
     }
 
     fn run_block(&mut self, block: usize, bus: &mut dyn MemoryBus) -> Result<u32, TaskError> {
-        let spb = self.samples_per_block();
+        let spb = Direction::Encode.samples_per_block(self.shape.profile.block_words);
         let start = block * spb;
         if start >= self.samples.len() {
             return Err(TaskError::Config(format!("block {block} out of range")));
         }
         let slice = &self.samples[start..(start + spb).min(self.samples.len())];
-        // DMA the input window in, then read it back through checked loads.
-        let in_words = pack_i16(slice);
-        write_region(bus, self.regions.1, &in_words);
-        let state_words = read_region(bus, self.regions.0)?;
-        let mut state = AdpcmState::from_words([state_words[0], state_words[1]]);
-        let raw = read_words(bus, self.regions.1, in_words.len())?;
-        let samples = unpack_i16(&raw, slice.len());
-        bus.tick(ADPCM_CYCLES_PER_SAMPLE * samples.len() as u64);
-        let mut bytes = Vec::with_capacity(samples.len().div_ceil(2));
-        for pair in samples.chunks(2) {
-            let lo = adpcm::encode_sample(&mut state, pair[0]);
-            let hi = pair
-                .get(1)
-                .map_or(0, |&s| adpcm::encode_sample(&mut state, s));
-            bytes.push(lo | (hi << 4));
-        }
-        let out_words = pack_bytes(&bytes);
-        write_region_at(
+        let window = pack_i16(slice);
+        speech_block(
+            &self.shape,
+            block,
             bus,
-            self.regions.2,
-            block as u32 * self.chunk_words,
-            &out_words,
-        );
-        write_region(bus, self.regions.0, &state.to_words());
-        Ok(out_words.len() as u32)
+            &window,
+            slice.len(),
+            |codec: &mut C, raw| {
+                let samples = unpack_i16(raw, slice.len());
+                let bytes: Vec<u8> = samples
+                    .chunks(2)
+                    .map(|pair| codec.encode_pair(pair))
+                    .collect();
+                pack_bytes(&bytes)
+            },
+        )
     }
 }
 
-/// MediaBench `rawdaudio`: IMA ADPCM decoder over a code stream.
-#[derive(Debug, Clone)]
-pub struct AdpcmDecodeTask {
+/// The decoder template: decodes a code stream with codec `C` back to
+/// PCM (MediaBench `rawdaudio` and `g721 decode`, and the G.722 decoder).
+struct SpeechDecoder<C> {
     codes: Vec<u8>,
     total_samples: usize,
-    chunk_words: u32,
-    regions: (Region, Region, Region),
+    shape: Shape,
+    codec: PhantomData<C>,
 }
 
-impl AdpcmDecodeTask {
+impl<C: SpeechCodec> SpeechDecoder<C> {
     /// Creates the task over packed `codes` decoding `total_samples`
     /// samples, producing `chunk_words` words of PCM per block.
     ///
     /// # Panics
     ///
     /// Panics if `chunk_words == 0` or the code stream is too short.
-    #[must_use]
-    pub fn new(codes: Vec<u8>, total_samples: usize, chunk_words: u32) -> Self {
+    fn new(codes: Vec<u8>, total_samples: usize, chunk_words: u32) -> Self {
         assert!(chunk_words > 0, "chunk must be at least one word");
         assert!(
             codes.len() * 2 >= total_samples,
             "code stream shorter than sample count"
         );
-        // One output word = 2 samples; block input = spb codes = spb/2 bytes.
-        let spb = chunk_words * 2;
-        let input_words = (spb / 2).div_ceil(4).max(1);
-        let blocks = total_samples.div_ceil(spb as usize) as u32;
+        let shape = speech_shape::<C>(Direction::Decode, chunk_words, total_samples);
         Self {
             codes,
             total_samples,
-            chunk_words,
-            regions: layout(2, input_words, chunk_words * blocks),
+            shape,
+            codec: PhantomData,
         }
-    }
-
-    fn samples_per_block(&self) -> usize {
-        self.chunk_words as usize * 2
     }
 }
 
-impl StreamingTask for AdpcmDecodeTask {
+impl<C: SpeechCodec> StreamingTask for SpeechDecoder<C> {
     fn name(&self) -> String {
-        "adpcm-decode".to_owned()
+        C::NAMES[1].to_owned()
     }
 
     fn total_blocks(&self) -> usize {
-        self.total_samples.div_ceil(self.samples_per_block())
+        self.shape.profile.total_blocks
     }
 
     fn profile(&self) -> TaskProfile {
-        let spb = self.samples_per_block() as u64;
-        TaskProfile {
-            total_blocks: self.total_blocks(),
-            block_words: self.chunk_words,
-            state_words: 2,
-            compute_cycles_per_block: ADPCM_CYCLES_PER_SAMPLE * spb,
-            accesses_per_block: u64::from(self.regions.1.words) * 2
-                + u64::from(self.chunk_words)
-                + 4,
-        }
+        self.shape.profile
     }
 
     fn state_region(&self) -> Region {
-        self.regions.0
+        self.shape.state
     }
 
     fn output_region(&self) -> Region {
-        self.regions.2
+        self.shape.output
     }
 
     fn init(&mut self, bus: &mut dyn MemoryBus) -> Result<(), TaskError> {
-        write_region(bus, self.regions.0, &AdpcmState::new().to_words());
+        C::default().save(bus, self.shape.state);
         Ok(())
     }
 
     fn run_block(&mut self, block: usize, bus: &mut dyn MemoryBus) -> Result<u32, TaskError> {
-        let spb = self.samples_per_block();
-        let start_sample = block * spb;
-        if start_sample >= self.total_samples {
-            return Err(TaskError::Config(format!("block {block} out of range")));
-        }
-        let n_samples = spb.min(self.total_samples - start_sample);
-        let start_byte = start_sample / 2;
-        let n_bytes = n_samples.div_ceil(2);
-        let window = &self.codes[start_byte..(start_byte + n_bytes).min(self.codes.len())];
-        let in_words = pack_bytes(window);
-        write_region(bus, self.regions.1, &in_words);
-        let state_words = read_region(bus, self.regions.0)?;
-        let mut state = AdpcmState::from_words([state_words[0], state_words[1]]);
-        let raw = read_words(bus, self.regions.1, in_words.len())?;
-        let bytes = unpack_bytes(&raw, window.len());
-        bus.tick(ADPCM_CYCLES_PER_SAMPLE * n_samples as u64);
-        let mut samples = Vec::with_capacity(n_samples);
-        'outer: for &byte in &bytes {
-            for nibble in [byte & 0x0F, byte >> 4] {
-                samples.push(adpcm::decode_sample(&mut state, nibble));
-                if samples.len() == n_samples {
-                    break 'outer;
-                }
-            }
-        }
-        let out_words = pack_i16(&samples);
-        write_region_at(
-            bus,
-            self.regions.2,
-            block as u32 * self.chunk_words,
-            &out_words,
-        );
-        write_region(bus, self.regions.0, &state.to_words());
-        Ok(out_words.len() as u32)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// G.721 (G.726-32) encode / decode
-// ---------------------------------------------------------------------------
-
-/// MediaBench `g721 encode`: G.726-32 encoder over PCM input.
-#[derive(Debug, Clone)]
-pub struct G721EncodeTask {
-    samples: Vec<i16>,
-    chunk_words: u32,
-    regions: (Region, Region, Region),
-}
-
-impl G721EncodeTask {
-    /// Creates the task; one output word = 8 samples of 4-bit codes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_words == 0` or `samples` is empty.
-    #[must_use]
-    pub fn new(samples: Vec<i16>, chunk_words: u32) -> Self {
-        assert!(chunk_words > 0, "chunk must be at least one word");
-        assert!(!samples.is_empty(), "empty input");
-        let spb = chunk_words * 8;
-        let input_words = spb.div_ceil(2);
-        let blocks = samples.len().div_ceil(spb as usize) as u32;
-        Self {
-            samples,
-            chunk_words,
-            regions: layout(G726State::WORDS as u32, input_words, chunk_words * blocks),
-        }
-    }
-
-    fn samples_per_block(&self) -> usize {
-        self.chunk_words as usize * 8
-    }
-}
-
-impl StreamingTask for G721EncodeTask {
-    fn name(&self) -> String {
-        "g721-encode".to_owned()
-    }
-
-    fn total_blocks(&self) -> usize {
-        self.samples.len().div_ceil(self.samples_per_block())
-    }
-
-    fn profile(&self) -> TaskProfile {
-        let spb = self.samples_per_block() as u64;
-        TaskProfile {
-            total_blocks: self.total_blocks(),
-            block_words: self.chunk_words,
-            state_words: G726State::WORDS as u32,
-            compute_cycles_per_block: G726_CYCLES_PER_SAMPLE * spb,
-            accesses_per_block: u64::from(self.regions.1.words) * 2
-                + u64::from(self.chunk_words)
-                + 2 * G726State::WORDS as u64,
-        }
-    }
-
-    fn state_region(&self) -> Region {
-        self.regions.0
-    }
-
-    fn output_region(&self) -> Region {
-        self.regions.2
-    }
-
-    fn init(&mut self, bus: &mut dyn MemoryBus) -> Result<(), TaskError> {
-        write_region(bus, self.regions.0, &G726State::new().to_words());
-        Ok(())
-    }
-
-    fn run_block(&mut self, block: usize, bus: &mut dyn MemoryBus) -> Result<u32, TaskError> {
-        let spb = self.samples_per_block();
+        let spb = Direction::Decode.samples_per_block(self.shape.profile.block_words);
         let start = block * spb;
-        if start >= self.samples.len() {
+        if start >= self.total_samples {
             return Err(TaskError::Config(format!("block {block} out of range")));
         }
-        let slice = &self.samples[start..(start + spb).min(self.samples.len())];
-        let in_words = pack_i16(slice);
-        write_region(bus, self.regions.1, &in_words);
-        let state_words = read_region(bus, self.regions.0)?;
-        let mut array = [0u32; G726State::WORDS];
-        array.copy_from_slice(&state_words);
-        let mut state = G726State::from_words(&array);
-        let raw = read_words(bus, self.regions.1, in_words.len())?;
-        let samples = unpack_i16(&raw, slice.len());
-        bus.tick(G726_CYCLES_PER_SAMPLE * samples.len() as u64);
-        let mut bytes = Vec::with_capacity(samples.len().div_ceil(2));
-        for pair in samples.chunks(2) {
-            let lo = g726::encode_sample(&mut state, pair[0]);
-            let hi = pair
-                .get(1)
-                .map_or(0, |&s| g726::encode_sample(&mut state, s));
-            bytes.push(lo | (hi << 4));
-        }
-        let out_words = pack_bytes(&bytes);
-        write_region_at(
+        let n_samples = spb.min(self.total_samples - start);
+        // Blocks start on even samples: each code byte holds two.
+        let first = start / 2;
+        let window = &self.codes[first..(first + n_samples.div_ceil(2)).min(self.codes.len())];
+        let packed = pack_bytes(window);
+        speech_block(
+            &self.shape,
+            block,
             bus,
-            self.regions.2,
-            block as u32 * self.chunk_words,
-            &out_words,
-        );
-        write_region(bus, self.regions.0, &state.to_words());
-        Ok(out_words.len() as u32)
-    }
-}
-
-/// MediaBench `g721 decode`: G.726-32 decoder over a code stream.
-#[derive(Debug, Clone)]
-pub struct G721DecodeTask {
-    codes: Vec<u8>,
-    total_samples: usize,
-    chunk_words: u32,
-    regions: (Region, Region, Region),
-}
-
-impl G721DecodeTask {
-    /// Creates the task; one output word = 2 decoded PCM samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_words == 0` or the code stream is too short.
-    #[must_use]
-    pub fn new(codes: Vec<u8>, total_samples: usize, chunk_words: u32) -> Self {
-        assert!(chunk_words > 0, "chunk must be at least one word");
-        assert!(
-            codes.len() * 2 >= total_samples,
-            "code stream shorter than sample count"
-        );
-        let spb = chunk_words * 2;
-        let input_words = (spb / 2).div_ceil(4).max(1);
-        let blocks = total_samples.div_ceil(spb as usize) as u32;
-        Self {
-            codes,
-            total_samples,
-            chunk_words,
-            regions: layout(G726State::WORDS as u32, input_words, chunk_words * blocks),
-        }
-    }
-
-    fn samples_per_block(&self) -> usize {
-        self.chunk_words as usize * 2
-    }
-}
-
-impl StreamingTask for G721DecodeTask {
-    fn name(&self) -> String {
-        "g721-decode".to_owned()
-    }
-
-    fn total_blocks(&self) -> usize {
-        self.total_samples.div_ceil(self.samples_per_block())
-    }
-
-    fn profile(&self) -> TaskProfile {
-        let spb = self.samples_per_block() as u64;
-        TaskProfile {
-            total_blocks: self.total_blocks(),
-            block_words: self.chunk_words,
-            state_words: G726State::WORDS as u32,
-            compute_cycles_per_block: G726_CYCLES_PER_SAMPLE * spb,
-            accesses_per_block: u64::from(self.regions.1.words) * 2
-                + u64::from(self.chunk_words)
-                + 2 * G726State::WORDS as u64,
-        }
-    }
-
-    fn state_region(&self) -> Region {
-        self.regions.0
-    }
-
-    fn output_region(&self) -> Region {
-        self.regions.2
-    }
-
-    fn init(&mut self, bus: &mut dyn MemoryBus) -> Result<(), TaskError> {
-        write_region(bus, self.regions.0, &G726State::new().to_words());
-        Ok(())
-    }
-
-    fn run_block(&mut self, block: usize, bus: &mut dyn MemoryBus) -> Result<u32, TaskError> {
-        let spb = self.samples_per_block();
-        let start_sample = block * spb;
-        if start_sample >= self.total_samples {
-            return Err(TaskError::Config(format!("block {block} out of range")));
-        }
-        let n_samples = spb.min(self.total_samples - start_sample);
-        let start_byte = start_sample / 2;
-        let n_bytes = n_samples.div_ceil(2);
-        let window = &self.codes[start_byte..(start_byte + n_bytes).min(self.codes.len())];
-        let in_words = pack_bytes(window);
-        write_region(bus, self.regions.1, &in_words);
-        let state_words = read_region(bus, self.regions.0)?;
-        let mut array = [0u32; G726State::WORDS];
-        array.copy_from_slice(&state_words);
-        let mut state = G726State::from_words(&array);
-        let raw = read_words(bus, self.regions.1, in_words.len())?;
-        let bytes = unpack_bytes(&raw, window.len());
-        bus.tick(G726_CYCLES_PER_SAMPLE * n_samples as u64);
-        let mut samples = Vec::with_capacity(n_samples);
-        'outer: for &byte in &bytes {
-            for nibble in [byte & 0x0F, byte >> 4] {
-                samples.push(g726::decode_sample(&mut state, nibble));
-                if samples.len() == n_samples {
-                    break 'outer;
+            &packed,
+            n_samples,
+            |codec: &mut C, raw| {
+                let mut samples = Vec::with_capacity(n_samples);
+                for &byte in &unpack_bytes(raw, window.len()) {
+                    codec.decode_byte(byte, n_samples - samples.len(), &mut samples);
                 }
-            }
-        }
-        let out_words = pack_i16(&samples);
-        write_region_at(
-            bus,
-            self.regions.2,
-            block as u32 * self.chunk_words,
-            &out_words,
-        );
-        write_region(bus, self.regions.0, &state.to_words());
-        Ok(out_words.len() as u32)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// G.722 sub-band encode / decode
-// ---------------------------------------------------------------------------
-
-/// Wideband G.722-style sub-band encoder over PCM input.
-#[derive(Debug, Clone)]
-pub struct G722EncodeTask {
-    samples: Vec<i16>,
-    chunk_words: u32,
-    regions: (Region, Region, Region),
-}
-
-impl G722EncodeTask {
-    /// Creates the task; one output word = 8 samples (4 code bytes, one
-    /// per sample pair).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_words == 0` or `samples` is empty.
-    #[must_use]
-    pub fn new(samples: Vec<i16>, chunk_words: u32) -> Self {
-        assert!(chunk_words > 0, "chunk must be at least one word");
-        assert!(!samples.is_empty(), "empty input");
-        let spb = chunk_words * 8;
-        let input_words = spb.div_ceil(2);
-        let blocks = samples.len().div_ceil(spb as usize) as u32;
-        Self {
-            samples,
-            chunk_words,
-            regions: layout(G722State::WORDS as u32, input_words, chunk_words * blocks),
-        }
-    }
-
-    fn samples_per_block(&self) -> usize {
-        self.chunk_words as usize * 8
-    }
-}
-
-impl StreamingTask for G722EncodeTask {
-    fn name(&self) -> String {
-        "g722-encode".to_owned()
-    }
-
-    fn total_blocks(&self) -> usize {
-        self.samples.len().div_ceil(self.samples_per_block())
-    }
-
-    fn profile(&self) -> TaskProfile {
-        let spb = self.samples_per_block() as u64;
-        TaskProfile {
-            total_blocks: self.total_blocks(),
-            block_words: self.chunk_words,
-            state_words: G722State::WORDS as u32,
-            compute_cycles_per_block: G722_CYCLES_PER_SAMPLE * spb,
-            accesses_per_block: u64::from(self.regions.1.words) * 2
-                + u64::from(self.chunk_words)
-                + 2 * G722State::WORDS as u64,
-        }
-    }
-
-    fn state_region(&self) -> Region {
-        self.regions.0
-    }
-
-    fn output_region(&self) -> Region {
-        self.regions.2
-    }
-
-    fn init(&mut self, bus: &mut dyn MemoryBus) -> Result<(), TaskError> {
-        write_region(bus, self.regions.0, &G722State::new().to_words());
-        Ok(())
-    }
-
-    fn run_block(&mut self, block: usize, bus: &mut dyn MemoryBus) -> Result<u32, TaskError> {
-        let spb = self.samples_per_block();
-        let start = block * spb;
-        if start >= self.samples.len() {
-            return Err(TaskError::Config(format!("block {block} out of range")));
-        }
-        let slice = &self.samples[start..(start + spb).min(self.samples.len())];
-        let in_words = pack_i16(slice);
-        write_region(bus, self.regions.1, &in_words);
-        let state_words = read_region(bus, self.regions.0)?;
-        let mut array = [0u32; G722State::WORDS];
-        array.copy_from_slice(&state_words);
-        let mut state = G722State::from_words(&array);
-        let raw = read_words(bus, self.regions.1, in_words.len())?;
-        let samples = unpack_i16(&raw, slice.len());
-        bus.tick(G722_CYCLES_PER_SAMPLE * samples.len() as u64);
-        let mut bytes = Vec::with_capacity(samples.len().div_ceil(2));
-        for pair in samples.chunks(2) {
-            let x1 = pair.get(1).copied().unwrap_or(0);
-            bytes.push(g722::encode_pair(&mut state, pair[0], x1));
-        }
-        let out_words = pack_bytes(&bytes);
-        write_region_at(
-            bus,
-            self.regions.2,
-            block as u32 * self.chunk_words,
-            &out_words,
-        );
-        write_region(bus, self.regions.0, &state.to_words());
-        Ok(out_words.len() as u32)
-    }
-}
-
-/// Wideband G.722-style sub-band decoder over a code stream.
-#[derive(Debug, Clone)]
-pub struct G722DecodeTask {
-    codes: Vec<u8>,
-    total_samples: usize,
-    chunk_words: u32,
-    regions: (Region, Region, Region),
-}
-
-impl G722DecodeTask {
-    /// Creates the task; one output word = 2 decoded PCM samples (one
-    /// code byte).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_words == 0` or the code stream is too short.
-    #[must_use]
-    pub fn new(codes: Vec<u8>, total_samples: usize, chunk_words: u32) -> Self {
-        assert!(chunk_words > 0, "chunk must be at least one word");
-        assert!(
-            codes.len() * 2 >= total_samples,
-            "code stream shorter than sample count"
-        );
-        let spb = chunk_words * 2;
-        let input_words = (spb / 2).div_ceil(4).max(1);
-        let blocks = total_samples.div_ceil(spb as usize) as u32;
-        Self {
-            codes,
-            total_samples,
-            chunk_words,
-            regions: layout(G722State::WORDS as u32, input_words, chunk_words * blocks),
-        }
-    }
-
-    fn samples_per_block(&self) -> usize {
-        self.chunk_words as usize * 2
-    }
-}
-
-impl StreamingTask for G722DecodeTask {
-    fn name(&self) -> String {
-        "g722-decode".to_owned()
-    }
-
-    fn total_blocks(&self) -> usize {
-        self.total_samples.div_ceil(self.samples_per_block())
-    }
-
-    fn profile(&self) -> TaskProfile {
-        let spb = self.samples_per_block() as u64;
-        TaskProfile {
-            total_blocks: self.total_blocks(),
-            block_words: self.chunk_words,
-            state_words: G722State::WORDS as u32,
-            compute_cycles_per_block: G722_CYCLES_PER_SAMPLE * spb,
-            accesses_per_block: u64::from(self.regions.1.words) * 2
-                + u64::from(self.chunk_words)
-                + 2 * G722State::WORDS as u64,
-        }
-    }
-
-    fn state_region(&self) -> Region {
-        self.regions.0
-    }
-
-    fn output_region(&self) -> Region {
-        self.regions.2
-    }
-
-    fn init(&mut self, bus: &mut dyn MemoryBus) -> Result<(), TaskError> {
-        write_region(bus, self.regions.0, &G722State::new().to_words());
-        Ok(())
-    }
-
-    fn run_block(&mut self, block: usize, bus: &mut dyn MemoryBus) -> Result<u32, TaskError> {
-        let spb = self.samples_per_block();
-        let start_sample = block * spb;
-        if start_sample >= self.total_samples {
-            return Err(TaskError::Config(format!("block {block} out of range")));
-        }
-        let n_samples = spb.min(self.total_samples - start_sample);
-        let start_byte = start_sample / 2;
-        let n_bytes = n_samples.div_ceil(2);
-        let window = &self.codes[start_byte..(start_byte + n_bytes).min(self.codes.len())];
-        let in_words = pack_bytes(window);
-        write_region(bus, self.regions.1, &in_words);
-        let state_words = read_region(bus, self.regions.0)?;
-        let mut array = [0u32; G722State::WORDS];
-        array.copy_from_slice(&state_words);
-        let mut state = G722State::from_words(&array);
-        let raw = read_words(bus, self.regions.1, in_words.len())?;
-        let bytes = unpack_bytes(&raw, window.len());
-        bus.tick(G722_CYCLES_PER_SAMPLE * n_samples as u64);
-        let mut samples = Vec::with_capacity(n_samples);
-        'outer: for &byte in &bytes {
-            let (x0, x1) = g722::decode_pair(&mut state, byte);
-            for sample in [x0, x1] {
-                samples.push(sample);
-                if samples.len() == n_samples {
-                    break 'outer;
-                }
-            }
-        }
-        let out_words = pack_i16(&samples);
-        write_region_at(
-            bus,
-            self.regions.2,
-            block as u32 * self.chunk_words,
-            &out_words,
-        );
-        write_region(bus, self.regions.0, &state.to_words());
-        Ok(out_words.len() as u32)
+                pack_i16(&samples)
+            },
+        )
     }
 }
 
 // ---------------------------------------------------------------------------
 // JPEG decode
 // ---------------------------------------------------------------------------
+
+/// The JPEG formula: the shape of the JPEG decoder over an image of
+/// `image_blocks` 8×8 blocks. A chunk holds whole blocks of 16 output
+/// words, at least one, so `chunk_words` rounds down to a multiple of 16.
+fn jpeg_shape(chunk_words: u32, image_blocks: usize) -> Shape {
+    let blocks_per_phase = (chunk_words / 16).max(1);
+    let window_bytes = blocks_per_phase as usize * JPEG_WINDOW_BYTES_PER_BLOCK + 64;
+    Shape::new(
+        image_blocks.div_ceil(blocks_per_phase as usize),
+        blocks_per_phase * 16,
+        4,
+        JPEG_CYCLES_PER_BLOCK * u64::from(blocks_per_phase),
+        (window_bytes as u32).div_ceil(4),
+    )
+}
 
 /// MediaBench `djpeg`: baseline JPEG decoder over a compressed stream.
 ///
@@ -732,8 +460,7 @@ impl StreamingTask for G722DecodeTask {
 pub struct JpegDecodeTask {
     bytes: Vec<u8>,
     decoder: JpegDecoder,
-    chunk_words: u32,
-    regions: (Region, Region, Region),
+    shape: Shape,
 }
 
 impl JpegDecodeTask {
@@ -746,21 +473,16 @@ impl JpegDecodeTask {
     pub fn new(bytes: Vec<u8>, chunk_words: u32) -> Result<Self, TaskError> {
         let decoder =
             JpegDecoder::parse(&bytes).map_err(|e| TaskError::Malformed(e.to_string()))?;
-        let blocks_per_phase = (chunk_words / 16).max(1);
-        let chunk_words = blocks_per_phase * 16;
-        let window_bytes = blocks_per_phase as usize * JPEG_WINDOW_BYTES_PER_BLOCK + 64;
-        let input_words = (window_bytes as u32).div_ceil(4);
-        let phases = decoder.total_blocks().div_ceil(blocks_per_phase as usize) as u32;
+        let shape = jpeg_shape(chunk_words, decoder.total_blocks());
         Ok(Self {
             bytes,
             decoder,
-            chunk_words,
-            regions: layout(4, input_words, chunk_words * phases),
+            shape,
         })
     }
 
     fn blocks_per_phase(&self) -> usize {
-        (self.chunk_words / 16) as usize
+        (self.shape.profile.block_words / 16) as usize
     }
 }
 
@@ -770,33 +492,23 @@ impl StreamingTask for JpegDecodeTask {
     }
 
     fn total_blocks(&self) -> usize {
-        self.decoder
-            .total_blocks()
-            .div_ceil(self.blocks_per_phase())
+        self.shape.profile.total_blocks
     }
 
     fn profile(&self) -> TaskProfile {
-        TaskProfile {
-            total_blocks: self.total_blocks(),
-            block_words: self.chunk_words,
-            state_words: 4,
-            compute_cycles_per_block: JPEG_CYCLES_PER_BLOCK * self.blocks_per_phase() as u64,
-            accesses_per_block: u64::from(self.regions.1.words) * 2
-                + u64::from(self.chunk_words)
-                + 8,
-        }
+        self.shape.profile
     }
 
     fn state_region(&self) -> Region {
-        self.regions.0
+        self.shape.state
     }
 
     fn output_region(&self) -> Region {
-        self.regions.2
+        self.shape.output
     }
 
     fn init(&mut self, bus: &mut dyn MemoryBus) -> Result<(), TaskError> {
-        write_region(bus, self.regions.0, &EntropyState::default().to_words());
+        write_region(bus, self.shape.state, &EntropyState::default().to_words());
         Ok(())
     }
 
@@ -804,7 +516,7 @@ impl StreamingTask for JpegDecodeTask {
         if block >= self.total_blocks() {
             return Err(TaskError::Config(format!("block {block} out of range")));
         }
-        let state_words = read_region(bus, self.regions.0)?;
+        let state_words = read_region(bus, self.shape.state)?;
         let mut array = [0u32; 4];
         array.copy_from_slice(&state_words);
         let abs_state = EntropyState::from_words(array);
@@ -827,11 +539,11 @@ impl StreamingTask for JpegDecodeTask {
                 "corrupt decoder state: byte position {window_start} beyond stream"
             )));
         }
-        let window_len = (self.regions.1.words as usize * 4).min(entropy.len() - window_start);
+        let window_len = (self.shape.input.words as usize * 4).min(entropy.len() - window_start);
         let window = &entropy[window_start..window_start + window_len];
         let in_words = pack_bytes(window);
-        write_region(bus, self.regions.1, &in_words);
-        let raw = read_words(bus, self.regions.1, in_words.len())?;
+        write_region(bus, self.shape.input, &in_words);
+        let raw = read_words(bus, self.shape.input, in_words.len())?;
         let bytes = unpack_bytes(&raw, window.len());
         bus.tick(JPEG_CYCLES_PER_BLOCK * n as u64);
         // Decode relative to the window.
@@ -846,11 +558,11 @@ impl StreamingTask for JpegDecodeTask {
         let out_words = pack_bytes(&pixels);
         write_region_at(
             bus,
-            self.regions.2,
-            block as u32 * self.chunk_words,
+            self.shape.output,
+            block as u32 * self.shape.profile.block_words,
             &out_words,
         );
-        write_region(bus, self.regions.0, &new_state.to_words());
+        write_region(bus, self.shape.state, &new_state.to_words());
         Ok(out_words.len() as u32)
     }
 }
@@ -965,21 +677,25 @@ impl Benchmark {
         assert!(scale > 0.0 && scale <= 4.0, "scale out of range");
         let n_audio = self.audio_samples(scale);
         match self {
-            Benchmark::AdpcmEncode => {
-                Box::new(AdpcmEncodeTask::new(speech_pcm(n_audio, 0xA1), chunk_words))
-            }
+            Benchmark::AdpcmEncode => Box::new(SpeechEncoder::<AdpcmState>::new(
+                speech_pcm(n_audio, 0xA1),
+                chunk_words,
+            )),
             Benchmark::AdpcmDecode => {
-                let pcm = speech_pcm(n_audio, 0xA2);
-                let codes = adpcm::encode(&pcm);
-                Box::new(AdpcmDecodeTask::new(codes, n_audio, chunk_words))
+                let codes = adpcm::encode(&speech_pcm(n_audio, 0xA2));
+                Box::new(SpeechDecoder::<AdpcmState>::new(
+                    codes,
+                    n_audio,
+                    chunk_words,
+                ))
             }
-            Benchmark::G721Encode => {
-                Box::new(G721EncodeTask::new(speech_pcm(n_audio, 0xB1), chunk_words))
-            }
+            Benchmark::G721Encode => Box::new(SpeechEncoder::<G726State>::new(
+                speech_pcm(n_audio, 0xB1),
+                chunk_words,
+            )),
             Benchmark::G721Decode => {
-                let pcm = speech_pcm(n_audio, 0xB2);
-                let codes = g726::encode(&pcm);
-                Box::new(G721DecodeTask::new(codes, n_audio, chunk_words))
+                let codes = g726::encode(&speech_pcm(n_audio, 0xB2));
+                Box::new(SpeechDecoder::<G726State>::new(codes, n_audio, chunk_words))
             }
             Benchmark::JpegDecode => {
                 let side = Self::jpeg_side(scale);
@@ -990,13 +706,13 @@ impl Benchmark {
                         .expect("internally generated stream parses"),
                 )
             }
-            Benchmark::G722Encode => {
-                Box::new(G722EncodeTask::new(speech_pcm(n_audio, 0xD1), chunk_words))
-            }
+            Benchmark::G722Encode => Box::new(SpeechEncoder::<G722State>::new(
+                speech_pcm(n_audio, 0xD1),
+                chunk_words,
+            )),
             Benchmark::G722Decode => {
-                let pcm = speech_pcm(n_audio, 0xD2);
-                let codes = g722::encode(&pcm);
-                Box::new(G722DecodeTask::new(codes, n_audio, chunk_words))
+                let codes = g722::encode(&speech_pcm(n_audio, 0xD2));
+                Box::new(SpeechDecoder::<G722State>::new(codes, n_audio, chunk_words))
             }
         }
     }
@@ -1006,7 +722,7 @@ impl Benchmark {
     /// sweeps over hundreds of candidate sizes.
     ///
     /// Matches `self.build_task_scaled(chunk_words, scale).profile()`
-    /// exactly (asserted in tests).
+    /// exactly: both come from the task family's one profile formula.
     ///
     /// # Panics
     ///
@@ -1015,63 +731,29 @@ impl Benchmark {
     pub fn profile_for_chunk(self, chunk_words: u32, scale: f64) -> TaskProfile {
         assert!(chunk_words > 0, "chunk must be at least one word");
         assert!(scale > 0.0 && scale <= 4.0, "scale out of range");
-        match self {
+        let n = self.audio_samples(scale);
+        let direction = match self {
             Benchmark::AdpcmEncode | Benchmark::G721Encode | Benchmark::G722Encode => {
-                let n = self.audio_samples(scale);
-                let spb = chunk_words as usize * 8;
-                let input_words = (chunk_words * 8).div_ceil(2);
-                let (state, cycles) = match self {
-                    Benchmark::AdpcmEncode => (2u32, ADPCM_CYCLES_PER_SAMPLE),
-                    Benchmark::G721Encode => (G726State::WORDS as u32, G726_CYCLES_PER_SAMPLE),
-                    _ => (G722State::WORDS as u32, G722_CYCLES_PER_SAMPLE),
-                };
-                let state_accesses = if state == 2 { 4 } else { 2 * u64::from(state) };
-                TaskProfile {
-                    total_blocks: n.div_ceil(spb),
-                    block_words: chunk_words,
-                    state_words: state,
-                    compute_cycles_per_block: cycles * spb as u64,
-                    accesses_per_block: u64::from(input_words) * 2
-                        + u64::from(chunk_words)
-                        + state_accesses,
-                }
+                Direction::Encode
             }
-            Benchmark::AdpcmDecode | Benchmark::G721Decode | Benchmark::G722Decode => {
-                let n = self.audio_samples(scale);
-                let spb = chunk_words as usize * 2;
-                let input_words = (chunk_words * 2 / 2).div_ceil(4).max(1);
-                let (state, cycles) = match self {
-                    Benchmark::AdpcmDecode => (2u32, ADPCM_CYCLES_PER_SAMPLE),
-                    Benchmark::G721Decode => (G726State::WORDS as u32, G726_CYCLES_PER_SAMPLE),
-                    _ => (G722State::WORDS as u32, G722_CYCLES_PER_SAMPLE),
-                };
-                let state_accesses = if state == 2 { 4 } else { 2 * u64::from(state) };
-                TaskProfile {
-                    total_blocks: n.div_ceil(spb),
-                    block_words: chunk_words,
-                    state_words: state,
-                    compute_cycles_per_block: cycles * spb as u64,
-                    accesses_per_block: u64::from(input_words) * 2
-                        + u64::from(chunk_words)
-                        + state_accesses,
-                }
+            _ => Direction::Decode,
+        };
+        let shape = match self {
+            Benchmark::AdpcmEncode | Benchmark::AdpcmDecode => {
+                speech_shape::<AdpcmState>(direction, chunk_words, n)
+            }
+            Benchmark::G721Encode | Benchmark::G721Decode => {
+                speech_shape::<G726State>(direction, chunk_words, n)
+            }
+            Benchmark::G722Encode | Benchmark::G722Decode => {
+                speech_shape::<G722State>(direction, chunk_words, n)
             }
             Benchmark::JpegDecode => {
-                let side = Self::jpeg_side(scale);
-                let blocks_per_phase = (chunk_words / 16).max(1);
-                let chunk_words = blocks_per_phase * 16;
-                let total_jpeg_blocks = side.div_ceil(8) * side.div_ceil(8);
-                let window_bytes = blocks_per_phase as usize * JPEG_WINDOW_BYTES_PER_BLOCK + 64;
-                let input_words = (window_bytes as u32).div_ceil(4);
-                TaskProfile {
-                    total_blocks: total_jpeg_blocks.div_ceil(blocks_per_phase as usize),
-                    block_words: chunk_words,
-                    state_words: 4,
-                    compute_cycles_per_block: JPEG_CYCLES_PER_BLOCK * u64::from(blocks_per_phase),
-                    accesses_per_block: u64::from(input_words) * 2 + u64::from(chunk_words) + 8,
-                }
+                let side = Self::jpeg_side(scale).div_ceil(8);
+                jpeg_shape(chunk_words, side * side)
             }
-        }
+        };
+        shape.profile
     }
 }
 
@@ -1110,67 +792,67 @@ mod tests {
         drained
     }
 
+    /// Codec `C`'s encoder task over `counts` samples (an even and an odd
+    /// count) against the pure encoder.
+    fn encoder_matches<C: SpeechCodec>(
+        counts: [usize; 2],
+        seed: u64,
+        chunk_words: u32,
+        encode: fn(&[i16]) -> Vec<u8>,
+    ) {
+        for n in counts {
+            let pcm = speech_pcm(n, seed);
+            let mut task = SpeechEncoder::<C>::new(pcm.clone(), chunk_words);
+            let drained = run_to_completion(&mut task, &mut quiet_bus());
+            assert_eq!(drained, pack_bytes(&encode(&pcm)), "{n} samples");
+        }
+    }
+
+    /// Codec `C`'s decoder task over `counts` samples (an even and an odd
+    /// count) against the pure decoder.
+    fn decoder_matches<C: SpeechCodec>(
+        counts: [usize; 2],
+        seed: u64,
+        chunk_words: u32,
+        encode: fn(&[i16]) -> Vec<u8>,
+        decode: fn(&[u8], usize) -> Vec<i16>,
+    ) {
+        for n in counts {
+            let codes = encode(&speech_pcm(n, seed));
+            let mut task = SpeechDecoder::<C>::new(codes.clone(), n, chunk_words);
+            let drained = run_to_completion(&mut task, &mut quiet_bus());
+            assert_eq!(drained, pack_i16(&decode(&codes, n)), "{n} samples");
+        }
+    }
+
     #[test]
     fn adpcm_encode_task_matches_pure_codec() {
-        let pcm = speech_pcm(2000, 0xA1);
-        let mut task = AdpcmEncodeTask::new(pcm.clone(), 8);
-        let mut bus = quiet_bus();
-        let drained = run_to_completion(&mut task, &mut bus);
-        let expected = pack_bytes(&adpcm::encode(&pcm));
-        assert_eq!(drained, expected);
+        encoder_matches::<AdpcmState>([2000, 1999], 0xA1, 8, adpcm::encode);
     }
 
     #[test]
     fn adpcm_decode_task_matches_pure_codec() {
-        let pcm = speech_pcm(2000, 7);
-        let codes = adpcm::encode(&pcm);
-        let mut task = AdpcmDecodeTask::new(codes.clone(), 2000, 8);
-        let mut bus = quiet_bus();
-        let drained = run_to_completion(&mut task, &mut bus);
-        let expected = pack_i16(&adpcm::decode(&codes, 2000));
-        assert_eq!(drained, expected);
+        decoder_matches::<AdpcmState>([2000, 1999], 7, 8, adpcm::encode, adpcm::decode);
     }
 
     #[test]
     fn g721_encode_task_matches_pure_codec() {
-        let pcm = speech_pcm(1500, 0xB1);
-        let mut task = G721EncodeTask::new(pcm.clone(), 4);
-        let mut bus = quiet_bus();
-        let drained = run_to_completion(&mut task, &mut bus);
-        let expected = pack_bytes(&g726::encode(&pcm));
-        assert_eq!(drained, expected);
+        encoder_matches::<G726State>([1500, 1499], 0xB1, 4, g726::encode);
     }
 
     #[test]
     fn g721_decode_task_matches_pure_codec() {
-        let pcm = speech_pcm(1500, 0xB2);
-        let codes = g726::encode(&pcm);
-        let mut task = G721DecodeTask::new(codes.clone(), 1500, 4);
-        let mut bus = quiet_bus();
-        let drained = run_to_completion(&mut task, &mut bus);
-        let expected = pack_i16(&g726::decode(&codes, 1500));
-        assert_eq!(drained, expected);
+        decoder_matches::<G726State>([1500, 1499], 0xB2, 4, g726::encode, g726::decode);
     }
 
     #[test]
     fn g722_encode_task_matches_pure_codec() {
-        let pcm = speech_pcm(1500, 0xD1);
-        let mut task = G722EncodeTask::new(pcm.clone(), 4);
-        let mut bus = quiet_bus();
-        let drained = run_to_completion(&mut task, &mut bus);
-        let expected = pack_bytes(&g722::encode(&pcm));
-        assert_eq!(drained, expected);
+        encoder_matches::<G722State>([1500, 1499], 0xD1, 4, g722::encode);
     }
 
     #[test]
     fn g722_decode_task_matches_pure_codec() {
-        let pcm = speech_pcm(1500, 0xD2);
-        let codes = g722::encode(&pcm);
-        let mut task = G722DecodeTask::new(codes.clone(), 1500, 4);
-        let mut bus = quiet_bus();
-        let drained = run_to_completion(&mut task, &mut bus);
-        let expected = pack_i16(&g722::decode(&codes, 1500));
-        assert_eq!(drained, expected);
+        decoder_matches::<G722State>([1500, 1499], 0xD2, 4, g722::encode, g722::decode);
     }
 
     #[test]
@@ -1199,7 +881,7 @@ mod tests {
         // The restartability contract: run block 3, then run it again;
         // the second run must produce identical output and state.
         let pcm = speech_pcm(4000, 3);
-        let mut task = G721EncodeTask::new(pcm, 4);
+        let mut task = SpeechEncoder::<G726State>::new(pcm, 4);
         let mut bus = quiet_bus();
         task.init(&mut bus).unwrap();
         for b in 0..3 {

@@ -5,6 +5,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# tests/golden.rs rewrites every fixture instead of checking it while
+# CHUNKPOINT_BLESS_GOLDEN is set (even to an empty value), so a shell
+# left exporting it after a bless would pass whatever the bytes.
+if [ -n "${CHUNKPOINT_BLESS_GOLDEN+set}" ]; then
+    echo "CHUNKPOINT_BLESS_GOLDEN is set: the golden tests would re-bless, not check; unset it"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

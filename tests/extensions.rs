@@ -5,7 +5,8 @@
 use chunkpoint::core::{
     golden, golden_task, run, run_task, MitigationScheme, SystemConfig, TaskSource,
 };
-use chunkpoint::workloads::{Benchmark, StreamingTask};
+use chunkpoint::sim::{MemoryBus, Region, TraceEvent};
+use chunkpoint::workloads::{Benchmark, StreamingTask, TaskError, TaskProfile};
 
 #[test]
 fn single_parity_hybrid_eventually_corrupts_silently() {
@@ -151,6 +152,83 @@ fn run_task_is_equivalent_to_run_for_builtins() {
     let g1 = golden(Benchmark::AdpcmDecode, &config);
     let g2 = golden_task(&source, &config);
     assert_eq!(g1.output, g2.output);
+}
+
+/// A built-in task whose first `init` fails.
+struct FailsFirstInit {
+    inner: Box<dyn StreamingTask>,
+    failed: bool,
+}
+
+impl StreamingTask for FailsFirstInit {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn total_blocks(&self) -> usize {
+        self.inner.total_blocks()
+    }
+
+    fn profile(&self) -> TaskProfile {
+        self.inner.profile()
+    }
+
+    fn state_region(&self) -> Region {
+        self.inner.state_region()
+    }
+
+    fn output_region(&self) -> Region {
+        self.inner.output_region()
+    }
+
+    fn init(&mut self, bus: &mut dyn MemoryBus) -> Result<(), TaskError> {
+        if !self.failed {
+            self.failed = true;
+            return Err(TaskError::Config("first init fails".to_owned()));
+        }
+        self.inner.init(bus)
+    }
+
+    fn run_block(&mut self, block: usize, bus: &mut dyn MemoryBus) -> Result<u32, TaskError> {
+        self.inner.run_block(block, bus)
+    }
+}
+
+#[test]
+fn a_failed_init_is_one_traced_restart_under_sw_and_scrubbing() {
+    // The SW baseline and scrubbing share one restart rule: a failed
+    // `init` counts a restart and records it in the trace.
+    let mut config = SystemConfig::paper(0x1417);
+    config.faults.error_rate = 0.0;
+    let scale = config.scale;
+    let build = move |chunk: u32| -> Box<dyn StreamingTask> {
+        Box::new(FailsFirstInit {
+            inner: Benchmark::AdpcmEncode.build_task_scaled(chunk, scale),
+            failed: false,
+        })
+    };
+    let source = TaskSource {
+        name: "fails-first-init".to_owned(),
+        build: &build,
+        default_chunk_words: 16,
+    };
+    for scheme in [
+        MitigationScheme::SwRestart,
+        MitigationScheme::ScrubbedSecded {
+            interval_cycles: 5_000,
+        },
+    ] {
+        let report = run_task(&source, scheme, &config);
+        assert!(report.completed, "{scheme}");
+        assert_eq!(report.restarts, 1, "{scheme}");
+        let traced = report
+            .trace
+            .events()
+            .iter()
+            .filter(|event| matches!(event, TraceEvent::TaskRestart { .. }))
+            .count();
+        assert_eq!(traced, 1, "{scheme}");
+    }
 }
 
 #[test]
