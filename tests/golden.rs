@@ -4,8 +4,9 @@
 //! The parity suites compare execution paths with each other inside one
 //! build, so a change that moves every path the same way passes them all.
 //! These fixtures pin the numbers themselves: Table I's optimizer points,
-//! a Fig. 5 grid's canonical report, every task under every scheme, and
-//! one timeline-scenario campaign.
+//! a Fig. 5 grid's canonical report, every task under every scheme, JPEG's
+//! ratios against its same-seed Default denominator, and one
+//! timeline-scenario campaign.
 //! An intended change to results shows up as a reviewed diff of these
 //! files. Regenerate them with
 //!
@@ -138,6 +139,36 @@ fn every_task_under_every_scheme() {
     let rows = run_campaign(&spec, 2).results;
     check(
         "all_tasks.json",
+        &canonical_report_json(spec.campaign_seed, &rows, &REPORT_AXES).render(),
+    );
+}
+
+/// JPEG's ratios at a rate where a faulty Default run's ledger differs
+/// from the fault-free golden's (a corrupted stream ends blocks early),
+/// so a denominator that skipped JPEG's same-seed Default re-run moves
+/// these bytes.
+#[test]
+fn jpeg_denominator_report() {
+    let mut config = SystemConfig::paper(0);
+    config.scale = 2.0;
+    let spec = CampaignSpec::new(config, 0x19)
+        .benchmarks(&[Benchmark::JpegDecode])
+        .scheme(
+            "HW-based",
+            SchemeSpec::Fixed(MitigationScheme::hw_baseline()),
+        )
+        .scheme(
+            "Proposed",
+            SchemeSpec::Fixed(MitigationScheme::Hybrid {
+                chunk_words: 16,
+                l1_prime_t: 8,
+            }),
+        )
+        .error_rates(&[1e-3])
+        .replicates(2);
+    let rows = run_campaign(&spec, 2).results;
+    check(
+        "jpeg_denominator.json",
         &canonical_report_json(spec.campaign_seed, &rows, &REPORT_AXES).render(),
     );
 }
