@@ -7,11 +7,12 @@
 //! count — the pool only changes how long the campaign takes.
 
 use std::collections::HashSet;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use chunkpoint_core::{golden, run, MitigationScheme, RunReport, SystemConfig};
 use chunkpoint_scenario::{RunStats, ScenarioDef, TimelineEvent};
-use chunkpoint_sim::{Burst, FaultTimeline};
+use chunkpoint_sim::{Burst, EnergyLedger, FaultTimeline};
 use chunkpoint_workloads::Benchmark;
 
 use crate::json::JsonValue;
@@ -41,9 +42,12 @@ pub struct ScenarioResult {
     /// Whether the run completed within its recovery budgets.
     pub completed: bool,
     /// Energy normalized to the same-seed *Default* run (normalized
-    /// campaigns only).
+    /// campaigns only). Where that run's ledger cannot depend on data
+    /// ([`Benchmark::ledger_is_data_independent`]) the engine divides by
+    /// the golden run's ledger instead, which equals it exactly.
     pub energy_ratio: Option<f64>,
-    /// Cycles normalized to the same-seed *Default* run.
+    /// Cycles normalized to the same-seed *Default* run, computed like
+    /// [`ScenarioResult::energy_ratio`].
     pub cycle_ratio: Option<f64>,
     /// Whether the output matched the fault-free golden reference.
     pub correct: Option<bool>,
@@ -220,7 +224,8 @@ pub struct CampaignResult {
     pub results: Vec<ScenarioResult>,
     /// Worker count the campaign ran with.
     pub threads: usize,
-    /// Wall-clock execution time of the grid (excludes golden pre-runs).
+    /// Wall-clock execution time of the grid, golden references
+    /// included.
     pub elapsed: Duration,
     /// Campaign seed the scenario seeds were derived from.
     pub campaign_seed: u64,
@@ -377,14 +382,85 @@ fn effective_benchmark(spec: &CampaignSpec, scenario: &Scenario) -> Benchmark {
         .unwrap_or(scenario.benchmark)
 }
 
+/// What a campaign uses of a fault-free golden run: its output, the
+/// correctness oracle, and its ledger, the Fig. 5 denominator wherever a
+/// Default run's ledger cannot depend on data.
+struct Golden {
+    output: Vec<u32>,
+    ledger: EnergyLedger,
+}
+
+/// Golden references one process keeps: `serve` takes base configs off
+/// the wire, so the memo is bounded.
+const GOLDEN_MEMO_CAPACITY: usize = 64;
+
+/// One memo entry: a golden reference under its key.
+type GoldenEntry = (Benchmark, SystemConfig, Arc<Golden>);
+
+/// Golden references keyed by (benchmark, fault-free base config), oldest
+/// first. A golden run is a pure function of its key, so every campaign a
+/// process runs (every job, in `serve`) shares one per key.
+struct GoldenMemo(Mutex<Vec<GoldenEntry>>);
+
+static GOLDENS: GoldenMemo = GoldenMemo::new();
+
+impl GoldenMemo {
+    const fn new() -> Self {
+        Self(Mutex::new(Vec::new()))
+    }
+
+    /// The entries. Every change below is one push or one remove, so a
+    /// lock poisoned by a panicking campaign (`serve` survives those)
+    /// still guards a consistent list and is recovered, not passed on to
+    /// every later campaign.
+    fn entries(&self) -> MutexGuard<'_, Vec<GoldenEntry>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The golden reference of `benchmark` on `base`: remembered, or
+    /// computed outside the lock and remembered, evicting the oldest
+    /// entry at capacity.
+    fn get(&self, benchmark: Benchmark, base: &SystemConfig) -> Arc<Golden> {
+        let key = base.fault_free();
+        let find = |entries: &[GoldenEntry]| {
+            entries
+                .iter()
+                .find(|(b, config, _)| *b == benchmark && *config == key)
+                .map(|(_, _, golden)| Arc::clone(golden))
+        };
+        if let Some(hit) = find(&self.entries()) {
+            return hit;
+        }
+        let report = golden(benchmark, &key);
+        let fresh = Arc::new(Golden {
+            output: report.output,
+            ledger: report.ledger,
+        });
+        let mut entries = self.entries();
+        // Another campaign may have computed the same key meanwhile.
+        if let Some(hit) = find(&entries) {
+            return hit;
+        }
+        if entries.len() == GOLDEN_MEMO_CAPACITY {
+            entries.remove(0);
+        }
+        entries.push((benchmark, key, Arc::clone(&fresh)));
+        fresh
+    }
+}
+
 /// Runs one scenario: derive the config (applying any timeline-scenario
 /// fault environment and task override), execute the scheme, and — for
-/// normalized campaigns — the same-seed Default denominator plus the
-/// golden comparison; finally evaluate the scenario's `expect` block.
+/// normalized campaigns — divide by the same-seed Default run's ledger,
+/// which is the golden's wherever that is exact and a Default re-run
+/// elsewhere (JPEG); compare with the golden output when the spec checks
+/// it; finally evaluate the scenario's `expect` block. `golden` is the
+/// effective benchmark's reference, present when the spec is normalized
+/// or checks golden.
 fn run_scenario(
     spec: &CampaignSpec,
     scenario: &Scenario,
-    golden_output: Option<&[u32]>,
+    golden: Option<&Golden>,
 ) -> ScenarioResult {
     let mut config = spec.base.with_seed(scenario.seed);
     config.faults.error_rate = scenario.error_rate;
@@ -402,18 +478,32 @@ fn run_scenario(
     let report = run(benchmark, scenario.scheme, &config);
     let mut result = ScenarioResult::from_report(scenario.clone(), &report);
     if spec.is_normalized() {
+        let rerun;
         let denominator = if scenario.scheme == MitigationScheme::Default {
-            // The denominator *is* this run; skip the duplicate work.
-            None
+            // The denominator *is* this run.
+            &report.ledger
+        } else if benchmark.ledger_is_data_independent() {
+            let ledger = &golden.expect("normalized campaigns fetch goldens").ledger;
+            if cfg!(debug_assertions) {
+                // Debug builds re-prove the exactness claim on every
+                // normalized scenario they run.
+                let default = run(benchmark, MitigationScheme::Default, &config).ledger;
+                debug_assert!(
+                    default.cycles() == ledger.cycles()
+                        && default.total_pj().to_bits() == ledger.total_pj().to_bits(),
+                    "{benchmark}: Default ledger {default:?} differs from the golden {ledger:?}"
+                );
+            }
+            ledger
         } else {
-            Some(run(benchmark, MitigationScheme::Default, &config))
+            rerun = run(benchmark, MitigationScheme::Default, &config);
+            &rerun.ledger
         };
-        let denominator = denominator.as_ref().unwrap_or(&report);
-        result.energy_ratio = Some(report.energy_ratio(denominator));
-        result.cycle_ratio = Some(report.cycle_ratio(denominator));
+        result.energy_ratio = Some(report.energy_pj() / denominator.total_pj());
+        result.cycle_ratio = Some(report.cycles() as f64 / denominator.cycles() as f64);
     }
-    if let Some(golden_output) = golden_output {
-        result.correct = Some(report.output == golden_output);
+    if spec.checks_golden() {
+        result.correct = golden.map(|golden| report.output == golden.output);
     }
     if let Some(def) = def {
         if !def.expect.is_empty() {
@@ -498,11 +588,10 @@ pub fn run_grid_streaming(
     // Golden references are fault-free and seed-independent: one per
     // *effective* benchmark that still has work pending (a resumed
     // campaign whose journal already covers a benchmark skips its golden
-    // run too, and a task_switch scenario gets the golden of the
-    // benchmark it actually runs), computed up front so workers only
-    // compare outputs. First-seen dedup keeps the set a pure function of
-    // the spec, independent of thread count.
-    let goldens: Vec<(Benchmark, RunReport)> = if spec.checks_golden() {
+    // too, and a task_switch scenario gets the golden of the benchmark it
+    // actually runs), fetched up front from the process memo so workers
+    // only compare outputs and divide.
+    let goldens: Vec<(Benchmark, Arc<Golden>)> = if spec.checks_golden() || spec.is_normalized() {
         let mut needed: Vec<Benchmark> = Vec::new();
         for &index in &pending {
             let benchmark = effective_benchmark(spec, &scenarios[index]);
@@ -512,16 +601,16 @@ pub fn run_grid_streaming(
         }
         needed
             .into_iter()
-            .map(|benchmark| (benchmark, golden(benchmark, &spec.base)))
+            .map(|benchmark| (benchmark, GOLDENS.get(benchmark, &spec.base)))
             .collect()
     } else {
         Vec::new()
     };
-    let golden_for = |benchmark: Benchmark| -> Option<&[u32]> {
+    let golden_for = |benchmark: Benchmark| -> Option<&Golden> {
         goldens
             .iter()
             .find(|(b, _)| *b == benchmark)
-            .map(|(_, report)| report.output.as_slice())
+            .map(|(_, golden)| golden.as_ref())
     };
     let mut results: Vec<ScenarioResult> = Vec::with_capacity(pending.len());
     run_jobs_ctl(
@@ -649,6 +738,107 @@ mod tests {
         let r = &result.results[0];
         assert!(r.energy_ratio.is_none() && r.correct.is_none());
         assert!(r.energy_pj > 0.0);
+    }
+
+    #[test]
+    fn ratios_do_not_depend_on_the_golden_check() {
+        let mut config = fast_config();
+        config.faults.error_rate = 1e-4;
+        let spec = CampaignSpec::new(config, 41)
+            .benchmarks(&[Benchmark::AdpcmDecode, Benchmark::JpegDecode])
+            .scheme("SW-based", SchemeSpec::Fixed(MitigationScheme::SwRestart))
+            .scheme(
+                "HW-based",
+                SchemeSpec::Fixed(MitigationScheme::hw_baseline()),
+            )
+            .replicates(2);
+        let checked = run_campaign(&spec, 2).results;
+        let unchecked = run_campaign(&spec.clone().golden_check(false), 2).results;
+        let ratios = |r: &ScenarioResult| {
+            let row = r.to_json();
+            ["energy_ratio", "cycle_ratio"].map(|key| row.get(key).map(JsonValue::render))
+        };
+        for (on, off) in checked.iter().zip(&unchecked) {
+            assert!(on.energy_ratio.is_some() && on.correct.is_some());
+            assert_eq!(ratios(on), ratios(off));
+            assert_eq!(off.correct, None);
+        }
+    }
+
+    #[test]
+    fn golden_denominators_follow_the_base_config() {
+        // Bases that differ in one platform field need their own goldens:
+        // a memo keyed too loosely would hand the second campaign the
+        // first one's denominator.
+        let cheap = fast_config();
+        let mut dear = fast_config();
+        dear.platform.cpu_pj_per_cycle *= 1.5;
+        for base in [cheap, dear] {
+            let spec = CampaignSpec::new(base.clone(), 43)
+                .benchmarks(&[Benchmark::AdpcmDecode])
+                .scheme(
+                    "HW-based",
+                    SchemeSpec::Fixed(MitigationScheme::hw_baseline()),
+                )
+                .error_rates(&[1e-4])
+                .replicates(2);
+            for r in run_campaign(&spec, 1).results {
+                let mut config = base.with_seed(r.scenario.seed);
+                config.faults.error_rate = r.scenario.error_rate;
+                let report = run(r.scenario.benchmark, r.scenario.scheme, &config);
+                let default = run(r.scenario.benchmark, MitigationScheme::Default, &config);
+                assert_eq!(r.energy_ratio, Some(report.energy_ratio(&default)));
+                assert_eq!(r.cycle_ratio, Some(report.cycle_ratio(&default)));
+            }
+        }
+    }
+
+    /// A base of the cheapest scale, made distinct by its CPU energy.
+    fn memo_base(i: u32) -> SystemConfig {
+        let mut config = SystemConfig::paper(0);
+        config.scale = 0.05;
+        config.platform.cpu_pj_per_cycle += f64::from(i);
+        config
+    }
+
+    #[test]
+    fn golden_memo_stays_at_capacity_and_evicts_the_oldest() {
+        let memo = GoldenMemo::new();
+        let first = memo.get(Benchmark::AdpcmEncode, &memo_base(0));
+        assert!(Arc::ptr_eq(
+            &first,
+            &memo.get(Benchmark::AdpcmEncode, &memo_base(0))
+        ));
+        let past = GOLDEN_MEMO_CAPACITY as u32 + 2;
+        for i in 1..past {
+            memo.get(Benchmark::AdpcmEncode, &memo_base(i));
+        }
+        assert_eq!(memo.entries().len(), GOLDEN_MEMO_CAPACITY);
+        let newest = memo.get(Benchmark::AdpcmEncode, &memo_base(past - 1));
+        assert_eq!(memo.entries().len(), GOLDEN_MEMO_CAPACITY);
+        assert!(Arc::ptr_eq(
+            &newest,
+            &memo.entries()[GOLDEN_MEMO_CAPACITY - 1].2
+        ));
+        // The oldest was evicted: asking again computes it afresh.
+        let again = memo.get(Benchmark::AdpcmEncode, &memo_base(0));
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(first.output, again.output);
+    }
+
+    #[test]
+    fn a_poisoned_golden_memo_still_serves() {
+        let memo = GoldenMemo::new();
+        let held = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _entries = memo.entries();
+            panic!("a campaign panicked while holding the memo");
+        }));
+        assert!(held.is_err() && memo.0.is_poisoned());
+        let base = memo_base(0);
+        let fetched = memo.get(Benchmark::G722Decode, &base);
+        let direct = golden(Benchmark::G722Decode, &base);
+        assert_eq!(fetched.output, direct.output);
+        assert_eq!(fetched.ledger, direct.ledger);
     }
 
     #[test]

@@ -297,9 +297,12 @@ impl CampaignSpec {
         self
     }
 
-    /// Enables/disables normalization: when on, every scenario also runs
-    /// the same-seed *Default* denominator and reports energy/cycle
-    /// ratios against it. Off roughly halves the work when only absolute
+    /// Enables/disables normalization: when on, every scenario reports
+    /// energy/cycle ratios against its same-seed *Default* run. For the
+    /// speech tasks that run's ledger is the golden run's by construction
+    /// (see [`Benchmark::ledger_is_data_independent`]), so the engine
+    /// divides by the golden ledger; only JPEG re-runs Default per
+    /// scenario, and off roughly halves JPEG's work when only absolute
     /// numbers are needed.
     #[must_use]
     pub fn normalize(mut self, normalize: bool) -> Self {
@@ -309,7 +312,8 @@ impl CampaignSpec {
 
     /// Enables/disables the golden-output comparison: when on, every
     /// scenario's output is checked against the benchmark's fault-free
-    /// reference (one golden run per benchmark, shared by all workers).
+    /// reference (one golden run per benchmark and base config per
+    /// process, shared by all workers and campaigns).
     #[must_use]
     pub fn golden_check(mut self, golden_check: bool) -> Self {
         self.golden_check = golden_check;

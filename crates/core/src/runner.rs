@@ -213,7 +213,9 @@ pub fn run_task(
 }
 
 /// The fault-free *Default* reference run (denominator of Fig. 5 and the
-/// correctness oracle for "full error mitigation").
+/// correctness oracle for "full error mitigation"), computed afresh on
+/// every call. The campaign engine keeps one per (benchmark, base config)
+/// per process.
 #[must_use]
 pub fn golden(benchmark: Benchmark, config: &SystemConfig) -> RunReport {
     run(benchmark, MitigationScheme::Default, &config.fault_free())

@@ -657,6 +657,26 @@ impl Benchmark {
         ((base * scale) as usize).max(48)
     }
 
+    /// Whether a run on an unprotected L1 (the *Default* system, ECC kind
+    /// `None`) charges the same cycles and energy whatever values its
+    /// loads return, so a faulty Default run's ledger is exactly the
+    /// fault-free golden run's: a function of (benchmark, platform,
+    /// scale) alone.
+    ///
+    /// True for the six speech tasks. Their bus traffic is fixed by
+    /// host-side sizes, sample counts and chunk words, so every load,
+    /// store and tick comes in the same count and order whatever the
+    /// loads return; the bus charges per operation, not per value; and an
+    /// unprotected read never fails or corrects.
+    ///
+    /// False for JPEG. It reads its block count and stream position back
+    /// from L1, and a corrupted stream ends a block early with
+    /// [`TaskError::Malformed`], so its traffic depends on the data.
+    #[must_use]
+    pub fn ledger_is_data_independent(self) -> bool {
+        self != Benchmark::JpegDecode
+    }
+
     /// JPEG frame edge length at `scale` (one thumbnail/preview tile).
     fn jpeg_side(scale: f64) -> usize {
         if scale >= 2.0 {

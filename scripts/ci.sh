@@ -271,6 +271,58 @@ curl -sf -X POST "http://127.0.0.1:$(cat "$CACHE_DIR/port_b")/shutdown" >/dev/nu
 wait "$CACHE_A_PID" "$CACHE_B_PID"
 echo "incremental smoke OK (${CACHE_HITS} cache hits, ${SPLICED} rows spliced, bytes identical)"
 
+echo "== denominator smoke (normalized campaign, warm vs cold serve, byte-identical) =="
+GOLD_DIR="$(mktemp -d)"
+trap 'kill "${SERVE_PID:-0}" "${SHARD_A_PID:-0}" "${SHARD_B_PID:-0}" \
+         "${CHAOS_A_PID:-0}" "${CHAOS_B_PID:-0}" "${CHAOS_PROXY_PID:-0}" \
+         "${CACHE_A_PID:-0}" "${CACHE_B_PID:-0}" \
+         "${GOLD_A_PID:-0}" "${GOLD_B_PID:-0}" 2>/dev/null || true; \
+      rm -rf "$SERVE_DIR" "$SHARD_DIR" "$CHAOS_DIR" "$CACHE_DIR" "$GOLD_DIR"' EXIT
+target/release/serve --addr 127.0.0.1:0 --data-dir "$GOLD_DIR/a" \
+    --port-file "$GOLD_DIR/port_a" --jobs 1 --threads 1 &
+GOLD_A_PID=$!
+target/release/serve --addr 127.0.0.1:0 --data-dir "$GOLD_DIR/b" \
+    --port-file "$GOLD_DIR/port_b" --jobs 1 --threads 1 &
+GOLD_B_PID=$!
+for _ in $(seq 1 200); do [ -s "$GOLD_DIR/port_a" ] && [ -s "$GOLD_DIR/port_b" ] && break; sleep 0.05; done
+[ -s "$GOLD_DIR/port_a" ] && [ -s "$GOLD_DIR/port_b" ] \
+    || { echo "denominator-smoke serves never wrote their ports"; exit 1; }
+# serve keeps golden references across jobs. Backend A first runs a
+# warm-up at another scale, so a golden memo keyed too loosely would hand
+# the target campaign the warm-up's references there; backend B runs the
+# target cold. JPEG at lambda = 1e-3 also pins its same-seed Default
+# denominator across the process boundary.
+GOLD_SCHEMES='"schemes":[{"label":"HW-based","spec":{"kind":"fixed","scheme":{"kind":"hw-ecc","t":8}}},
+ {"label":"Proposed","spec":{"kind":"fixed","scheme":{"kind":"hybrid","chunk_words":16,"l1_prime_t":8}}}]'
+cat > "$GOLD_DIR/warmup.json" <<SPEC
+{"version":1,"campaign_seed":19,
+ "base":{"scale":0.25,"error_rate":0.000001,"seed":0,"area_overhead":0.05,"cycle_overhead":0.1},
+ "benchmarks":["ADPCM decode","JPG decode"],$GOLD_SCHEMES,
+ "error_rates":[0.000001],"replicates":1,"normalize":true,"golden_check":false}
+SPEC
+cat > "$GOLD_DIR/target.json" <<SPEC
+{"version":1,"campaign_seed":19,
+ "base":{"scale":2.0,"error_rate":0.000001,"seed":0,"area_overhead":0.05,"cycle_overhead":0.1},
+ "benchmarks":["ADPCM decode","JPG decode"],$GOLD_SCHEMES,
+ "error_rates":[0.000001,0.001],"replicates":2,"normalize":true,"golden_check":true}
+SPEC
+GOLD_A="127.0.0.1:$(cat "$GOLD_DIR/port_a")"
+GOLD_B="127.0.0.1:$(cat "$GOLD_DIR/port_b")"
+timeout 120 target/release/shard --backends "$GOLD_A" --spec "$GOLD_DIR/warmup.json" \
+    --json "$GOLD_DIR/warmup_report.json" --poll-ms 10 --quiet
+timeout 120 target/release/shard --backends "$GOLD_A" --spec "$GOLD_DIR/target.json" \
+    --json "$GOLD_DIR/warm.json" --poll-ms 10 --quiet
+timeout 120 target/release/shard --backends "$GOLD_B" --spec "$GOLD_DIR/target.json" \
+    --json "$GOLD_DIR/cold.json" --poll-ms 10 --quiet
+grep -q '"energy_ratio":[0-9]' "$GOLD_DIR/cold.json" && grep -q '"correct":true' "$GOLD_DIR/cold.json" \
+    || { echo "target report carries no ratios or golden verdicts"; exit 1; }
+cmp "$GOLD_DIR/warm.json" "$GOLD_DIR/cold.json" \
+    || { echo "warm backend's normalized report diverged from the cold backend's"; exit 1; }
+curl -sf -X POST "http://$GOLD_A/shutdown" >/dev/null
+curl -sf -X POST "http://$GOLD_B/shutdown" >/dev/null
+wait "$GOLD_A_PID" "$GOLD_B_PID"
+echo "denominator smoke OK (warm and cold normalized reports byte-identical)"
+
 echo "== cache bench smoke (cold seal vs warm splice vs incremental) =="
 cargo run --release -p chunkpoint_bench --bin bench_cache -- --smoke
 

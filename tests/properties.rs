@@ -5,6 +5,10 @@
 //!   bit-identical to the fault-free reference.
 //! * **Optimizer soundness**: every design point the optimizer returns
 //!   satisfies the constraints it was given.
+//! * **Exact Fig. 5 denominators**: wherever
+//!   `Benchmark::ledger_is_data_independent` holds, a faulty Default run
+//!   charges exactly the golden run's cycles and energy; JPEG, where it
+//!   does not hold, has a seed where they differ.
 //! * **Codec roundtrips** under arbitrary inputs.
 
 use proptest::prelude::*;
@@ -12,7 +16,25 @@ use proptest::prelude::*;
 use chunkpoint::core::{
     evaluate, golden, optimize, run, MitigationScheme, SystemConfig, SystemConstraints,
 };
+use chunkpoint::sim::{Burst, FaultTimeline};
 use chunkpoint::workloads::Benchmark;
+
+/// The timeline cases of the denominator property: none, a burst, a ×10
+/// rate shift, or a scrub period.
+fn timeline_case(case: usize, rate: f64) -> Option<FaultTimeline> {
+    let mut timeline = FaultTimeline::default();
+    match case {
+        0 => return None,
+        1 => timeline.bursts.push(Burst {
+            cycle: 2_000,
+            words: 32,
+            rate: 0.5,
+        }),
+        2 => timeline.shifts.push((5_000, rate * 10.0)),
+        _ => timeline.scrub_period = Some(20_000),
+    }
+    Some(timeline)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -112,4 +134,50 @@ proptest! {
         prop_assert_eq!(a.cycles(), b.cycles());
         prop_assert_eq!(a.output, b.output);
     }
+
+    #[test]
+    fn data_independent_default_ledgers_equal_the_golden(
+        seed: u64,
+        rate in 0.0f64..1e-3,
+        full_scale: bool,
+        timeline in 0usize..4,
+        pick in 0usize..6,
+    ) {
+        let independent: Vec<Benchmark> = Benchmark::ALL
+            .into_iter()
+            .filter(|b| b.ledger_is_data_independent())
+            .collect();
+        let benchmark = independent[pick % independent.len()];
+        let mut config = SystemConfig::paper(seed);
+        config.scale = if full_scale { 1.0 } else { 0.25 };
+        config.faults.error_rate = rate;
+        config.timeline = timeline_case(timeline, rate);
+        let reference = golden(benchmark, &config);
+        let default = run(benchmark, MitigationScheme::Default, &config);
+        prop_assert_eq!(default.cycles(), reference.cycles(), "{}", benchmark);
+        prop_assert_eq!(
+            default.energy_pj().to_bits(),
+            reference.energy_pj().to_bits(),
+            "{}",
+            benchmark
+        );
+    }
+}
+
+/// Why JPEG keeps its same-seed Default re-run: at this point a corrupted
+/// stream ends blocks early, so the faulty run charges fewer cycles than
+/// the golden run.
+#[test]
+fn jpeg_default_ledger_can_differ_from_the_golden() {
+    assert!(!Benchmark::JpegDecode.ledger_is_data_independent());
+    let mut config = SystemConfig::paper(15_839);
+    config.scale = 2.0;
+    config.faults.error_rate = 1e-3;
+    let reference = golden(Benchmark::JpegDecode, &config);
+    let default = run(Benchmark::JpegDecode, MitigationScheme::Default, &config);
+    assert_ne!(default.cycles(), reference.cycles());
+    assert_ne!(
+        default.energy_pj().to_bits(),
+        reference.energy_pj().to_bits()
+    );
 }
