@@ -7,13 +7,13 @@
 //! count — the pool only changes how long the campaign takes.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chunkpoint_core::{golden, run, MitigationScheme, RunReport, SystemConfig};
 use chunkpoint_scenario::{RunStats, ScenarioDef, TimelineEvent};
 use chunkpoint_sim::{Burst, EnergyLedger, FaultTimeline};
-use chunkpoint_workloads::Benchmark;
+use chunkpoint_workloads::{Benchmark, Memo};
 
 use crate::json::JsonValue;
 use crate::pool::{run_jobs_ctl, CancelToken};
@@ -390,63 +390,21 @@ struct Golden {
     ledger: EnergyLedger,
 }
 
-/// Golden references one process keeps: `serve` takes base configs off
-/// the wire, so the memo is bounded.
-const GOLDEN_MEMO_CAPACITY: usize = 64;
+/// Golden references keyed by (benchmark, fault-free base config). A
+/// golden run is a pure function of its key, so every campaign a process
+/// runs (every job, in `serve`) shares one per key; the memo is the
+/// workloads' bounded [`Memo`], the one that also holds benchmark inputs.
+static GOLDENS: Memo<(Benchmark, SystemConfig), Arc<Golden>> = Memo::new();
 
-/// One memo entry: a golden reference under its key.
-type GoldenEntry = (Benchmark, SystemConfig, Arc<Golden>);
-
-/// Golden references keyed by (benchmark, fault-free base config), oldest
-/// first. A golden run is a pure function of its key, so every campaign a
-/// process runs (every job, in `serve`) shares one per key.
-struct GoldenMemo(Mutex<Vec<GoldenEntry>>);
-
-static GOLDENS: GoldenMemo = GoldenMemo::new();
-
-impl GoldenMemo {
-    const fn new() -> Self {
-        Self(Mutex::new(Vec::new()))
-    }
-
-    /// The entries. Every change below is one push or one remove, so a
-    /// lock poisoned by a panicking campaign (`serve` survives those)
-    /// still guards a consistent list and is recovered, not passed on to
-    /// every later campaign.
-    fn entries(&self) -> MutexGuard<'_, Vec<GoldenEntry>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The golden reference of `benchmark` on `base`: remembered, or
-    /// computed outside the lock and remembered, evicting the oldest
-    /// entry at capacity.
-    fn get(&self, benchmark: Benchmark, base: &SystemConfig) -> Arc<Golden> {
-        let key = base.fault_free();
-        let find = |entries: &[GoldenEntry]| {
-            entries
-                .iter()
-                .find(|(b, config, _)| *b == benchmark && *config == key)
-                .map(|(_, _, golden)| Arc::clone(golden))
-        };
-        if let Some(hit) = find(&self.entries()) {
-            return hit;
-        }
-        let report = golden(benchmark, &key);
-        let fresh = Arc::new(Golden {
+/// The golden reference of `benchmark` on `base`, from the process memo.
+fn memoised_golden(benchmark: Benchmark, base: &SystemConfig) -> Arc<Golden> {
+    GOLDENS.get_or_compute((benchmark, base.fault_free()), |(benchmark, key)| {
+        let report = golden(*benchmark, key);
+        Arc::new(Golden {
             output: report.output,
             ledger: report.ledger,
-        });
-        let mut entries = self.entries();
-        // Another campaign may have computed the same key meanwhile.
-        if let Some(hit) = find(&entries) {
-            return hit;
-        }
-        if entries.len() == GOLDEN_MEMO_CAPACITY {
-            entries.remove(0);
-        }
-        entries.push((benchmark, key, Arc::clone(&fresh)));
-        fresh
-    }
+        })
+    })
 }
 
 /// Runs one scenario: derive the config (applying any timeline-scenario
@@ -601,7 +559,7 @@ pub fn run_grid_streaming(
         }
         needed
             .into_iter()
-            .map(|benchmark| (benchmark, GOLDENS.get(benchmark, &spec.base)))
+            .map(|benchmark| (benchmark, memoised_golden(benchmark, &spec.base)))
             .collect()
     } else {
         Vec::new()
@@ -791,54 +749,6 @@ mod tests {
                 assert_eq!(r.cycle_ratio, Some(report.cycle_ratio(&default)));
             }
         }
-    }
-
-    /// A base of the cheapest scale, made distinct by its CPU energy.
-    fn memo_base(i: u32) -> SystemConfig {
-        let mut config = SystemConfig::paper(0);
-        config.scale = 0.05;
-        config.platform.cpu_pj_per_cycle += f64::from(i);
-        config
-    }
-
-    #[test]
-    fn golden_memo_stays_at_capacity_and_evicts_the_oldest() {
-        let memo = GoldenMemo::new();
-        let first = memo.get(Benchmark::AdpcmEncode, &memo_base(0));
-        assert!(Arc::ptr_eq(
-            &first,
-            &memo.get(Benchmark::AdpcmEncode, &memo_base(0))
-        ));
-        let past = GOLDEN_MEMO_CAPACITY as u32 + 2;
-        for i in 1..past {
-            memo.get(Benchmark::AdpcmEncode, &memo_base(i));
-        }
-        assert_eq!(memo.entries().len(), GOLDEN_MEMO_CAPACITY);
-        let newest = memo.get(Benchmark::AdpcmEncode, &memo_base(past - 1));
-        assert_eq!(memo.entries().len(), GOLDEN_MEMO_CAPACITY);
-        assert!(Arc::ptr_eq(
-            &newest,
-            &memo.entries()[GOLDEN_MEMO_CAPACITY - 1].2
-        ));
-        // The oldest was evicted: asking again computes it afresh.
-        let again = memo.get(Benchmark::AdpcmEncode, &memo_base(0));
-        assert!(!Arc::ptr_eq(&first, &again));
-        assert_eq!(first.output, again.output);
-    }
-
-    #[test]
-    fn a_poisoned_golden_memo_still_serves() {
-        let memo = GoldenMemo::new();
-        let held = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _entries = memo.entries();
-            panic!("a campaign panicked while holding the memo");
-        }));
-        assert!(held.is_err() && memo.0.is_poisoned());
-        let base = memo_base(0);
-        let fetched = memo.get(Benchmark::G722Decode, &base);
-        let direct = golden(Benchmark::G722Decode, &base);
-        assert_eq!(fetched.output, direct.output);
-        assert_eq!(fetched.ledger, direct.ledger);
     }
 
     #[test]

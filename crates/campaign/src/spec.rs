@@ -9,7 +9,9 @@
 //! [`crate::seed::scenario_seed`], so the spec alone fully determines
 //! every random stream in the campaign.
 
-use chunkpoint_core::{optimize, DesignPoint, MitigationScheme, SystemConfig};
+use chunkpoint_core::{
+    optimize, DesignPoint, MitigationScheme, SystemConfig, MAX_CHUNK_WORDS, MAX_L1_PRIME_T,
+};
 use chunkpoint_scenario::{parse_scenarios, ScenarioDef, TimelineEvent};
 use chunkpoint_workloads::Benchmark;
 
@@ -574,8 +576,12 @@ fn field_f64(value: &JsonValue, key: &str, context: &str) -> Result<f64, String>
 
 /// The value ranges the simulator asserts, checked in one place so a
 /// spec off the wire that would trip one is refused before it runs:
-/// every strike rate in `[0, 1)` (`FaultProcess::new`) and the input
-/// scale in `(0, 4]` (`Benchmark::build_task_scaled`).
+/// every strike rate in `[0, 1)` (`FaultProcess::new`), the input scale
+/// in `(0, 4]` (`Benchmark::build_task_scaled`), every fixed scheme's BCH
+/// strength in `1..=MAX_L1_PRIME_T`, the word-level BCH range
+/// (`BchCode::for_word`), and every chunk size, a fixed scheme's and the
+/// chunk axis's, in `1..=MAX_CHUNK_WORDS`, the optimizer's range (a
+/// larger chunk's frame overruns L1).
 fn check_simulator_ranges(spec: &CampaignSpec) -> Result<(), String> {
     let scale = spec.base.scale;
     if !(scale > 0.0 && scale <= 4.0) {
@@ -591,6 +597,38 @@ fn check_simulator_ranges(spec: &CampaignSpec) -> Result<(), String> {
     if let Some(&rate) = spec.error_rates.iter().find(|&&rate| !rate_ok(rate)) {
         return Err(format!(
             "error_rates: entries must be in [0, 1), got {rate}"
+        ));
+    }
+    let chunk_ok = |chunk: u32| (1..=MAX_CHUNK_WORDS).contains(&chunk);
+    for (label, scheme) in &spec.schemes {
+        let ((field, t), chunk) = match *scheme {
+            SchemeSpec::Fixed(MitigationScheme::HwEcc { t }) => (("hw-ecc t", t), None),
+            SchemeSpec::Fixed(
+                MitigationScheme::Hybrid {
+                    chunk_words,
+                    l1_prime_t,
+                }
+                | MitigationScheme::HybridSingleParity {
+                    chunk_words,
+                    l1_prime_t,
+                },
+            ) => (("l1_prime_t", l1_prime_t), Some(chunk_words)),
+            _ => continue,
+        };
+        if !(1..=MAX_L1_PRIME_T).contains(&t) {
+            return Err(format!(
+                "schemes: {label:?}: {field} must be in 1..={MAX_L1_PRIME_T}, got {t}"
+            ));
+        }
+        if let Some(chunk) = chunk.filter(|&chunk| !chunk_ok(chunk)) {
+            return Err(format!(
+                "schemes: {label:?}: chunk_words must be in 1..={MAX_CHUNK_WORDS}, got {chunk}"
+            ));
+        }
+    }
+    if let Some(&chunk) = spec.chunk_words.iter().find(|&&chunk| !chunk_ok(chunk)) {
+        return Err(format!(
+            "chunk_words: entries must be in 1..={MAX_CHUNK_WORDS}, got {chunk}"
         ));
     }
     Ok(())
@@ -762,7 +800,8 @@ impl CampaignSpec {
     ///
     /// Returns a message naming the offending field on any structural,
     /// type, or domain violation (unknown benchmark or scheme kind, zero
-    /// replicates, empty axes, a rate outside [0, 1) or a scale outside (0, 4]…).
+    /// replicates, empty axes, a rate outside [0, 1), a scale outside (0, 4],
+    /// a BCH strength outside 1..=18 or a chunk outside 1..=512…).
     pub fn from_json(value: &JsonValue) -> Result<Self, String> {
         let version = field_u64(value, "version", "spec")?;
         if version != SPEC_VERSION {
@@ -843,11 +882,7 @@ impl CampaignSpec {
                 let raw = k.as_u64().ok_or_else(|| {
                     "chunk_words: entries must be non-negative integers".to_owned()
                 })?;
-                let chunk: u32 = narrow(raw, "chunk_words entry")?;
-                if chunk == 0 {
-                    return Err("chunk_words: entries must be >= 1".to_owned());
-                }
-                Ok(chunk)
+                narrow(raw, "chunk_words entry")
             })
             .collect::<Result<_, _>>()?;
         spec.replicates = field_u64(value, "replicates", "spec")?;

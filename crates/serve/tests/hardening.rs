@@ -179,6 +179,57 @@ fn malformed_inputs_get_typed_errors_and_the_service_survives() {
     assert!(response.contains("(0, 4]"), "{response}");
     assert_alive(&addr, "a scale of 5");
 
+    // 11–13. Scheme parameters the simulator would assert on mid-run: a
+    // BCH strength outside the word-level code's 1..=18, and a chunk
+    // outside the optimizer's 1..=512 (a chunk of 0 words never ends a
+    // speech block; a larger frame overruns L1), in a fixed scheme and
+    // on the chunk axis.
+    let fixed = |scheme: &str, axis: &str| {
+        format!(
+            r#"{{"version":1,"campaign_seed":7,"benchmarks":["ADPCM encode"],
+  "schemes":[{{"label":"Fixed","spec":{{"kind":"fixed","scheme":{scheme}}}}}],{axis}
+  "error_rates":[0.000001],"replicates":1,"normalize":false,"golden_check":false}}"#
+        )
+    };
+    for (case, spec, field, range) in [
+        (
+            11,
+            fixed(r#"{"kind":"hw-ecc","t":19}"#, ""),
+            "hw-ecc t",
+            "1..=18",
+        ),
+        (
+            12,
+            fixed(
+                r#"{"kind":"hybrid-single-parity","chunk_words":16,"l1_prime_t":0}"#,
+                "",
+            ),
+            "l1_prime_t",
+            "1..=18",
+        ),
+        (
+            13,
+            fixed(r#"{"kind":"hybrid","chunk_words":0,"l1_prime_t":8}"#, ""),
+            "chunk_words",
+            "1..=512",
+        ),
+        (
+            13,
+            fixed(
+                r#"{"kind":"hybrid","chunk_words":16,"l1_prime_t":8}"#,
+                r#""chunk_words":[16,100000],"#,
+            ),
+            "chunk_words",
+            "1..=512",
+        ),
+    ] {
+        let response = post_campaigns(&addr, spec.as_bytes());
+        assert!(response.starts_with("HTTP/1.1 400"), "{case}: {response}");
+        assert!(response.contains(field), "{case}: {response}");
+        assert!(response.contains(range), "{case}: {response}");
+        assert_alive(&addr, &format!("case {case}: {field} out of {range}"));
+    }
+
     // After all of it, the service still does real work end to end.
     let good = tiny_spec(0x60D).to_json().render();
     let response = post_campaigns(&addr, good.as_bytes());

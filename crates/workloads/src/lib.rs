@@ -25,7 +25,9 @@
 //! decode is [`JpegDecodeTask`]. Each task family has one profile formula:
 //! a built task's [`StreamingTask::profile`] and L1 layout come from it,
 //! and so does [`Benchmark::profile_for_chunk`], which the chunk-size
-//! optimizer calls without building the task.
+//! optimizer calls without building the task. A benchmark's input is a
+//! pure function of (benchmark, input size), so a process synthesises it
+//! once per size and every build shares it, through the bounded [`Memo`].
 //!
 //! ```
 //! use chunkpoint_workloads::{Benchmark, StreamingTask};
@@ -50,10 +52,12 @@ pub mod g726;
 pub mod jpeg;
 
 mod input;
+mod memo;
 mod stream;
 mod tasks;
 
 pub use input::{speech_pcm, test_image};
+pub use memo::{Memo, MEMO_CAPACITY};
 pub use stream::{
     pack_bytes, pack_i16, read_region, unpack_bytes, unpack_i16, write_region, write_region_at,
     StreamingTask, TaskError, TaskProfile,

@@ -14,6 +14,7 @@
 //! is not the vulnerable SRAM the paper protects.
 
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use chunkpoint_sim::{MemoryBus, Region};
 
@@ -22,6 +23,7 @@ use crate::g722::{self, G722State};
 use crate::g726::{self, G726State};
 use crate::input::{speech_pcm, test_image};
 use crate::jpeg::{self, EntropyState, JpegDecoder};
+use crate::memo::Memo;
 use crate::stream::{
     pack_bytes, pack_i16, read_region, unpack_bytes, unpack_i16, write_region, write_region_at,
     StreamingTask, TaskError, TaskProfile,
@@ -270,7 +272,7 @@ fn speech_block<C: SpeechCodec>(
 /// The encoder template: codes PCM input with codec `C` (MediaBench
 /// `rawcaudio` and `g721 encode`, and the G.722 encoder).
 struct SpeechEncoder<C> {
-    samples: Vec<i16>,
+    samples: Arc<[i16]>,
     shape: Shape,
     codec: PhantomData<C>,
 }
@@ -282,7 +284,7 @@ impl<C: SpeechCodec> SpeechEncoder<C> {
     /// # Panics
     ///
     /// Panics if `chunk_words == 0` or `samples` is empty.
-    fn new(samples: Vec<i16>, chunk_words: u32) -> Self {
+    fn new(samples: Arc<[i16]>, chunk_words: u32) -> Self {
         assert!(chunk_words > 0, "chunk must be at least one word");
         assert!(!samples.is_empty(), "empty input");
         let shape = speech_shape::<C>(Direction::Encode, chunk_words, samples.len());
@@ -349,7 +351,7 @@ impl<C: SpeechCodec> StreamingTask for SpeechEncoder<C> {
 /// The decoder template: decodes a code stream with codec `C` back to
 /// PCM (MediaBench `rawdaudio` and `g721 decode`, and the G.722 decoder).
 struct SpeechDecoder<C> {
-    codes: Vec<u8>,
+    codes: Arc<[u8]>,
     total_samples: usize,
     shape: Shape,
     codec: PhantomData<C>,
@@ -362,7 +364,7 @@ impl<C: SpeechCodec> SpeechDecoder<C> {
     /// # Panics
     ///
     /// Panics if `chunk_words == 0` or the code stream is too short.
-    fn new(codes: Vec<u8>, total_samples: usize, chunk_words: u32) -> Self {
+    fn new(codes: Arc<[u8]>, total_samples: usize, chunk_words: u32) -> Self {
         assert!(chunk_words > 0, "chunk must be at least one word");
         assert!(
             codes.len() * 2 >= total_samples,
@@ -458,8 +460,8 @@ fn jpeg_shape(chunk_words: u32, image_blocks: usize) -> Shape {
 /// through the vulnerable L1.
 #[derive(Debug, Clone)]
 pub struct JpegDecodeTask {
-    bytes: Vec<u8>,
-    decoder: JpegDecoder,
+    bytes: Arc<[u8]>,
+    decoder: Arc<JpegDecoder>,
     shape: Shape,
 }
 
@@ -473,12 +475,17 @@ impl JpegDecodeTask {
     pub fn new(bytes: Vec<u8>, chunk_words: u32) -> Result<Self, TaskError> {
         let decoder =
             JpegDecoder::parse(&bytes).map_err(|e| TaskError::Malformed(e.to_string()))?;
+        Ok(Self::over(bytes.into(), Arc::new(decoder), chunk_words))
+    }
+
+    /// The task over a stream and its already parsed header.
+    fn over(bytes: Arc<[u8]>, decoder: Arc<JpegDecoder>, chunk_words: u32) -> Self {
         let shape = jpeg_shape(chunk_words, decoder.total_blocks());
-        Ok(Self {
+        Self {
             bytes,
             decoder,
             shape,
-        })
+        }
     }
 
     fn blocks_per_phase(&self) -> usize {
@@ -571,6 +578,21 @@ impl StreamingTask for JpegDecodeTask {
 // Benchmark registry
 // ---------------------------------------------------------------------------
 
+/// A benchmark's standard input: what its task streams through L1.
+#[derive(Clone)]
+enum Input {
+    /// An encoder's PCM samples.
+    Pcm(Arc<[i16]>),
+    /// A decoder's code stream: the reference encoder's output.
+    Codes(Arc<[u8]>),
+    /// JPEG's stream and its parsed header.
+    Jpeg(Arc<[u8]>, Arc<JpegDecoder>),
+}
+
+/// The inputs a process has synthesised, keyed by (benchmark, input
+/// size): an input is a pure function of that pair.
+static INPUTS: Memo<(Benchmark, usize), Input> = Memo::new();
+
 /// The five benchmarks of the paper's evaluation, plus the wideband
 /// G.722 pair added for timeline scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -618,7 +640,9 @@ impl Benchmark {
     }
 
     /// Builds a fresh task instance with a `chunk_words`-word data chunk,
-    /// over the benchmark's standard synthetic input.
+    /// over the benchmark's standard synthetic input, which is synthesised
+    /// once per process and input size (see
+    /// [`Benchmark::build_task_scaled`]).
     ///
     /// # Panics
     ///
@@ -686,8 +710,81 @@ impl Benchmark {
         }
     }
 
+    /// What input synthesis reads of `scale`: the PCM sample count of a
+    /// speech task, the image side of JPEG.
+    fn input_size(self, scale: f64) -> usize {
+        match self {
+            Benchmark::JpegDecode => Self::jpeg_side(scale),
+            _ => self.audio_samples(scale),
+        }
+    }
+
+    /// Synthesises the benchmark's standard input of `size` (see
+    /// `input_size`).
+    fn synthesise(self, size: usize) -> Input {
+        let pcm = |seed| speech_pcm(size, seed);
+        match self {
+            Benchmark::AdpcmEncode => Input::Pcm(pcm(0xA1).into()),
+            Benchmark::AdpcmDecode => Input::Codes(adpcm::encode(&pcm(0xA2)).into()),
+            Benchmark::G721Encode => Input::Pcm(pcm(0xB1).into()),
+            Benchmark::G721Decode => Input::Codes(g726::encode(&pcm(0xB2)).into()),
+            Benchmark::JpegDecode => {
+                let bytes = jpeg::encode(&test_image(size, size, 0xC1), size, size, 80);
+                let decoder =
+                    JpegDecoder::parse(&bytes).expect("internally generated stream parses");
+                Input::Jpeg(bytes.into(), Arc::new(decoder))
+            }
+            Benchmark::G722Encode => Input::Pcm(pcm(0xD1).into()),
+            Benchmark::G722Decode => Input::Codes(g722::encode(&pcm(0xD2)).into()),
+        }
+    }
+
+    /// The standard input at `scale` and its size, synthesised on the
+    /// first call of the process for that size.
+    fn input(self, scale: f64) -> (usize, Input) {
+        let size = self.input_size(scale);
+        let input = INPUTS.get_or_compute((self, size), |&(benchmark, size)| {
+            benchmark.synthesise(size)
+        });
+        (size, input)
+    }
+
+    /// The benchmark's task over `input` of `size`.
+    fn task_over(self, input: Input, size: usize, chunk_words: u32) -> Box<dyn StreamingTask> {
+        match (self, input) {
+            (Benchmark::AdpcmEncode, Input::Pcm(pcm)) => {
+                Box::new(SpeechEncoder::<AdpcmState>::new(pcm, chunk_words))
+            }
+            (Benchmark::AdpcmDecode, Input::Codes(codes)) => {
+                Box::new(SpeechDecoder::<AdpcmState>::new(codes, size, chunk_words))
+            }
+            (Benchmark::G721Encode, Input::Pcm(pcm)) => {
+                Box::new(SpeechEncoder::<G726State>::new(pcm, chunk_words))
+            }
+            (Benchmark::G721Decode, Input::Codes(codes)) => {
+                Box::new(SpeechDecoder::<G726State>::new(codes, size, chunk_words))
+            }
+            (Benchmark::JpegDecode, Input::Jpeg(bytes, decoder)) => {
+                Box::new(JpegDecodeTask::over(bytes, decoder, chunk_words))
+            }
+            (Benchmark::G722Encode, Input::Pcm(pcm)) => {
+                Box::new(SpeechEncoder::<G722State>::new(pcm, chunk_words))
+            }
+            (Benchmark::G722Decode, Input::Codes(codes)) => {
+                Box::new(SpeechDecoder::<G722State>::new(codes, size, chunk_words))
+            }
+            _ => unreachable!("`synthesise` gives each benchmark its input kind"),
+        }
+    }
+
     /// Like [`Benchmark::build_task`] with an input-length scale factor
     /// (0.1 = ten times shorter runs, for fast tests).
+    ///
+    /// The input is a pure function of (benchmark, input size), where the
+    /// size is what synthesis reads of `scale` (a sample count, or JPEG's
+    /// image side), so a process synthesises it once per size and every
+    /// later build shares it; the memo is bounded
+    /// ([`crate::MEMO_CAPACITY`] entries).
     ///
     /// # Panics
     ///
@@ -695,46 +792,8 @@ impl Benchmark {
     #[must_use]
     pub fn build_task_scaled(self, chunk_words: u32, scale: f64) -> Box<dyn StreamingTask> {
         assert!(scale > 0.0 && scale <= 4.0, "scale out of range");
-        let n_audio = self.audio_samples(scale);
-        match self {
-            Benchmark::AdpcmEncode => Box::new(SpeechEncoder::<AdpcmState>::new(
-                speech_pcm(n_audio, 0xA1),
-                chunk_words,
-            )),
-            Benchmark::AdpcmDecode => {
-                let codes = adpcm::encode(&speech_pcm(n_audio, 0xA2));
-                Box::new(SpeechDecoder::<AdpcmState>::new(
-                    codes,
-                    n_audio,
-                    chunk_words,
-                ))
-            }
-            Benchmark::G721Encode => Box::new(SpeechEncoder::<G726State>::new(
-                speech_pcm(n_audio, 0xB1),
-                chunk_words,
-            )),
-            Benchmark::G721Decode => {
-                let codes = g726::encode(&speech_pcm(n_audio, 0xB2));
-                Box::new(SpeechDecoder::<G726State>::new(codes, n_audio, chunk_words))
-            }
-            Benchmark::JpegDecode => {
-                let side = Self::jpeg_side(scale);
-                let img = test_image(side, side, 0xC1);
-                let bytes = jpeg::encode(&img, side, side, 80);
-                Box::new(
-                    JpegDecodeTask::new(bytes, chunk_words)
-                        .expect("internally generated stream parses"),
-                )
-            }
-            Benchmark::G722Encode => Box::new(SpeechEncoder::<G722State>::new(
-                speech_pcm(n_audio, 0xD1),
-                chunk_words,
-            )),
-            Benchmark::G722Decode => {
-                let codes = g722::encode(&speech_pcm(n_audio, 0xD2));
-                Box::new(SpeechDecoder::<G722State>::new(codes, n_audio, chunk_words))
-            }
-        }
+        let (size, input) = self.input(scale);
+        self.task_over(input, size, chunk_words)
     }
 
     /// Analytic [`TaskProfile`] for a given chunk size *without* building
@@ -822,7 +881,7 @@ mod tests {
     ) {
         for n in counts {
             let pcm = speech_pcm(n, seed);
-            let mut task = SpeechEncoder::<C>::new(pcm.clone(), chunk_words);
+            let mut task = SpeechEncoder::<C>::new(pcm.clone().into(), chunk_words);
             let drained = run_to_completion(&mut task, &mut quiet_bus());
             assert_eq!(drained, pack_bytes(&encode(&pcm)), "{n} samples");
         }
@@ -839,7 +898,7 @@ mod tests {
     ) {
         for n in counts {
             let codes = encode(&speech_pcm(n, seed));
-            let mut task = SpeechDecoder::<C>::new(codes.clone(), n, chunk_words);
+            let mut task = SpeechDecoder::<C>::new(codes.clone().into(), n, chunk_words);
             let drained = run_to_completion(&mut task, &mut quiet_bus());
             assert_eq!(drained, pack_i16(&decode(&codes, n)), "{n} samples");
         }
@@ -901,7 +960,7 @@ mod tests {
         // The restartability contract: run block 3, then run it again;
         // the second run must produce identical output and state.
         let pcm = speech_pcm(4000, 3);
-        let mut task = SpeechEncoder::<G726State>::new(pcm, 4);
+        let mut task = SpeechEncoder::<G726State>::new(pcm.into(), 4);
         let mut bus = quiet_bus();
         task.init(&mut bus).unwrap();
         for b in 0..3 {
@@ -994,6 +1053,74 @@ mod tests {
             for block in 0..task.total_blocks() {
                 task.run_block(block, &mut bus)
                     .unwrap_or_else(|e| panic!("chunk={chunk_words} block={block}: {e}"));
+            }
+        }
+    }
+
+    /// Input length: samples, code bytes or stream bytes.
+    fn input_len(input: &Input) -> usize {
+        match input {
+            Input::Pcm(pcm) => pcm.len(),
+            Input::Codes(codes) => codes.len(),
+            Input::Jpeg(bytes, _) => bytes.len(),
+        }
+    }
+
+    /// Whether two inputs are one memo entry, not just equal values.
+    fn shared(a: &Input, b: &Input) -> bool {
+        match (a, b) {
+            (Input::Pcm(a), Input::Pcm(b)) => Arc::ptr_eq(a, b),
+            (Input::Codes(a), Input::Codes(b)) => Arc::ptr_eq(a, b),
+            (Input::Jpeg(a, x), Input::Jpeg(b, y)) => Arc::ptr_eq(a, b) && Arc::ptr_eq(x, y),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn memoised_builds_equal_builds_over_fresh_input() {
+        for benchmark in Benchmark::ALL {
+            for scale in [0.05, 0.25, 0.3, 1.0, 2.0, 4.0] {
+                let _ = benchmark.build_task_scaled(16, scale);
+                let mut warm = benchmark.build_task_scaled(16, scale);
+                let size = benchmark.input_size(scale);
+                let mut fresh = benchmark.task_over(benchmark.synthesise(size), size, 16);
+                let at = format!("{benchmark} scale={scale}");
+                assert_eq!(warm.profile(), fresh.profile(), "{at}");
+                assert_eq!(
+                    run_to_completion(warm.as_mut(), &mut quiet_bus()),
+                    run_to_completion(fresh.as_mut(), &mut quiet_bus()),
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scales_of_one_input_size_share_one_entry() {
+        // This test binary builds fewer than `MEMO_CAPACITY` distinct
+        // inputs, so nothing is evicted between two lookups.
+        for (benchmark, scales) in [
+            // Both round up to the 48-sample floor.
+            (Benchmark::AdpcmEncode, [0.05, 0.09]),
+            // Both below 2.0: one 16×16 tile.
+            (Benchmark::JpegDecode, [0.25, 1.0]),
+        ] {
+            let (size_a, a) = benchmark.input(scales[0]);
+            let (size_b, b) = benchmark.input(scales[1]);
+            assert_eq!(size_a, size_b, "{benchmark}");
+            assert!(shared(&a, &b), "{benchmark}");
+        }
+    }
+
+    #[test]
+    fn scales_a_quarter_and_two_get_distinct_inputs() {
+        for benchmark in Benchmark::ALL {
+            let (size_a, a) = benchmark.input(0.25);
+            let (size_b, b) = benchmark.input(2.0);
+            assert!(size_a < size_b, "{benchmark}");
+            assert!(input_len(&a) < input_len(&b), "{benchmark}");
+            if let (Input::Jpeg(_, a), Input::Jpeg(_, b)) = (&a, &b) {
+                assert_eq!((a.width(), b.width()), (16, 32));
             }
         }
     }

@@ -287,23 +287,24 @@ GOLD_B_PID=$!
 for _ in $(seq 1 200); do [ -s "$GOLD_DIR/port_a" ] && [ -s "$GOLD_DIR/port_b" ] && break; sleep 0.05; done
 [ -s "$GOLD_DIR/port_a" ] && [ -s "$GOLD_DIR/port_b" ] \
     || { echo "denominator-smoke serves never wrote their ports"; exit 1; }
-# serve keeps golden references across jobs. Backend A first runs a
-# warm-up at another scale, so a golden memo keyed too loosely would hand
-# the target campaign the warm-up's references there; backend B runs the
-# target cold. JPEG at lambda = 1e-3 also pins its same-seed Default
-# denominator across the process boundary.
+# serve keeps golden references and benchmark inputs across jobs.
+# Backend A first runs a warm-up at another scale, so a memo keyed too
+# loosely would hand the target campaign the warm-up's references or
+# inputs there (one benchmark per input kind: codes, a JPEG stream, PCM);
+# backend B runs the target cold. JPEG at lambda = 1e-3 also pins its
+# same-seed Default denominator across the process boundary.
 GOLD_SCHEMES='"schemes":[{"label":"HW-based","spec":{"kind":"fixed","scheme":{"kind":"hw-ecc","t":8}}},
  {"label":"Proposed","spec":{"kind":"fixed","scheme":{"kind":"hybrid","chunk_words":16,"l1_prime_t":8}}}]'
 cat > "$GOLD_DIR/warmup.json" <<SPEC
 {"version":1,"campaign_seed":19,
  "base":{"scale":0.25,"error_rate":0.000001,"seed":0,"area_overhead":0.05,"cycle_overhead":0.1},
- "benchmarks":["ADPCM decode","JPG decode"],$GOLD_SCHEMES,
+ "benchmarks":["ADPCM decode","JPG decode","G722 encode"],$GOLD_SCHEMES,
  "error_rates":[0.000001],"replicates":1,"normalize":true,"golden_check":false}
 SPEC
 cat > "$GOLD_DIR/target.json" <<SPEC
 {"version":1,"campaign_seed":19,
  "base":{"scale":2.0,"error_rate":0.000001,"seed":0,"area_overhead":0.05,"cycle_overhead":0.1},
- "benchmarks":["ADPCM decode","JPG decode"],$GOLD_SCHEMES,
+ "benchmarks":["ADPCM decode","JPG decode","G722 encode"],$GOLD_SCHEMES,
  "error_rates":[0.000001,0.001],"replicates":2,"normalize":true,"golden_check":true}
 SPEC
 GOLD_A="127.0.0.1:$(cat "$GOLD_DIR/port_a")"
