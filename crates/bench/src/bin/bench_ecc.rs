@@ -2,8 +2,10 @@
 //! PRs have a comparable trajectory: words/second of every catalog
 //! code's encode, clean decode and faulty decode, of the retained
 //! bit-serial references beside the table-driven paths that replaced
-//! them (each speedup paired round by round), and of SRAM block and
-//! word transfers.
+//! them (each speedup paired round by round), of SRAM block and word
+//! transfers, and of single-word accesses through a [`PlainBus`], the
+//! path every simulated load and store takes (energy ledger, strike
+//! sampling, ECC), with the fault process off and at λ = 1e-6.
 //!
 //! Run with `cargo run --release -p chunkpoint_bench --bin bench_ecc`
 //! (`--smoke` for CI).
@@ -12,8 +14,11 @@ use std::hint::black_box;
 
 use chunkpoint_bench::harness::{Bench, Round};
 use chunkpoint_campaign::JsonValue;
+use chunkpoint_core::MitigationScheme;
 use chunkpoint_ecc::{build_scheme, BchCode, BitBuf, Decoded, EccKind, EccScheme, SecdedCode};
-use chunkpoint_sim::{FaultProcess, Sram};
+use chunkpoint_sim::{
+    Component, FaultProcess, MemoryBus, PlainBus, Platform, Sram, UpsetModel, WordAddr,
+};
 
 /// Operations per table-driven figure.
 const FAST_ITERS: u64 = 100_000;
@@ -23,6 +28,14 @@ const REF_ITERS: u64 = 8_000;
 const SRAM_WORDS: usize = 1024;
 /// Block transfers per SRAM figure.
 const SRAM_ROUNDS: u64 = 100;
+/// Accesses per bus figure, stores and loads alternating.
+const BUS_ACCESSES: u64 = 100_000;
+/// Words of the array behind each bus figure.
+const BUS_WORDS: WordAddr = 1024;
+/// A bus figure ticks once per this many accesses.
+const TICK_EVERY: u64 = 16;
+/// Strike rates of the bus figures: the fault process off, and on.
+const BUS_RATES: [f64; 2] = [0.0, 1e-6];
 
 const KINDS: [EccKind; 9] = [
     EccKind::Parity,
@@ -152,6 +165,42 @@ fn time_sram(round: &mut Round<'_>, mem: &mut Sram, values: &[u32]) {
     });
 }
 
+/// A bus over a `BUS_WORDS`-word array of `kind` at strike rate `rate`,
+/// and the name of its figure.
+fn bus(kind: EccKind, rate: f64) -> (String, PlainBus) {
+    let faults = FaultProcess::new(rate, UpsetModel::smu_65nm(), 7);
+    let sram = Sram::new("bench", BUS_WORDS as usize, kind, faults).expect("catalog kind builds");
+    let name = if rate > 0.0 {
+        format!("bus.{kind}.access_at_{rate:e}_wps")
+    } else {
+        format!("bus.{kind}.access_wps")
+    };
+    (
+        name,
+        PlainBus::new(sram, Platform::lh7a400(), Component::L1),
+    )
+}
+
+/// One round of `BUS_ACCESSES` accesses on `bus`, stores and loads
+/// alternating, a 4-cycle `tick` after every `TICK_EVERY`: each load
+/// reads the word stored half the array earlier, so a loaded word has
+/// been exposed for about a thousand cycles.
+fn time_bus(round: &mut Round<'_>, name: &str, bus: &mut PlainBus) {
+    round.rate(name, BUS_ACCESSES as f64, || {
+        for i in 0..BUS_ACCESSES {
+            let addr = (i / 2) as WordAddr % BUS_WORDS;
+            if i % 2 == 0 {
+                bus.store(addr, word(i));
+            } else {
+                let _ = black_box(bus.load((addr + BUS_WORDS / 2) % BUS_WORDS));
+            }
+            if i % TICK_EVERY == TICK_EVERY - 1 {
+                bus.tick(4);
+            }
+        }
+    });
+}
+
 fn main() {
     let bench = Bench::new("ecc", 1, 0);
     let codes: Vec<Code> = KINDS.into_iter().map(Code::new).collect();
@@ -166,6 +215,10 @@ fn main() {
                 .expect("catalog kind builds")
         })
         .collect();
+    let mut buses: Vec<(String, PlainBus)> = [EccKind::None, MitigationScheme::SwRestart.l1_kind()]
+        .into_iter()
+        .flat_map(|kind| BUS_RATES.map(|rate| bus(kind, rate)))
+        .collect();
 
     let mut figures = bench.run(|round| {
         for code in &codes {
@@ -173,6 +226,9 @@ fn main() {
         }
         for mem in &mut srams {
             time_sram(round, mem, &values);
+        }
+        for (name, bus) in &mut buses {
+            time_bus(round, name, bus);
         }
     });
     for code in &codes {
@@ -185,10 +241,13 @@ fn main() {
     let fields = JsonValue::object()
         .field("fast_iters", FAST_ITERS)
         .field("ref_iters", REF_ITERS)
+        .field("bus_accesses", BUS_ACCESSES)
         .field(
             "note",
             "words/second per figure; *_ref_wps time the bit-serial references, and \
-             *_speedup pairs each table-driven figure with its reference round by round",
+             *_speedup pairs each table-driven figure with its reference round by round; \
+             bus.* time alternating PlainBus stores and loads with a tick every 16 \
+             accesses, at strike rate 0 or the rate in the name",
         );
     bench.write(fields, &figures);
 }

@@ -144,10 +144,9 @@ impl EccScheme for ParityCode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterleavedParity {
     ways: usize,
-    /// `way_masks[j]` = stored positions `p ≡ j (mod ways)` over the full
-    /// `32 + ways`-bit codeword (fits one backing word), so each way's
-    /// parity is one AND + popcount instead of a walk over positions.
-    way_masks: [u64; 8],
+    /// `32 % ways`: check bit `i`, at stored position `32 + i`, belongs to
+    /// way `(32 % ways + i) % ways`.
+    check_rotation: usize,
 }
 
 /// Static names so `name()` never allocates (ways is 1..=8).
@@ -174,11 +173,10 @@ impl InterleavedParity {
                 "interleaved parity supports 1..=8 ways, got {ways}"
             )));
         }
-        let mut way_masks = [0u64; 8];
-        for p in 0..(32 + ways) {
-            way_masks[p % ways] |= 1u64 << p;
-        }
-        Ok(Self { ways, way_masks })
+        Ok(Self {
+            ways,
+            check_rotation: 32 % ways,
+        })
     }
 
     /// Number of interleaved ways (= guaranteed burst detection width).
@@ -187,18 +185,22 @@ impl InterleavedParity {
         self.ways
     }
 
-    /// XOR of all stored bits per way, where a *stored position* `p`
-    /// belongs to way `p % ways`. Using the physical position for both
-    /// data and parity bits guarantees that an adjacent burst of up to
-    /// `ways` bits touches `ways` distinct ways exactly once each — even
-    /// when the burst straddles the data/parity boundary.
-    fn parities(&self, stored: &BitBuf) -> u32 {
-        let w = stored.as_words()[0];
-        let mut acc = 0u32;
-        for (j, &mask) in self.way_masks[..self.ways].iter().enumerate() {
-            acc |= ((w & mask).count_ones() & 1) << j;
+    /// XOR of the bits of `w` per way, where position `p` belongs to way
+    /// `p % ways`: bit `j` of the result is way `j`'s parity. Folding `w`
+    /// onto itself `ways`, `2·ways`, `4·ways`… bits down XORs every
+    /// position of a way into its lowest one, with no popcount. Using the
+    /// physical position for both data and parity bits guarantees that an
+    /// adjacent burst of up to `ways` bits touches `ways` distinct ways
+    /// exactly once each — even when the burst straddles the data/parity
+    /// boundary.
+    fn parities(&self, w: u64) -> u32 {
+        let mut acc = w;
+        let mut shift = self.ways;
+        while shift < 64 {
+            acc ^= acc >> shift;
+            shift *= 2;
         }
-        acc
+        (acc & ((1 << self.ways) - 1)) as u32
     }
 }
 
@@ -221,17 +223,15 @@ impl EccScheme for InterleavedParity {
     }
 
     fn encode(&self, data: u32) -> BitBuf {
-        // Data-bit parity per way, word-parallel over physical positions.
-        let mut w = u64::from(data);
-        // Parity position 32 + j belongs to way (32 + j) % ways; set it to
-        // even out that way (positions 32..32+ways cover each way once).
-        for j in 0..self.ways {
-            let way = (32 + j) % self.ways;
-            let parity = u64::from((w & self.way_masks[way]).count_ones() & 1);
-            w |= parity << (32 + j);
-        }
-        let stored = BitBuf::from_u64(w, 32 + self.ways);
-        debug_assert_eq!(self.parities(&stored), 0);
+        // Check bit `i` evens out its way: it is way
+        // `(check_rotation + i) % ways`'s data parity, so the check bits
+        // are the data parities rotated right by `check_rotation`.
+        let data_parity = self.parities(u64::from(data));
+        let (ways, rotation) = (self.ways, self.check_rotation);
+        let check =
+            ((data_parity >> rotation) | (data_parity << (ways - rotation))) & ((1 << ways) - 1);
+        let stored = BitBuf::from_u64(u64::from(data) | u64::from(check) << 32, 32 + ways);
+        debug_assert_eq!(self.parities(stored.as_words()[0]), 0);
         stored
     }
 
@@ -242,7 +242,7 @@ impl EccScheme for InterleavedParity {
             "stored word length mismatch for {}",
             self.name()
         );
-        if self.parities(stored) == 0 {
+        if self.parities(stored.as_words()[0]) == 0 {
             Decoded::Clean {
                 data: stored.extract_u32(0),
             }
@@ -255,6 +255,53 @@ impl EccScheme for InterleavedParity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Interleaved parity by one mask and popcount per way, the reference
+    /// the fold must match: `(encode, parities)` over `ways` ways.
+    fn masked_reference(ways: usize) -> (impl Fn(u32) -> u64, impl Fn(u64) -> u32) {
+        let mut masks = [0u64; 8];
+        for p in 0..(32 + ways) {
+            masks[p % ways] |= 1u64 << p;
+        }
+        let encode = move |data: u32| {
+            let mut w = u64::from(data);
+            for j in 0..ways {
+                let way = (32 + j) % ways;
+                w |= u64::from((w & masks[way]).count_ones() & 1) << (32 + j);
+            }
+            w
+        };
+        let parities =
+            move |w: u64| (0..ways).fold(0, |acc, j| acc | ((w & masks[j]).count_ones() & 1) << j);
+        (encode, parities)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4096, .. ProptestConfig::default() })]
+
+        /// The fold encodes every word as the per-way masks did, and
+        /// decodes every corruption of it alike.
+        #[test]
+        fn interleaved_parity_fold_matches_the_masks(
+            ways in 1usize..=8,
+            data: u32,
+            flips: u64,
+        ) {
+            let code = InterleavedParity::new(ways).unwrap();
+            let (encode, parities) = masked_reference(ways);
+            let stored = code.encode(data);
+            prop_assert_eq!(stored.as_words()[0], encode(data), "ways {}", ways);
+            prop_assert_eq!(stored.len(), 32 + ways);
+            let corrupted = stored.as_words()[0] ^ (flips & ((1 << (32 + ways)) - 1));
+            let expected = if parities(corrupted) == 0 {
+                Decoded::Clean { data: corrupted as u32 }
+            } else {
+                Decoded::DetectedUncorrectable
+            };
+            prop_assert_eq!(code.decode(&BitBuf::from_u64(corrupted, 32 + ways)), expected);
+        }
+    }
 
     #[test]
     fn nocode_roundtrip_and_silent_corruption() {

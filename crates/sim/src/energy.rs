@@ -5,8 +5,6 @@
 //! posts cycles and picojoules against a [`Component`], and reports can be
 //! diffed between mitigation schemes.
 
-use std::collections::BTreeMap;
-
 /// Architectural components that consume energy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Component {
@@ -69,7 +67,12 @@ impl std::fmt::Display for Component {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyLedger {
-    energy_pj: BTreeMap<Component, f64>,
+    /// Energy per component, indexed by `Component as usize`.
+    energy_pj: [f64; Component::ALL.len()],
+    /// Bit `c` is set once component `c` has been charged, even 0 pJ. The
+    /// total sums only charged components: an empty ledger totals the
+    /// empty float sum, −0.0, where summing seven zeros gives +0.0.
+    charged: u8,
     cycles: u64,
 }
 
@@ -87,7 +90,8 @@ impl EnergyLedger {
     /// Panics (debug) on negative or non-finite energy.
     pub fn add(&mut self, component: Component, pj: f64) {
         debug_assert!(pj.is_finite() && pj >= 0.0, "bad energy {pj}");
-        *self.energy_pj.entry(component).or_insert(0.0) += pj;
+        self.energy_pj[component as usize] += pj;
+        self.charged |= 1 << component as usize;
     }
 
     /// Advances the global cycle counter.
@@ -104,21 +108,29 @@ impl EnergyLedger {
     /// Energy charged to one component, pJ.
     #[must_use]
     pub fn component_pj(&self, component: Component) -> f64 {
-        self.energy_pj.get(&component).copied().unwrap_or(0.0)
+        self.energy_pj[component as usize]
     }
 
-    /// Total energy across all components, pJ.
+    /// Total energy across all components, pJ, summed in
+    /// [`Component::ALL`] order.
     #[must_use]
     pub fn total_pj(&self) -> f64 {
-        self.energy_pj.values().sum()
+        self.charged().map(|c| self.component_pj(c)).sum()
     }
 
     /// Folds another ledger into this one (cycles add up too).
     pub fn merge(&mut self, other: &EnergyLedger) {
-        for (&component, &pj) in &other.energy_pj {
-            self.add(component, pj);
+        for component in other.charged() {
+            self.add(component, other.component_pj(component));
         }
         self.cycles += other.cycles;
+    }
+
+    /// The components charged so far, in [`Component::ALL`] order.
+    fn charged(&self) -> impl Iterator<Item = Component> + '_ {
+        Component::ALL
+            .into_iter()
+            .filter(|&c| self.charged & (1 << c as usize) != 0)
     }
 
     /// Charges integrated leakage for `cycles` cycles of a block leaking
@@ -155,6 +167,13 @@ impl std::fmt::Display for EnergyLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn components_index_the_ledger_in_display_order() {
+        for (i, c) in Component::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c}");
+        }
+    }
 
     #[test]
     fn empty_ledger_is_zero() {

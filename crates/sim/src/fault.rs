@@ -142,6 +142,13 @@ impl FaultTimeline {
     }
 }
 
+/// A bound at or below `exp(-λ)` for every λ > 0, computed without `exp`:
+/// e^(−λ) ≥ 1 − λ, `exp` is within one ulp, and the 2ε margin covers that
+/// ulp and the rounding of 1 − λ. From λ = 1 on it is negative.
+fn no_strike_bound(lambda: f64) -> f64 {
+    (1.0 - lambda) - 2.0 * f64::EPSILON
+}
+
 /// Poisson process injecting bit-flip bursts into stored words.
 ///
 /// # Examples
@@ -318,12 +325,17 @@ impl FaultProcess {
     }
 
     /// Exact Poisson(λ) by inversion; λ is tiny in all realistic
-    /// configurations so this loop terminates immediately.
+    /// configurations so this loop terminates immediately. A draw below
+    /// [`no_strike_bound`] is a draw below e^(−λ), so the common no-strike
+    /// case returns 0 without computing the `exp`, from the same draw.
     fn sample_poisson(&mut self, lambda: f64) -> u64 {
         if lambda <= 0.0 {
             return 0;
         }
         let u: f64 = self.rng.gen();
+        if u < no_strike_bound(lambda) {
+            return 0;
+        }
         let mut cumulative = (-lambda).exp();
         let mut probability = cumulative;
         let mut k = 0u64;
@@ -391,6 +403,53 @@ impl FaultProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Poisson(λ) by the full inversion loop, `exp` always computed: the
+    /// reference the no-strike shortcut must match.
+    fn reference_poisson(rng: &mut StdRng, lambda: f64) -> u64 {
+        if lambda <= 0.0 {
+            return 0;
+        }
+        let u: f64 = rng.gen();
+        let mut cumulative = (-lambda).exp();
+        let mut probability = cumulative;
+        let mut k = 0u64;
+        while u > cumulative && k < 64 {
+            k += 1;
+            probability *= lambda / k as f64;
+            cumulative += probability;
+        }
+        k
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4096, .. ProptestConfig::default() })]
+
+        /// The shortcut returns the inversion loop's count from the same
+        /// draw and leaves the stream where the loop leaves it, for λ
+        /// log-uniform over [1e-300, 2), λ = 0 and λ ≥ 1.
+        #[test]
+        fn shortcut_poisson_matches_the_inversion_loop(
+            exponent in -300.0f64..2.0f64.log10(),
+            large in 1.0f64..80.0,
+            seed: u64,
+        ) {
+            let mut faults = FaultProcess::new(0.0, UpsetModel::SingleBit, seed);
+            let mut reference = faults.rng.clone();
+            for lambda in [10f64.powf(exponent), 0.0, 1.0, large] {
+                prop_assert!(
+                    no_strike_bound(lambda) <= (-lambda).exp(),
+                    "bound above exp(-{lambda})"
+                );
+                for _ in 0..8 {
+                    let count = faults.sample_poisson(lambda);
+                    prop_assert_eq!(count, reference_poisson(&mut reference, lambda), "λ {}", lambda);
+                    prop_assert!(faults.rng == reference, "stream diverged at λ {}", lambda);
+                }
+            }
+        }
+    }
 
     #[test]
     fn disabled_never_strikes() {

@@ -1,5 +1,7 @@
 //! Property-based tests of the simulator substrate.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use chunkpoint_ecc::EccKind;
@@ -7,6 +9,70 @@ use chunkpoint_sim::{
     Component, EnergyLedger, FaultProcess, MemoryBus, PlainBus, Platform, Sram, SramModel,
     UpsetModel,
 };
+
+/// The ledger as a fold into a `BTreeMap`: the reference every figure of
+/// the array ledger must match bit for bit.
+#[derive(Default)]
+struct MapLedger(BTreeMap<Component, f64>);
+
+impl MapLedger {
+    fn add(&mut self, component: Component, pj: f64) {
+        *self.0.entry(component).or_insert(0.0) += pj;
+    }
+
+    fn component_pj(&self, component: Component) -> f64 {
+        self.0.get(&component).copied().unwrap_or(0.0)
+    }
+
+    fn total_pj(&self) -> f64 {
+        self.0.values().sum()
+    }
+
+    fn merge(&mut self, other: &MapLedger) {
+        for (&component, &pj) in &other.0 {
+            self.add(component, pj);
+        }
+    }
+
+    fn breakdown(&self) -> Vec<(Component, f64)> {
+        Component::ALL
+            .iter()
+            .filter_map(|&c| {
+                let pj = self.component_pj(c);
+                (pj > 0.0).then_some((c, pj))
+            })
+            .collect()
+    }
+}
+
+/// A ledger's total, per-component figures and breakdown, as bits.
+type LedgerBits = (u64, Vec<u64>, Vec<(Component, u64)>);
+
+fn bits(
+    total_pj: f64,
+    component_pj: impl Fn(Component) -> f64,
+    breakdown: Vec<(Component, f64)>,
+) -> LedgerBits {
+    (
+        total_pj.to_bits(),
+        Component::ALL
+            .iter()
+            .map(|&c| component_pj(c).to_bits())
+            .collect(),
+        breakdown
+            .into_iter()
+            .map(|(c, pj)| (c, pj.to_bits()))
+            .collect(),
+    )
+}
+
+fn ledger_bits(l: &EnergyLedger) -> LedgerBits {
+    bits(l.total_pj(), |c| l.component_pj(c), l.breakdown())
+}
+
+fn map_bits(l: &MapLedger) -> LedgerBits {
+    bits(l.total_pj(), |c| l.component_pj(c), l.breakdown())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
@@ -110,5 +176,51 @@ proptest! {
         // 10x the exposure -> more strikes (statistically robust at these
         // counts: E[short] = 2, E[long] = 20).
         prop_assert!(long_strikes >= short_strikes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2048, .. ProptestConfig::default() })]
+
+    /// The array ledger equals the map fold bit for bit: totals,
+    /// components, breakdowns and merges, over charge sequences of any
+    /// length (empty included) with exact zeros, tiny and huge charges.
+    #[test]
+    fn ledger_matches_the_map_fold_bit_for_bit(
+        charges in proptest::collection::vec(
+            (0usize..7, 0u8..4, 0.0f64..1e6, -30.0f64..30.0, any::<bool>()),
+            0..40,
+        ),
+    ) {
+        let (mut a, mut b) = (EnergyLedger::new(), EnergyLedger::new());
+        let (mut map_a, mut map_b) = (MapLedger::default(), MapLedger::default());
+        for &(c, shape, uniform, exponent, into_a) in &charges {
+            let component = Component::ALL[c];
+            let pj = match shape {
+                0 => 0.0,
+                1 => uniform,
+                _ => 10f64.powf(exponent),
+            };
+            if into_a {
+                a.add(component, pj);
+                map_a.add(component, pj);
+            } else {
+                b.add(component, pj);
+                map_b.add(component, pj);
+            }
+        }
+        prop_assert_eq!(ledger_bits(&a), map_bits(&map_a));
+        prop_assert_eq!(ledger_bits(&b), map_bits(&map_b));
+        let mut into_empty = EnergyLedger::new();
+        let mut map_into_empty = MapLedger::default();
+        into_empty.merge(&b);
+        map_into_empty.merge(&map_b);
+        prop_assert_eq!(ledger_bits(&into_empty), map_bits(&map_into_empty));
+        a.merge(&b);
+        map_a.merge(&map_b);
+        prop_assert_eq!(ledger_bits(&a), map_bits(&map_a));
+        b.merge(&a);
+        map_b.merge(&map_a);
+        prop_assert_eq!(ledger_bits(&b), map_bits(&map_b));
     }
 }

@@ -22,6 +22,12 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+# The golden fixtures again, in the release build perfbench and serve
+# ship: debug builds take debug_assert! branches (the engine re-runs
+# every speech denominator) that release builds skip.
+echo "== golden fixtures, release build =="
+cargo test --release --offline -q --test golden --test properties
+
 # Compiler warnings fail the gate, so a deletion cannot leave behind an
 # unused field, a helper with no caller or a stale test import.
 echo "== cargo check (warnings are errors) =="
