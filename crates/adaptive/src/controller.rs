@@ -4,13 +4,11 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use chunkpoint_campaign::rows::exact_cover;
+use chunkpoint_campaign::rows::{exact_cover, REPORT_AXES};
 use chunkpoint_campaign::{
     canonical_report_json, CampaignSpec, CancelToken, JsonValue, ScenarioResult,
 };
 use chunkpoint_exec::{CampaignEvent, CampaignExecutor, ExecError};
-use chunkpoint_serve::REPORT_AXES;
-use chunkpoint_telemetry::Tracer;
 
 use crate::metrics::ControllerTelemetry;
 use crate::policy::{plan_round, AdaptivePolicy, CellProgress, CellStop};
@@ -72,7 +70,6 @@ pub struct AdaptiveRun {
 pub struct AdaptiveController<E: CampaignExecutor> {
     executor: E,
     policy: AdaptivePolicy,
-    tracer: Tracer,
 }
 
 impl<E: CampaignExecutor> fmt::Debug for AdaptiveController<E> {
@@ -87,19 +84,7 @@ impl<E: CampaignExecutor> AdaptiveController<E> {
     /// A controller driving `executor` under `policy`.
     #[must_use]
     pub fn new(executor: E, policy: AdaptivePolicy) -> Self {
-        Self {
-            executor,
-            policy,
-            tracer: Tracer::disabled(),
-        }
-    }
-
-    /// Traces every control decision (round plans, stops, grants) as
-    /// structured span events through `tracer`.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
+        Self { executor, policy }
     }
 
     /// Runs the adaptive campaign to completion, discarding events.
@@ -156,16 +141,6 @@ impl<E: CampaignExecutor> AdaptiveController<E> {
         let budget = grid.len();
         let cell_count = budget / stride;
         let telemetry = ControllerTelemetry::resolve();
-        let span = self.tracer.root("adaptive_campaign");
-        if span.is_traced() {
-            span.event(
-                "policy",
-                self.policy
-                    .to_json()
-                    .field("cells", cell_count)
-                    .field("budget", budget),
-            );
-        }
 
         let mut cells: Vec<CellProgress> = vec![CellProgress::default(); cell_count];
         let mut results: Vec<ScenarioResult> = Vec::new();
@@ -180,15 +155,6 @@ impl<E: CampaignExecutor> AdaptiveController<E> {
                 if stop.converged && stop.replicates < replicates {
                     telemetry.cells_stopped_early.inc();
                 }
-                span.event(
-                    "cell_stopped",
-                    JsonValue::object()
-                        .field("cell", *cell)
-                        .field("round", u64::from(stop.round))
-                        .field("replicates", stop.replicates)
-                        .field("ci95", stop.ci95)
-                        .field("converged", stop.converged),
-                );
                 on_event(&CampaignEvent::CellStopped {
                     cell: *cell,
                     round: stop.round,
@@ -201,28 +167,12 @@ impl<E: CampaignExecutor> AdaptiveController<E> {
             telemetry.open_cells.set(open as i64);
             for (cell, extra) in &plan.grants {
                 telemetry.replicates_reallocated.add(*extra);
-                span.event(
-                    "reallocated",
-                    JsonValue::object()
-                        .field("cell", *cell)
-                        .field("round", u64::from(round))
-                        .field("extra", *extra),
-                );
                 on_event(&CampaignEvent::Reallocated {
                     cell: *cell,
                     round,
                     extra: *extra,
                 });
             }
-            span.event(
-                "round_plan",
-                JsonValue::object()
-                    .field("round", u64::from(round))
-                    .field("stops", plan.stops.len())
-                    .field("grants", plan.grants.len())
-                    .field("open", open)
-                    .field("pool", plan.pool),
-            );
             if plan.allocations.is_empty() {
                 break;
             }

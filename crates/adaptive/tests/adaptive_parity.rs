@@ -14,7 +14,7 @@ use chunkpoint_adaptive::{AdaptiveController, AdaptivePolicy, AdaptiveRun};
 use chunkpoint_campaign::{CampaignSpec, SchemeSpec};
 use chunkpoint_chaos::{ChaosProxy, FaultPlan};
 use chunkpoint_core::{MitigationScheme, SystemConfig};
-use chunkpoint_exec::{CampaignEvent, LocalExecutor, RemoteExecutor, ShardConfig, ShardedExecutor};
+use chunkpoint_exec::{CampaignEvent, LocalExecutor, ShardConfig, ShardedExecutor};
 use chunkpoint_workloads::Benchmark;
 
 #[path = "../../serve/tests/support/serve_process.rs"]
@@ -91,7 +91,7 @@ fn three_executors_one_adaptive_report() {
 
     // Remote, against one real serve process.
     let backend = ServeProcess::start("remote");
-    let remote_exec = RemoteExecutor::new(backend.addr.clone()).with_config(ShardConfig {
+    let remote_exec = ShardedExecutor::new(vec![backend.addr.clone()]).with_config(ShardConfig {
         poll_interval: Duration::from_millis(10),
         ..ShardConfig::default()
     });
@@ -181,7 +181,7 @@ fn chaos_faults_leave_adaptive_bytes_identical() {
     };
     let mut proxy = ChaosProxy::start(&backend.addr, plan).expect("start proxy");
     let run = AdaptiveController::new(
-        RemoteExecutor::new(proxy.addr()).with_config(config),
+        ShardedExecutor::new(vec![proxy.addr()]).with_config(config),
         policy,
     )
     .run(&spec)

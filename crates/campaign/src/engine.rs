@@ -253,32 +253,42 @@ impl CampaignResult {
     /// and aggregates grouped by `axes`.
     #[must_use]
     pub fn to_json(&self, axes: &[Axis]) -> JsonValue {
-        let scenarios: Vec<JsonValue> = self.results.iter().map(ScenarioResult::to_json).collect();
-        let aggregator = self.aggregate(axes);
-        let axis_names: Vec<JsonValue> = axes
-            .iter()
-            .map(|a| JsonValue::from(format!("{a:?}")))
-            .collect();
-        let groups: Vec<JsonValue> = aggregator
-            .groups()
-            .map(|(key, stats)| {
-                let key: Vec<JsonValue> = key
-                    .iter()
-                    .map(|part| JsonValue::from(part.as_str()))
-                    .collect();
-                group_json(&key, stats)
-            })
-            .collect();
-        JsonValue::object()
+        let head = JsonValue::object()
             .field("campaign_seed", self.campaign_seed)
             .field("threads", self.threads)
             .field("scenarios", self.results.len())
             .field("elapsed_secs", self.elapsed.as_secs_f64())
-            .field("scenarios_per_sec", self.scenarios_per_sec())
-            .field("group_by", JsonValue::Array(axis_names))
-            .field("aggregates", JsonValue::Array(groups))
-            .field("results", JsonValue::Array(scenarios))
+            .field("scenarios_per_sec", self.scenarios_per_sec());
+        with_results(head, &self.results, axes)
     }
+}
+
+/// Appends the fields every campaign report ends with to `head`:
+/// `group_by` (the `axes`), `aggregates` (one group per key, pushed in
+/// `results` order) and `results` (one row per scenario).
+fn with_results(head: JsonValue, results: &[ScenarioResult], axes: &[Axis]) -> JsonValue {
+    let mut aggregator = Aggregator::new(axes);
+    for result in results {
+        aggregator.push(result);
+    }
+    let axis_names: Vec<JsonValue> = axes
+        .iter()
+        .map(|a| JsonValue::from(format!("{a:?}")))
+        .collect();
+    let groups: Vec<JsonValue> = aggregator
+        .groups()
+        .map(|(key, stats)| {
+            let key: Vec<JsonValue> = key
+                .iter()
+                .map(|part| JsonValue::from(part.as_str()))
+                .collect();
+            group_json(&key, stats)
+        })
+        .collect();
+    let rows: Vec<JsonValue> = results.iter().map(ScenarioResult::to_json).collect();
+    head.field("group_by", JsonValue::Array(axis_names))
+        .field("aggregates", JsonValue::Array(groups))
+        .field("results", JsonValue::Array(rows))
 }
 
 fn summary_json(summary: &Summary) -> JsonValue {
@@ -318,31 +328,10 @@ pub fn canonical_report_json(
     results: &[ScenarioResult],
     axes: &[Axis],
 ) -> JsonValue {
-    let mut aggregator = Aggregator::new(axes);
-    for result in results {
-        aggregator.push(result);
-    }
-    let axis_names: Vec<JsonValue> = axes
-        .iter()
-        .map(|a| JsonValue::from(format!("{a:?}")))
-        .collect();
-    let groups: Vec<JsonValue> = aggregator
-        .groups()
-        .map(|(key, stats)| {
-            let key: Vec<JsonValue> = key
-                .iter()
-                .map(|part| JsonValue::from(part.as_str()))
-                .collect();
-            group_json(&key, stats)
-        })
-        .collect();
-    let rows: Vec<JsonValue> = results.iter().map(ScenarioResult::to_json).collect();
-    JsonValue::object()
+    let head = JsonValue::object()
         .field("campaign_seed", campaign_seed)
-        .field("scenarios", results.len())
-        .field("group_by", JsonValue::Array(axis_names))
-        .field("aggregates", JsonValue::Array(groups))
-        .field("results", JsonValue::Array(rows))
+        .field("scenarios", results.len());
+    with_results(head, results, axes)
 }
 
 /// Lowers a scenario definition's timeline to the simulator's

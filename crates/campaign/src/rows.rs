@@ -13,6 +13,10 @@
 //! * **exact coverage** — a finished range holds each of its indices
 //!   exactly once ([`exact_cover`]).
 //!
+//! A finished campaign's rows become its report through
+//! [`canonical_report`]: `serve`, the shard coordinator and the local
+//! executor all render there.
+//!
 //! These rules bind a row to its campaign and its place in the grid, not
 //! its measurements: a digit flipped in a sealed row's `energy_pj` is
 //! admitted as written. No row log carries a content checksum.
@@ -20,9 +24,14 @@
 use std::collections::HashSet;
 use std::ops::Range;
 
-use crate::engine::ScenarioResult;
+use crate::engine::{canonical_report_json, ScenarioResult};
 use crate::json::JsonValue;
 use crate::spec::Scenario;
+use crate::stats::Axis;
+
+/// Axes of the canonical report's aggregate section. Fixed, so a
+/// campaign's report is a pure function of its spec.
+pub const REPORT_AXES: [Axis; 3] = [Axis::Benchmark, Axis::Scheme, Axis::ErrorRate];
 
 /// `row` as one sealed row-log line: its JSON object and a newline.
 #[must_use]
@@ -160,6 +169,26 @@ pub fn exact_cover(
         ));
     }
     Ok(rows)
+}
+
+/// The canonical report of a campaign whose `active` scenario range
+/// (the whole grid for an unranged spec) ran to `rows`: the rows in
+/// index order, checked by [`exact_cover`], and
+/// [`canonical_report_json`] over them with [`REPORT_AXES`], rendered.
+/// Arrival order cannot change the bytes.
+///
+/// # Errors
+///
+/// [`exact_cover`]'s description of the first missing, duplicated or
+/// outside row.
+pub fn canonical_report(
+    campaign_seed: u64,
+    active: Range<usize>,
+    rows: Vec<ScenarioResult>,
+) -> Result<(String, Vec<ScenarioResult>), String> {
+    let rows = exact_cover(active, rows)?;
+    let report = canonical_report_json(campaign_seed, &rows, &REPORT_AXES).render();
+    Ok((report, rows))
 }
 
 #[cfg(test)]

@@ -8,11 +8,14 @@
 //! values (every single replacement, then random pairs) and random bytes.
 
 use std::collections::HashSet;
-use std::ops::Range;
 use std::sync::OnceLock;
 
 use chunkpoint_campaign::{run_campaign, CampaignSpec, JsonValue, Scenario};
 use proptest::prelude::*;
+
+#[path = "../../scenario/tests/support/literals.rs"]
+mod literals;
+use literals::{mutated, numeric_literals};
 
 /// A valid spec reaching every numeric field of the wire format: seven
 /// schemes (both optimizer-resolved kinds among them), a rate and a chunk
@@ -64,56 +67,6 @@ const EDGES: [&str; 18] = [
     "-1e300",
     "0.99999999999999999",
 ];
-
-/// Byte ranges of the numeric literals of `doc`, outside strings.
-fn numeric_literals(doc: &str) -> Vec<Range<usize>> {
-    let bytes = doc.as_bytes();
-    let mut literals = Vec::new();
-    let (mut i, mut in_string) = (0, false);
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_string {
-            match b {
-                b'\\' => i += 1,
-                b'"' => in_string = false,
-                _ => {}
-            }
-            i += 1;
-        } else if b == b'"' {
-            in_string = true;
-            i += 1;
-        } else if b == b'-' || b.is_ascii_digit() {
-            let start = i;
-            while i < bytes.len()
-                && matches!(bytes[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                i += 1;
-            }
-            literals.push(start..i);
-        } else {
-            i += 1;
-        }
-    }
-    literals
-}
-
-/// `SPEC` with each `(literal index, edge)` replacement applied.
-fn mutated(replacements: &[(usize, &str)]) -> String {
-    let literals = numeric_literals(SPEC);
-    let mut ordered: Vec<(Range<usize>, &str)> = replacements
-        .iter()
-        .map(|&(index, edge)| (literals[index].clone(), edge))
-        .collect();
-    // Splice from the back so earlier ranges stay valid; a literal
-    // chosen twice keeps its first replacement.
-    ordered.sort_by_key(|(range, _)| std::cmp::Reverse(range.start));
-    ordered.dedup_by_key(|(range, _)| range.start);
-    let mut doc = SPEC.to_owned();
-    for (range, edge) in ordered {
-        doc.replace_range(range, edge);
-    }
-    doc
-}
 
 /// How far `doc` got along the wire path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,7 +149,7 @@ fn every_single_edge_replacement_is_a_value_or_a_typed_error() {
     let mut reached = Vec::new();
     for index in 0..numeric_literals(SPEC).len() {
         for edge in EDGES {
-            reached.push(wire_path(&mutated(&[(index, edge)])));
+            reached.push(wire_path(&mutated(SPEC, &[(index, edge)])));
         }
     }
     for stage in [
@@ -223,7 +176,7 @@ proptest! {
         first_edge in 0usize..EDGES.len(),
         second_edge in 0usize..EDGES.len(),
     ) {
-        wire_path(&mutated(&[(first, EDGES[first_edge]), (second, EDGES[second_edge])]));
+        wire_path(&mutated(SPEC, &[(first, EDGES[first_edge]), (second, EDGES[second_edge])]));
     }
 }
 

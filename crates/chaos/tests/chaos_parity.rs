@@ -10,9 +10,7 @@ use std::time::{Duration, Instant};
 use chunkpoint_campaign::{canonical_report_json, run_campaign, CampaignSpec, SchemeSpec};
 use chunkpoint_chaos::{ChaosProxy, FaultKind, FaultPlan};
 use chunkpoint_core::{MitigationScheme, SystemConfig};
-use chunkpoint_exec::{
-    CampaignEvent, CampaignExecutor, ExecError, RemoteExecutor, ShardConfig, ShardedExecutor,
-};
+use chunkpoint_exec::{CampaignEvent, CampaignExecutor, ExecError, ShardConfig, ShardedExecutor};
 use chunkpoint_serve::REPORT_AXES;
 use chunkpoint_workloads::Benchmark;
 
@@ -91,7 +89,7 @@ fn faulted_runs_end_byte_identical_or_not_at_all() {
             let spec = chaos_spec(0xC0DE + index as u64 + (campaign << 8));
             let expected = expected_report(&spec);
             let started = Instant::now();
-            let run = RemoteExecutor::new(proxy.addr())
+            let run = ShardedExecutor::new(vec![proxy.addr()])
                 .with_config(config.clone())
                 .submit(&spec)
                 .wait()
@@ -155,7 +153,7 @@ fn total_refusal_fails_typed_and_replays_identically() {
         let plan = FaultPlan::new(0x5EED, 1.0).kinds(&[FaultKind::Refuse]);
         let proxy = ChaosProxy::start(&backend.addr, plan).expect("start proxy");
         let started = Instant::now();
-        let err = RemoteExecutor::new(proxy.addr())
+        let err = ShardedExecutor::new(vec![proxy.addr()])
             .with_config(config.clone())
             .submit(&spec)
             .wait()
@@ -183,7 +181,7 @@ fn corruption_is_always_detected_never_consumed() {
     let spec = chaos_spec(0xBADB);
     let plan = FaultPlan::new(0xFACE, 1.0).kinds(&[FaultKind::CorruptByte]);
     let proxy = ChaosProxy::start(&backend.addr, plan).expect("start proxy");
-    let err = RemoteExecutor::new(proxy.addr())
+    let err = ShardedExecutor::new(vec![proxy.addr()])
         .with_config(ShardConfig {
             poll_interval: Duration::from_millis(5),
             request_timeout: Duration::from_secs(2),
@@ -252,18 +250,21 @@ fn sharded_run_survives_faulted_backends_byte_identical() {
 fn exhaustion_salvages_completed_shards_as_partial_campaign() {
     let backend_a = ServeProcess::start("partial_a");
     let backend_b = ServeProcess::start("partial_b");
-    // Shard 0 tiny (on A, finishes fast); shard 1 huge (on B, still
-    // running when the backends die).
+    // An even split of a grid whose halves differ in cost: shard 0 (on
+    // A) decodes fault-free and finishes fast; shard 1 (on B) decodes at
+    // a strike rate where every run burns all its SW restarts, and is
+    // still running when the backends die. The halves took 2.8 ms and
+    // 491 ms in a single-threaded release run on a 2-vCPU machine.
     let mut config = SystemConfig::paper(0);
     config.scale = 0.25;
     let spec = CampaignSpec::new(config, 0x9A57)
-        .benchmarks(&[Benchmark::AdpcmEncode])
-        .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default))
-        .replicates(4000)
+        .benchmarks(&[Benchmark::JpegDecode])
+        .scheme("SW-based", SchemeSpec::Fixed(MitigationScheme::SwRestart))
+        .error_rates(&[0.0, 3e-4])
+        .replicates(200)
         .normalize(false)
         .golden_check(false);
     let handle = ShardedExecutor::new(vec![backend_a.addr.clone(), backend_b.addr.clone()])
-        .with_weights(vec![1.0, 63.0])
         .with_config(ShardConfig {
             poll_interval: Duration::from_millis(10),
             request_timeout: Duration::from_secs(2),
@@ -289,7 +290,7 @@ fn exhaustion_salvages_completed_shards_as_partial_campaign() {
         }
     }
     let (start, end) = shard0_range.expect("shard 0 was dispatched");
-    assert_eq!(start, 0, "weighted partition starts at the grid's front");
+    assert_eq!(start, 0, "the even partition starts at the grid's front");
     // Pull the rug: both backends gone, shard 1 outstanding.
     backend_a.shutdown();
     backend_b.shutdown();

@@ -88,7 +88,7 @@ impl EventSink {
 /// [`ExecError::JobFailed`] rather than poisoning `wait`.
 ///
 /// `executor` labels the sink's `exec_events_total` series — the
-/// execution path's name (`local` / `remote` / `sharded`), so one
+/// execution path's name (`local` / `sharded`), so one
 /// scrape shows which paths a process exercised.
 pub(crate) fn spawn_worker<F>(executor: &'static str, run: F) -> CampaignHandle
 where

@@ -1,17 +1,15 @@
 //! # chunkpoint-exec
 //!
 //! **One campaign executor API** over every way this workspace can run
-//! an evaluation grid: typed submit / observe / cancel, with three
-//! interchangeable backends proven byte-identical on the same spec.
+//! an evaluation grid: typed submit / observe / cancel, with two
+//! interchangeable executors proven byte-identical on the same spec.
 //!
 //! * [`LocalExecutor`] — in-process on the engine's work-stealing pool
 //!   ([`chunkpoint_campaign::run_campaign_streaming`]);
-//! * [`RemoteExecutor`] — one remote `serve` instance: a one-backend
-//!   run of the shard coordinator (content-addressed result cache
-//!   included);
-//! * [`ShardedExecutor`] — many `serve` backends via the same
-//!   coordinator, with failure re-dispatch and optional per-backend
-//!   capacity weights.
+//! * [`ShardedExecutor`] — one or more remote `serve` backends through
+//!   the shard coordinator: an even split of the grid, failure
+//!   re-dispatch, and each backend's content-addressed result cache.
+//!   One backend is `ShardedExecutor::new(vec![addr])`.
 //!
 //! Submitting a [`CampaignSpec`] answers a [`CampaignHandle`]: a blocking iterator of typed
 //! [`CampaignEvent`]s ([`CampaignHandle::events`]), cooperative
@@ -21,13 +19,13 @@
 //! `chunkpoint_shard`, whose coordinator returns it, and re-exported
 //! here: the local path and the coordinator fail with the same type.
 //!
-//! ## Why the three paths agree byte for byte
+//! ## Why every path agrees byte for byte
 //!
 //! Every scenario's fault seed derives from `(campaign_seed,
-//! scenario_index)`, and every path renders the same timing-free
-//! [`chunkpoint_campaign::canonical_report_json`] over the same
-//! index-ordered rows. Where a campaign runs — one thread, one server,
-//! a crashing fleet — is therefore invisible in
+//! scenario_index)`, and every path renders its rows through the one
+//! [`chunkpoint_campaign::rows::canonical_report`]. Where a campaign
+//! runs — one thread, one server, a crashing fleet — is therefore
+//! invisible in
 //! [`CampaignRun::report`], which `crates/exec/tests/parity.rs`
 //! proves against real `serve` processes.
 //!
@@ -36,11 +34,11 @@
 //! Executors differ in *when* events arrive, never in what a
 //! successful stream contains: every path emits
 //! [`CampaignEvent::ScenarioDone`] for each scenario (live locally,
-//! per sealed shard on the remote paths), monotone
+//! per sealed shard on the remote path), monotone
 //! [`CampaignEvent::Progress`] ending at `done == total`, and one final
-//! [`CampaignEvent::Complete`]. Both remote paths run the shard
-//! coordinator, so they stream live `Progress` from the backends' job
-//! status and narrate dispatch decisions
+//! [`CampaignEvent::Complete`]. The remote path runs the shard
+//! coordinator, so it streams live `Progress` from the backends' job
+//! status and narrates dispatch decisions
 //! ([`CampaignEvent::ShardDispatched`] /
 //! [`CampaignEvent::ShardFailed`] /
 //! [`CampaignEvent::ShardRedispatched`]) — a single-backend run too.
@@ -67,8 +65,8 @@
 //! let run = handle.wait().expect("campaign");
 //! assert!(matches!(events.last(), Some(CampaignEvent::Complete)));
 //! assert_eq!(run.results.len(), run.scenarios);
-//! // Swapping in RemoteExecutor::new("10.0.0.7:8077") or
-//! // ShardedExecutor::new(backends) changes nothing below the submit.
+//! // Swapping in ShardedExecutor::new(vec!["10.0.0.7:8077".to_owned()])
+//! // or ShardedExecutor::new(backends) changes nothing below the submit.
 //! ```
 
 #![warn(missing_docs)]
@@ -78,7 +76,6 @@ mod handle;
 mod live;
 mod local;
 mod outcome;
-mod remote;
 mod sharded;
 
 pub use chunkpoint_campaign::CampaignEvent;
@@ -86,10 +83,9 @@ pub use handle::CampaignHandle;
 pub use live::LiveAggregates;
 pub use local::LocalExecutor;
 pub use outcome::{CampaignRun, ExecError};
-pub use remote::RemoteExecutor;
 pub use sharded::ShardedExecutor;
 
-// The remote paths' knobs are part of this crate's API surface.
+// The remote path's knobs are part of this crate's API surface.
 pub use chunkpoint_shard::ShardConfig;
 
 use chunkpoint_campaign::CampaignSpec;
@@ -100,8 +96,8 @@ use chunkpoint_campaign::CampaignSpec;
 /// on a background worker, so a bad spec or unreachable backend
 /// surfaces as a typed [`ExecError`] from [`CampaignHandle::wait`],
 /// identically on every path. Executors are `Send + Sync` values;
-/// submitting the same spec twice is always safe (the remote paths
-/// answer the second run from the backend's content-addressed cache).
+/// submitting the same spec twice is always safe (the remote path
+/// answers the second run from the backends' content-addressed cache).
 pub trait CampaignExecutor {
     /// Starts `spec` executing and hands back its observation handle.
     fn submit(&self, spec: &CampaignSpec) -> CampaignHandle;

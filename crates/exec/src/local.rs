@@ -4,8 +4,8 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
+use chunkpoint_campaign::rows::canonical_report;
 use chunkpoint_campaign::{run_grid_streaming, CampaignEvent, CampaignSpec, CancelToken};
-use chunkpoint_shard::merged_report_over;
 
 use crate::handle::{spawn_worker, CampaignHandle, EventSink};
 use crate::outcome::{CampaignRun, ExecError};
@@ -17,7 +17,7 @@ use crate::CampaignExecutor;
 /// Events are fully live: every scenario emits
 /// [`CampaignEvent::ScenarioDone`] and a [`CampaignEvent::Progress`]
 /// the moment it completes. The report is byte-identical to the remote
-/// and sharded paths at **any** thread count — per-scenario seeds are
+/// path's at **any** thread count — per-scenario seeds are
 /// pre-derived, so threads change wall-clock time only.
 #[derive(Debug, Clone)]
 pub struct LocalExecutor {
@@ -45,7 +45,7 @@ impl CampaignExecutor for LocalExecutor {
 
 /// The local executor's worker body: enumerate once (the typed
 /// infeasible-spec rejection and the progress total), run that grid,
-/// then check and render the rows through the coordinator's merge.
+/// then check and render the rows as the canonical report.
 fn run_local(
     spec: &CampaignSpec,
     threads: usize,
@@ -70,7 +70,8 @@ fn run_local(
     if cancel.is_cancelled() {
         return Err(ExecError::Cancelled);
     }
-    let (report, results) = merged_report_over(spec.campaign_seed, active, results)?;
+    let (report, results) = canonical_report(spec.campaign_seed, active, results)
+        .map_err(|detail| ExecError::BadMerge { detail })?;
     Ok(CampaignRun {
         report,
         results,
@@ -84,10 +85,10 @@ fn run_local(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RemoteExecutor, ShardedExecutor};
+    use crate::ShardedExecutor;
+    use chunkpoint_campaign::rows::REPORT_AXES;
     use chunkpoint_campaign::{canonical_report_json, run_campaign, SchemeSpec};
     use chunkpoint_core::{MitigationScheme, SystemConfig};
-    use chunkpoint_serve::REPORT_AXES;
     use chunkpoint_workloads::Benchmark;
 
     fn small_spec(replicates: u64) -> CampaignSpec {
@@ -151,19 +152,26 @@ mod tests {
     fn infeasible_specs_are_rejected_not_panicked() {
         // An optimizer-backed scheme over an impossible area budget
         // enumerates no grid; every executor must type it — the remote
-        // ones before contacting their (unreachable) backend, or the
-        // refusal would come back as Exhausted.
+        // one, over one backend or two, before contacting its
+        // (unreachable) backends, or the refusal would come back as
+        // Exhausted.
         let mut config = SystemConfig::paper(0);
         config.scale = 0.25;
         config.constraints.area_overhead = 0.0;
         let spec = CampaignSpec::new(config, 1)
             .benchmarks(&[Benchmark::AdpcmEncode])
             .scheme("Optimal", SchemeSpec::Optimal);
-        let unreachable = "127.0.0.1:1".to_owned();
+        let unreachable = || "127.0.0.1:1".to_owned();
         let executors: [(&str, Box<dyn CampaignExecutor>); 3] = [
             ("local", Box::new(LocalExecutor::new(1))),
-            ("remote", Box::new(RemoteExecutor::new(unreachable.clone()))),
-            ("sharded", Box::new(ShardedExecutor::new(vec![unreachable]))),
+            (
+                "one backend",
+                Box::new(ShardedExecutor::new(vec![unreachable()])),
+            ),
+            (
+                "two backends",
+                Box::new(ShardedExecutor::new(vec![unreachable(), unreachable()])),
+            ),
         ];
         for (path, executor) in executors {
             match executor.submit(&spec).wait() {

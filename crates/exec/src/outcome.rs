@@ -1,6 +1,6 @@
 //! What a submitted campaign ends with: its [`CampaignRun`], or the one
 //! error enum every executor fails with — [`ExecError`], defined next to
-//! the shard coordinator that both remote paths run, and re-exported
+//! the shard coordinator that the remote path runs, and re-exported
 //! here.
 
 use std::time::Duration;
@@ -10,12 +10,12 @@ pub use chunkpoint_shard::ExecError;
 
 /// A completed campaign, identical in content across every execution
 /// path: the acceptance invariant is that the same spec yields
-/// **byte-identical** `report` strings through the local, remote, and
-/// sharded executors.
+/// **byte-identical** `report` strings through the local executor and
+/// the remote one over any number of backends.
 #[derive(Debug, Clone)]
 pub struct CampaignRun {
     /// The canonical timing-free report
-    /// ([`chunkpoint_campaign::canonical_report_json`] rendered) — a
+    /// ([`chunkpoint_campaign::rows::canonical_report`]) — a
     /// pure function of the spec, so identical across executors,
     /// thread counts, backend failures, and resumes.
     pub report: String,

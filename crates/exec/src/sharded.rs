@@ -1,5 +1,5 @@
-//! Multi-backend execution: the shard coordinator's dispatch loop
-//! surfaced through the one executor API.
+//! Remote execution: the shard coordinator's dispatch loop over one
+//! `serve` backend or several, surfaced through the one executor API.
 
 use std::time::Instant;
 
@@ -10,11 +10,14 @@ use crate::handle::{spawn_worker, CampaignHandle, EventSink};
 use crate::outcome::{CampaignRun, ExecError};
 use crate::CampaignExecutor;
 
-/// Runs campaigns sharded across several `serve` backends through
-/// [`run_sharded_ctl`]: contiguous (optionally weighted) grid
-/// partitioning, re-dispatch of failed or unreachable shards to
-/// survivors, and a journal merge byte-identical to a single-machine
-/// run.
+/// Runs campaigns on remote `serve` backends through
+/// [`run_sharded_ctl`]: an even contiguous split of the grid,
+/// re-dispatch of failed or unreachable shards to survivors, and a
+/// journal merge byte-identical to a single-machine run. One backend
+/// (`ShardedExecutor::new(vec![addr])`) runs the whole grid there under
+/// the same breaker, backoff and resubmit rules; a spec the backend has
+/// cached answers from its content-addressed result store without
+/// re-simulating.
 ///
 /// Every coordinator event streams straight to the handle as a
 /// [`CampaignEvent`](crate::CampaignEvent): dispatch decisions
@@ -26,31 +29,18 @@ use crate::CampaignExecutor;
 #[derive(Debug, Clone)]
 pub struct ShardedExecutor {
     backends: Vec<String>,
-    weights: Option<Vec<f64>>,
     config: ShardConfig,
 }
 
 impl ShardedExecutor {
     /// An executor across `backends` (each a `HOST:PORT` of a running
-    /// `serve` instance), evenly partitioned, with default
-    /// [`ShardConfig`].
+    /// `serve` instance), with default [`ShardConfig`].
     #[must_use]
     pub fn new(backends: Vec<String>) -> Self {
         Self {
             backends,
-            weights: None,
             config: ShardConfig::default(),
         }
-    }
-
-    /// Partitions the grid proportionally to per-backend capacity
-    /// weights (one per backend) instead of evenly — see
-    /// [`chunkpoint_shard::partition_weighted`]. Invalid weights
-    /// surface as [`ExecError::Rejected`] at wait time.
-    #[must_use]
-    pub fn with_weights(mut self, weights: Vec<f64>) -> Self {
-        self.weights = Some(weights);
-        self
     }
 
     /// Overrides the coordinator's wait/timeout/strike knobs.
@@ -78,26 +68,24 @@ impl CampaignExecutor for ShardedExecutor {
     fn submit(&self, spec: &CampaignSpec) -> CampaignHandle {
         let spec = spec.clone();
         let backends = self.backends.clone();
-        let weights = self.weights.clone();
         let config = self.config.clone();
         spawn_worker("sharded", move |sink, cancel| {
-            run_coordinated(&spec, &backends, weights.as_deref(), &config, sink, cancel)
+            run_coordinated(&spec, &backends, &config, sink, cancel)
         })
     }
 }
 
-/// The worker body of both remote executors: one coordinator run with
-/// every event streamed to the handle.
-pub(crate) fn run_coordinated(
+/// The executor's worker body: one coordinator run with every event
+/// streamed to the handle.
+fn run_coordinated(
     spec: &CampaignSpec,
     backends: &[String],
-    weights: Option<&[f64]>,
     config: &ShardConfig,
     sink: &EventSink,
     cancel: &CancelToken,
 ) -> Result<CampaignRun, ExecError> {
     let started = Instant::now();
-    let run = run_sharded_ctl(spec, backends, weights, config, cancel, |event| {
+    let run = run_sharded_ctl(spec, backends, config, cancel, |event| {
         sink.emit(event.clone());
     })?;
     Ok(CampaignRun {
@@ -128,44 +116,6 @@ mod tests {
         match handle.wait() {
             Err(ExecError::NoBackends) => {}
             other => panic!("expected NoBackends, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn invalid_weight_values_are_rejected_not_panicked() {
-        let mut config = SystemConfig::paper(0);
-        config.scale = 0.25;
-        let spec = CampaignSpec::new(config, 3)
-            .benchmarks(&[Benchmark::AdpcmEncode])
-            .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default));
-        for bad in [vec![0.0, 0.0], vec![1.0, -1.0], vec![f64::NAN, 1.0]] {
-            let handle = ShardedExecutor::new(vec!["127.0.0.1:1".to_owned(), "x:2".to_owned()])
-                .with_weights(bad.clone())
-                .submit(&spec);
-            match handle.wait() {
-                Err(ExecError::Rejected { detail, .. }) => {
-                    assert!(detail.contains("weights"), "{bad:?}: {detail}");
-                }
-                other => panic!("{bad:?}: expected Rejected, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn mismatched_weights_are_rejected() {
-        let mut config = SystemConfig::paper(0);
-        config.scale = 0.25;
-        let spec = CampaignSpec::new(config, 3)
-            .benchmarks(&[Benchmark::AdpcmEncode])
-            .scheme("Default", SchemeSpec::Fixed(MitigationScheme::Default));
-        let handle = ShardedExecutor::new(vec!["127.0.0.1:1".to_owned()])
-            .with_weights(vec![1.0, 2.0])
-            .submit(&spec);
-        match handle.wait() {
-            Err(ExecError::Rejected { detail, .. }) => {
-                assert!(detail.contains("weights"), "{detail}");
-            }
-            other => panic!("expected Rejected, got {other:?}"),
         }
     }
 }

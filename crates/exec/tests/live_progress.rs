@@ -1,9 +1,9 @@
-//! Live progress on the remote paths: a scripted loopback backend
+//! Live progress on the remote path: a scripted loopback backend
 //! answers the submit, then one `running` status with `completed: K`,
-//! then `done`, then journal rows cut from an in-process oracle. Both
-//! remote executors must report `Progress { done: K, .. }` before the
-//! first `ScenarioDone`, and the oracle's report bytes at the end. The
-//! script, not timing, decides what each poll sees.
+//! then `done`, then journal rows cut from an in-process oracle. A
+//! one-backend `ShardedExecutor` must report `Progress { done: K, .. }`
+//! before the first `ScenarioDone`, and the oracle's report bytes at the
+//! end. The script, not timing, decides what each poll sees.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -13,9 +13,7 @@ use chunkpoint_campaign::{
     canonical_report_json, run_campaign, CampaignSpec, ScenarioResult, SchemeSpec,
 };
 use chunkpoint_core::{MitigationScheme, SystemConfig};
-use chunkpoint_exec::{
-    CampaignEvent, CampaignExecutor, RemoteExecutor, ShardConfig, ShardedExecutor,
-};
+use chunkpoint_exec::{CampaignEvent, CampaignExecutor, ShardConfig, ShardedExecutor};
 use chunkpoint_serve::REPORT_AXES;
 use chunkpoint_workloads::Benchmark;
 
@@ -108,25 +106,19 @@ fn remote_paths_report_live_progress_before_the_rows() {
         poll_interval: Duration::from_millis(2),
         ..ShardConfig::default()
     };
-    let remote =
-        RemoteExecutor::new(spawn_scripted_backend(&oracle.results)).with_config(config.clone());
-    let sharded =
+    let executor =
         ShardedExecutor::new(vec![spawn_scripted_backend(&oracle.results)]).with_config(config);
-    let executors: [(&str, &dyn CampaignExecutor); 2] =
-        [("remote", &remote), ("sharded", &sharded)];
-    for (path, executor) in executors {
-        let handle = executor.submit(&spec);
-        let events: Vec<CampaignEvent> = handle.events().collect();
-        let run = handle.wait().unwrap_or_else(|e| panic!("{path}: {e}"));
-        assert_eq!(run.report, expected, "{path}: report bytes diverged");
-        let first_row = events
-            .iter()
-            .position(|e| matches!(e, CampaignEvent::ScenarioDone(_)))
-            .unwrap_or_else(|| panic!("{path}: no rows"));
-        let live = events
-            .iter()
-            .position(|e| matches!(e, CampaignEvent::Progress { done: K, .. }))
-            .unwrap_or_else(|| panic!("{path}: no live progress in {events:?}"));
-        assert!(live < first_row, "{path}: progress arrived after the rows");
-    }
+    let handle = executor.submit(&spec);
+    let events: Vec<CampaignEvent> = handle.events().collect();
+    let run = handle.wait().expect("one-backend run");
+    assert_eq!(run.report, expected, "report bytes diverged");
+    let first_row = events
+        .iter()
+        .position(|e| matches!(e, CampaignEvent::ScenarioDone(_)))
+        .expect("no rows");
+    let live = events
+        .iter()
+        .position(|e| matches!(e, CampaignEvent::Progress { done: K, .. }))
+        .unwrap_or_else(|| panic!("no live progress in {events:?}"));
+    assert!(live < first_row, "progress arrived after the rows");
 }

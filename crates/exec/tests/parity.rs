@@ -9,8 +9,7 @@ use std::time::{Duration, Instant};
 use chunkpoint_campaign::{canonical_report_json, run_campaign, CampaignSpec, SchemeSpec};
 use chunkpoint_core::{MitigationScheme, SystemConfig};
 use chunkpoint_exec::{
-    CampaignEvent, CampaignExecutor, CampaignRun, LocalExecutor, RemoteExecutor, ShardConfig,
-    ShardedExecutor,
+    CampaignEvent, CampaignExecutor, CampaignRun, LocalExecutor, ShardConfig, ShardedExecutor,
 };
 use chunkpoint_serve::REPORT_AXES;
 use chunkpoint_workloads::Benchmark;
@@ -97,10 +96,11 @@ fn three_executors_one_report() {
 
     // Remote, against one real serve process.
     let remote_backend = ServeProcess::start("remote");
-    let remote_exec = RemoteExecutor::new(remote_backend.addr.clone()).with_config(ShardConfig {
-        poll_interval: Duration::from_millis(10),
-        ..ShardConfig::default()
-    });
+    let remote_exec =
+        ShardedExecutor::new(vec![remote_backend.addr.clone()]).with_config(ShardConfig {
+            poll_interval: Duration::from_millis(10),
+            ..ShardConfig::default()
+        });
     let remote = run_and_audit(remote_exec.submit(&spec), total, "remote");
     assert_eq!(remote.report, expected, "remote bytes diverged");
     assert!(remote.dispatches >= 1);
@@ -157,7 +157,7 @@ fn three_executors_one_report() {
             >= total as f64,
         "engine sink never observed the local run's scenarios"
     );
-    for executor in ["local", "remote", "sharded"] {
+    for executor in ["local", "sharded"] {
         assert!(
             scrape
                 .value("exec_events_total", &[("executor", executor)])
@@ -203,7 +203,7 @@ fn ranged_specs_stay_byte_identical_across_paths() {
 
     let backend = ServeProcess::start("ranged_remote");
     let remote = run_and_audit(
-        RemoteExecutor::new(backend.addr.clone()).submit(&spec),
+        ShardedExecutor::new(vec![backend.addr.clone()]).submit(&spec),
         total,
         "ranged-remote",
     );
@@ -222,44 +222,6 @@ fn ranged_specs_stay_byte_identical_across_paths() {
         .results
         .iter()
         .all(|r| r.scenario.index >= start && r.scenario.index < end));
-    shard_a.shutdown();
-    shard_b.shutdown();
-}
-
-/// Weighted sharding is still byte-identical — weights move scenarios
-/// between backends, never change them.
-#[test]
-fn weighted_sharding_matches_even_sharding_bytes() {
-    let spec = parity_spec();
-    let total = spec.scenarios().len();
-    let reference = run_campaign(&spec, 1);
-    let expected =
-        canonical_report_json(spec.campaign_seed, &reference.results, &REPORT_AXES).render();
-
-    let shard_a = ServeProcess::start("weighted_a");
-    let shard_b = ServeProcess::start("weighted_b");
-    let executor = ShardedExecutor::new(vec![shard_a.addr.clone(), shard_b.addr.clone()])
-        .with_weights(vec![3.0, 1.0])
-        .with_config(ShardConfig {
-            poll_interval: Duration::from_millis(10),
-            ..ShardConfig::default()
-        });
-    let handle = executor.submit(&spec);
-    let mut dispatched_ranges = Vec::new();
-    for event in handle.events() {
-        if let CampaignEvent::ShardDispatched { range, .. } = event {
-            dispatched_ranges.push(range);
-        }
-    }
-    let run = handle.wait().expect("weighted sharded run");
-    assert_eq!(run.report, expected, "weighted bytes diverged");
-    // The 3:1 weights actually skewed the partition.
-    assert_eq!(dispatched_ranges.len(), 2);
-    let sizes: Vec<usize> = dispatched_ranges.iter().map(|(s, e)| e - s).collect();
-    assert!(
-        sizes[0] >= 3 * sizes[1],
-        "weights were ignored: {sizes:?} for a 3:1 split of {total}"
-    );
     shard_a.shutdown();
     shard_b.shutdown();
 }

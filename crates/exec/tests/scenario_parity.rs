@@ -14,8 +14,7 @@ use chunkpoint_campaign::{
 };
 use chunkpoint_core::{MitigationScheme, SystemConfig};
 use chunkpoint_exec::{
-    CampaignEvent, CampaignExecutor, CampaignRun, LocalExecutor, RemoteExecutor, ShardConfig,
-    ShardedExecutor,
+    CampaignEvent, CampaignExecutor, CampaignRun, LocalExecutor, ShardConfig, ShardedExecutor,
 };
 use chunkpoint_scenario::{
     ExpectField, ExpectOp, ExpectValue, Expectation, ScenarioDef, TimelineEvent,
@@ -151,7 +150,7 @@ fn scenario_axis_is_byte_identical_across_paths() {
     // Remote: the scenario axis crosses the wire as spec JSON, the
     // verdicts come back as journal rows.
     let backend = ServeProcess::start("scn_remote");
-    let remote_exec = RemoteExecutor::new(backend.addr.clone()).with_config(ShardConfig {
+    let remote_exec = ShardedExecutor::new(vec![backend.addr.clone()]).with_config(ShardConfig {
         poll_interval: Duration::from_millis(10),
         ..ShardConfig::default()
     });
@@ -198,7 +197,7 @@ fn warm_cache_splices_scenario_rows_instead_of_re_executing() {
     };
 
     // Cold: everything executes remotely, rows seal into the cache.
-    let cold = run_sharded_ctl(&spec, &backends, None, &config, &CancelToken::new(), |_| {})
+    let cold = run_sharded_ctl(&spec, &backends, &config, &CancelToken::new(), |_| {})
         .expect("cold sharded run");
     assert_eq!(cold.report, expected, "cold bytes diverged");
     assert_eq!(cold.spliced, 0, "an empty cache spliced rows");
@@ -208,7 +207,7 @@ fn warm_cache_splices_scenario_rows_instead_of_re_executing() {
     // backends could be gone entirely.
     shard_a.shutdown();
     shard_b.shutdown();
-    let warm = run_sharded_ctl(&spec, &backends, None, &config, &CancelToken::new(), |_| {})
+    let warm = run_sharded_ctl(&spec, &backends, &config, &CancelToken::new(), |_| {})
         .expect("warm sharded run");
     assert_eq!(warm.report, expected, "warm bytes diverged");
     assert_eq!(

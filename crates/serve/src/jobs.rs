@@ -23,16 +23,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use chunkpoint_campaign::{
-    canonical_report_json, rows, run_grid_streaming, Axis, CampaignSpec, CancelToken, JsonValue,
-};
+use chunkpoint_campaign::rows::canonical_report;
+use chunkpoint_campaign::{run_grid_streaming, CampaignSpec, CancelToken, JsonValue};
 
 use crate::metrics::metrics;
 use crate::store::JobStore;
-
-/// Axes of the canonical report's aggregate section. Fixed, so a cached
-/// report is a pure function of the spec.
-pub const REPORT_AXES: [Axis; 3] = [Axis::Benchmark, Axis::Scheme, Axis::ErrorRate];
 
 /// Longest a status request may wait for its job to leave queued or
 /// running ([`JobManager::wait_status`]): well under a client's request
@@ -745,9 +740,8 @@ impl JobManager {
         // construction, so the canonical report is too.
         let mut merged = journal.results;
         merged.extend(fresh);
-        let merged = rows::exact_cover(active, merged)
+        let (report, _) = canonical_report(spec.campaign_seed, active, merged)
             .map_err(|why| format!("job {id}: journal inconsistent: {why}"))?;
-        let report = canonical_report_json(spec.campaign_seed, &merged, &REPORT_AXES).render();
         self.store
             .write_result(id, &report)
             .map_err(|e| format!("job {id}: writing result: {e}"))?;

@@ -83,6 +83,9 @@ pub mod metrics;
 pub mod server;
 pub mod store;
 
-pub use jobs::{JobCounts, JobManager, JobState, JobStatus, REPORT_AXES};
+/// Axes of the canonical report's aggregate section, defined with the
+/// report itself in [`chunkpoint_campaign::rows`].
+pub use chunkpoint_campaign::rows::REPORT_AXES;
+pub use jobs::{JobCounts, JobManager, JobState, JobStatus};
 pub use server::{ServeConfig, Server};
 pub use store::{JobStore, JournalWriter, LoadedJournal};

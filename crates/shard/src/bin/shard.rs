@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! shard --backends HOST:PORT[,HOST:PORT...] --spec PATH [--json PATH]
-//!       [--weights W[,W...]] [--poll-ms N] [--timeout-secs N]
+//!       [--poll-ms N] [--timeout-secs N]
 //!       [--strikes N] [--attempts N] [--cache-dir PATH]
 //!       [--cache-max-bytes N] [--baseline PATH] [--metrics-out PATH]
 //!       [--quiet]
@@ -11,10 +11,9 @@
 //!
 //! The report written by `--json` (stdout without it) is byte-identical
 //! to what a single `serve` instance — or an in-process single-threaded
-//! run — would produce for the same spec. Dispatch decisions stream to
-//! stderr as structured JSON trace events (`--quiet` silences them;
-//! errors always reach stderr); `--weights` partitions the grid
-//! proportionally to per-backend capacity instead of evenly.
+//! run — would produce for the same spec. The grid splits evenly across
+//! the backends. Dispatch decisions stream to stderr as structured JSON
+//! trace events (`--quiet` silences them; errors always reach stderr).
 //!
 //! `--cache-dir` enables the coordinator's range-granular result cache:
 //! sealed sub-ranges on disk are spliced into the merge instead of
@@ -26,19 +25,21 @@
 //! `--baseline OLD_SPEC` additionally runs the spec diff against a
 //! previously cached campaign and seeds the current spec's cache with
 //! every translated row whose `(seed, parameters)` survived the edit —
-//! the incremental-campaign path, where only changed cells execute.
+//! the incremental-campaign path, where only changed cells execute. A
+//! spec whose grid does not enumerate (an infeasible optimizer entry, a
+//! grid past the scenario limit) exits 1 naming its file, with or
+//! without a baseline.
 
 use std::time::{Duration, Instant};
 
-use chunkpoint_campaign::{diff_specs, translate_rows, CampaignSpec, CancelToken, JsonValue};
-use chunkpoint_shard::{run_sharded_ctl, RangeCache, ShardConfig};
+use chunkpoint_campaign::{diff_specs, translate_rows, CampaignSpec, JsonValue, Scenario};
+use chunkpoint_shard::{run_sharded, RangeCache, ShardConfig};
 use chunkpoint_telemetry::Tracer;
 
 const USAGE: &str = "chunkpoint shard coordinator:
   --backends LIST    comma-separated serve addresses (HOST:PORT), required
   --spec PATH        campaign spec JSON (canonical wire form), required
   --json PATH        write the merged canonical report here (default: stdout)
-  --weights LIST     comma-separated per-backend weights (default: even split)
   --poll-ms N        wait bound of one sweep in milliseconds (default 400): the
                      longest a status request waits at a backend for its job
   --timeout-secs N   per-request timeout in seconds (default 10)
@@ -59,7 +60,6 @@ const USAGE: &str = "chunkpoint shard coordinator:
 
 struct Args {
     backends: Vec<String>,
-    weights: Option<Vec<f64>>,
     spec_path: String,
     json: Option<String>,
     cache_dir: Option<String>,
@@ -72,7 +72,6 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut backends = Vec::new();
-    let mut weights = None;
     let mut spec_path = None;
     let mut json = None;
     let mut cache_dir = None;
@@ -95,18 +94,6 @@ fn parse_args() -> Result<Args, String> {
                     .filter(|part| !part.is_empty())
                     .map(str::to_owned)
                     .collect();
-            }
-            "--weights" => {
-                weights = Some(
-                    value_of("--weights")?
-                        .split(',')
-                        .map(|w| {
-                            w.trim()
-                                .parse::<f64>()
-                                .map_err(|e| format!("--weights {w:?}: {e}\n\n{USAGE}"))
-                        })
-                        .collect::<Result<Vec<f64>, String>>()?,
-                );
             }
             "--spec" => spec_path = Some(value_of("--spec")?),
             "--json" => json = Some(value_of("--json")?),
@@ -159,15 +146,6 @@ fn parse_args() -> Result<Args, String> {
     if backends.is_empty() {
         return Err(format!("--backends is required\n\n{USAGE}"));
     }
-    if let Some(weights) = &weights {
-        if weights.len() != backends.len() {
-            return Err(format!(
-                "--weights needs one weight per backend ({} weights, {} backends)\n\n{USAGE}",
-                weights.len(),
-                backends.len()
-            ));
-        }
-    }
     let spec_path = spec_path.ok_or_else(|| format!("--spec is required\n\n{USAGE}"))?;
     if baseline.is_some() && cache_dir.is_none() {
         return Err(format!("--baseline requires --cache-dir\n\n{USAGE}"));
@@ -178,7 +156,6 @@ fn parse_args() -> Result<Args, String> {
     config.cache_dir = cache_dir.clone().map(std::path::PathBuf::from);
     Ok(Args {
         backends,
-        weights,
         spec_path,
         json,
         cache_dir,
@@ -190,6 +167,21 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
+/// Reads, parses and enumerates the spec at `path`. A grid that does
+/// not enumerate is refused here, naming the file: the spec diff of
+/// `--baseline` would panic on it.
+fn load_spec(path: &str) -> Result<(CampaignSpec, Vec<Scenario>), String> {
+    let raw = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let spec = JsonValue::parse(&raw)
+        .map_err(|e| e.to_string())
+        .and_then(|value| CampaignSpec::from_json(&value))
+        .map_err(|e| format!("{path}: {e}"))?;
+    let grid = spec
+        .try_scenarios()
+        .map_err(|e| format!("{path}: spec rejected: {e}"))?;
+    Ok((spec, grid))
+}
+
 fn main() {
     let mut args = match parse_args() {
         Ok(args) => args,
@@ -198,20 +190,10 @@ fn main() {
             std::process::exit(if message == USAGE { 0 } else { 2 });
         }
     };
-    let raw = match std::fs::read_to_string(&args.spec_path) {
-        Ok(raw) => raw,
+    let spec = match load_spec(&args.spec_path) {
+        Ok((spec, _)) => spec,
         Err(e) => {
-            eprintln!("shard: reading {}: {e}", args.spec_path);
-            std::process::exit(1);
-        }
-    };
-    let spec = match JsonValue::parse(&raw)
-        .map_err(|e| e.to_string())
-        .and_then(|value| CampaignSpec::from_json(&value))
-    {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("shard: {}: {e}", args.spec_path);
+            eprintln!("shard: {e}");
             std::process::exit(1);
         }
     };
@@ -231,22 +213,15 @@ fn main() {
     // one and seed the new campaign's cache with every translated row
     // — the subsequent run then dispatches only the changed cells.
     if let (Some(baseline_path), Some(cache_dir)) = (&args.baseline, &args.cache_dir) {
-        let old_spec = match std::fs::read_to_string(baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|raw| JsonValue::parse(&raw).map_err(|e| e.to_string()))
-            .and_then(|value| CampaignSpec::from_json(&value))
-        {
-            Ok(spec) => spec,
+        let (old_spec, old_grid) = match load_spec(baseline_path) {
+            Ok(loaded) => loaded,
             Err(e) => {
-                eprintln!("shard: --baseline {baseline_path}: {e}");
+                eprintln!("shard: --baseline {e}");
                 std::process::exit(1);
             }
         };
         let cache = RangeCache::new(cache_dir);
-        let old_rows: Vec<_> = cache
-            .load(&old_spec, &old_spec.scenarios())
-            .into_values()
-            .collect();
+        let old_rows: Vec<_> = cache.load(&old_spec, &old_grid).into_values().collect();
         let translated = translate_rows(&old_spec, &spec, &old_rows);
         if let Err(e) = cache.store_scattered(&spec, &translated) {
             eprintln!("shard: seeding cache from baseline: {e}");
@@ -269,14 +244,7 @@ fn main() {
             .field("addrs", args.backends.join(",")),
     );
     let start = Instant::now();
-    let run = match run_sharded_ctl(
-        &spec,
-        &args.backends,
-        args.weights.as_deref(),
-        &args.config,
-        &CancelToken::new(),
-        |_| {},
-    ) {
+    let run = match run_sharded(&spec, &args.backends, &args.config) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("shard: {e}");

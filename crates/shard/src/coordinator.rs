@@ -17,19 +17,18 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use chunkpoint_campaign::rows::{exact_cover, RangeRows};
+use chunkpoint_campaign::rows::{canonical_report, RangeRows, REPORT_AXES};
 use chunkpoint_campaign::{
     canonical_report_json, CampaignEvent, CampaignSpec, CancelToken, JsonValue, Scenario,
     ScenarioResult,
 };
-use chunkpoint_serve::REPORT_AXES;
 use chunkpoint_telemetry::{Span, Tracer};
 
 use crate::breaker::{Backoff, CircuitBreaker};
 use crate::cache::RangeCache;
 use crate::client::exchange;
 use crate::metrics::{backend_telemetry, cache_telemetry, poll_sweeps, BackendTelemetry};
-use crate::partition::{partition, partition_weighted};
+use crate::partition::partition;
 
 /// Coordinator knobs. The defaults suit a LAN of `serve` instances.
 #[derive(Debug, Clone)]
@@ -134,9 +133,8 @@ impl PartialCampaign {
 pub enum ExecError {
     /// The executor has no backends to run on.
     NoBackends,
-    /// The spec itself was refused — an unenumerable grid, invalid
-    /// weights, or a backend 4xx. Retrying cannot help; every backend
-    /// would say the same.
+    /// The spec itself was refused — an unenumerable grid or a backend
+    /// 4xx. Retrying cannot help; every backend would say the same.
     Rejected {
         /// The refusing backend, if one was involved.
         backend: Option<String>,
@@ -271,14 +269,11 @@ pub struct ShardRun {
     pub spliced: usize,
 }
 
-/// Merges per-shard journal rows into the canonical campaign report.
-///
-/// The merge — not shard arrival order — defines the report's ordering:
-/// rows sort by **global scenario index**, so any assignment of ranges
-/// to backends, any completion order, and any interleaving of journal
-/// fetches produce the same bytes. `grid_len` is the full campaign's
-/// scenario count; the merged rows must cover `0..grid_len` exactly
-/// once each.
+/// Merges per-shard journal rows into the canonical report of an
+/// unranged campaign of `grid_len` scenarios: the rows must cover
+/// `0..grid_len` exactly once each, and [`canonical_report`] sorts them
+/// by global scenario index, so any assignment of ranges to backends
+/// and any completion order produce the same bytes.
 ///
 /// # Errors
 ///
@@ -288,26 +283,8 @@ pub fn merged_report(
     grid_len: usize,
     rows: Vec<ScenarioResult>,
 ) -> Result<(String, Vec<ScenarioResult>), ExecError> {
-    merged_report_over(campaign_seed, 0..grid_len, rows)
-}
-
-/// [`merged_report`] generalized to a ranged campaign: the merged rows
-/// must cover exactly the half-open `active` scenario range — the
-/// execution slice of a spec with a `scenario_range` restriction (the
-/// whole grid for an unranged spec). Every execution path checks and
-/// renders its rows here.
-///
-/// # Errors
-///
-/// [`ExecError::BadMerge`] on duplicate, missing, or out-of-range rows.
-pub fn merged_report_over(
-    campaign_seed: u64,
-    active: Range<usize>,
-    rows: Vec<ScenarioResult>,
-) -> Result<(String, Vec<ScenarioResult>), ExecError> {
-    let rows = exact_cover(active, rows).map_err(|detail| ExecError::BadMerge { detail })?;
-    let report = canonical_report_json(campaign_seed, &rows, &REPORT_AXES).render();
-    Ok((report, rows))
+    canonical_report(campaign_seed, 0..grid_len, rows)
+        .map_err(|detail| ExecError::BadMerge { detail })
 }
 
 /// One backend and its circuit breaker.
@@ -878,17 +855,15 @@ type PlannedShard = (usize, (usize, usize), Option<Vec<ScenarioResult>>);
 
 /// The dispatch plan of a run: splits the `active` range at
 /// cache-coverage boundaries. Each maximal run of `cached` rows becomes
-/// one pre-sealed shard, and each gap partitions across the `backends`
-/// on its own — evenly, or by `weights` with empty ranges skipped so
-/// range `k` of a gap stays on backend `k` — so scattered coverage (an
-/// incremental campaign's translated rows) narrows execution to exactly
-/// the uncovered cells. With nothing cached the plan is the classic
-/// partition of the whole active range.
+/// one pre-sealed shard, and each gap partitions evenly across the
+/// `backends` on its own, range `k` of a gap on backend `k`, so
+/// scattered coverage (an incremental campaign's translated rows)
+/// narrows execution to exactly the uncovered cells. With nothing
+/// cached the plan is the partition of the whole active range.
 fn plan_shards(
     active: Range<usize>,
     mut cached: BTreeMap<usize, ScenarioResult>,
     backends: usize,
-    weights: Option<&[f64]>,
 ) -> Vec<PlannedShard> {
     let mut plan = Vec::new();
     let mut pos = active.start;
@@ -904,14 +879,8 @@ fn plan_shards(
                 .collect();
             plan.push((0, (pos, end), Some(rows)));
         } else {
-            let ranges = match weights {
-                Some(weights) => partition_weighted(end - pos, weights),
-                None => partition(end - pos, backends),
-            };
-            for (k, (a, b)) in ranges.into_iter().enumerate() {
-                if a < b {
-                    plan.push((k, (pos + a, pos + b), None));
-                }
+            for (k, (a, b)) in partition(end - pos, backends).into_iter().enumerate() {
+                plan.push((k, (pos + a, pos + b), None));
             }
         }
         pos = end;
@@ -930,8 +899,8 @@ fn plan_shards(
 /// `spec` — the invariant `crates/shard/tests/cross_shard.rs` enforces
 /// against real killed processes.
 ///
-/// This is the convenience form of [`run_sharded_ctl`]: uniform
-/// partitioning, no cancellation, no live event sink.
+/// This is the convenience form of [`run_sharded_ctl`]: no
+/// cancellation, no live event sink.
 ///
 /// # Errors
 ///
@@ -942,17 +911,13 @@ pub fn run_sharded(
     backends: &[String],
     config: &ShardConfig,
 ) -> Result<ShardRun, ExecError> {
-    run_sharded_ctl(spec, backends, None, config, &CancelToken::new(), |_| {})
+    run_sharded_ctl(spec, backends, config, &CancelToken::new(), |_| {})
 }
 
 /// The controllable core of [`run_sharded`]: the same dispatch loop
-/// with three extra seams the unified executor API drives — with one
-/// backend it is the remote path, with several the sharded one.
+/// with two extra seams the unified executor API drives, over one
+/// backend or several.
 ///
-/// * `weights` — optional per-backend capacity weights (one per
-///   backend); the grid partitions proportionally via
-///   [`partition_weighted`] instead of evenly. Backends whose share
-///   rounds to zero scenarios simply receive no initial shard.
 /// * `cancel` — checked between sweeps; on cancellation every
 ///   outstanding shard's job receives a best-effort `DELETE` (so its
 ///   backend stops working) and the run returns
@@ -976,13 +941,12 @@ pub fn run_sharded(
 ///
 /// # Errors
 ///
-/// See [`ExecError`]. Invalid weights and a spec that enumerates no
-/// feasible grid are [`ExecError::Rejected`] (no backend, no status),
-/// before any backend is contacted.
+/// See [`ExecError`]. A spec that enumerates no feasible grid is
+/// [`ExecError::Rejected`] (no backend, no status), before any backend
+/// is contacted.
 pub fn run_sharded_ctl(
     spec: &CampaignSpec,
     backends: &[String],
-    weights: Option<&[f64]>,
     config: &ShardConfig,
     cancel: &CancelToken,
     mut on_event: impl FnMut(&CampaignEvent),
@@ -990,26 +954,11 @@ pub fn run_sharded_ctl(
     if backends.is_empty() {
         return Err(ExecError::NoBackends);
     }
-    let refused = |detail| ExecError::Rejected {
+    let grid = spec.try_scenarios().map_err(|detail| ExecError::Rejected {
         backend: None,
         status: None,
         detail,
-    };
-    if let Some(weights) = weights {
-        // Value validation here, typed — so a caller's bad weights
-        // surface as Rejected, not as partition_weighted's panic.
-        let valid = if weights.len() == backends.len() {
-            crate::partition::validate_weights(weights)
-        } else {
-            Err(format!(
-                "{} weights for {} backends",
-                weights.len(),
-                backends.len()
-            ))
-        };
-        valid.map_err(|why| refused(format!("bad backend weights: {why}")))?;
-    }
-    let grid = spec.try_scenarios().map_err(refused)?;
+    })?;
     // A ranged parent spec shards only its own execution slice — the
     // indices the local and remote paths would run — so the merged
     // report stays byte-identical across executors for ranged specs
@@ -1028,7 +977,7 @@ pub fn run_sharded_ctl(
         .as_ref()
         .map(|cache| cache.load(spec, &grid))
         .unwrap_or_default();
-    let plan = plan_shards(active.clone(), cached_rows, backends.len(), weights);
+    let plan = plan_shards(active.clone(), cached_rows, backends.len());
     let shard_count = plan.len();
     let spliced: usize = plan
         .iter()
@@ -1128,7 +1077,8 @@ pub fn run_sharded_ctl(
                 .expect("loop exits only when every shard has rows")
         })
         .collect();
-    let (report, results) = merged_report_over(spec.campaign_seed, active, rows)?;
+    let (report, results) = canonical_report(spec.campaign_seed, active, rows)
+        .map_err(|detail| ExecError::BadMerge { detail })?;
     Ok(ShardRun {
         report,
         results,
@@ -1236,15 +1186,9 @@ mod tests {
                 .enumerate()
                 .map(|(i, (a, b))| (i % k, (active.start + a, active.start + b), None))
                 .collect();
-            let plan = plan_shards(active.clone(), BTreeMap::new(), k, None);
+            let plan = plan_shards(active.clone(), BTreeMap::new(), k);
             assert_eq!(shape(&plan), expected, "{active:?} over {k} backends");
         }
-    }
-
-    #[test]
-    fn weighted_plan_skips_empty_ranges_and_keeps_backend_alignment() {
-        let plan = plan_shards(2..11, BTreeMap::new(), 3, Some(&[1.0, 0.0, 2.0]));
-        assert_eq!(shape(&plan), vec![(0, (2, 5), None), (2, (5, 11), None)]);
     }
 
     #[test]
@@ -1255,7 +1199,7 @@ mod tests {
             .filter(|row| [0, 1, 4, 5].contains(&row.scenario.index))
             .map(|row| (row.scenario.index, row))
             .collect();
-        let plan = plan_shards(0..8, cached, 2, None);
+        let plan = plan_shards(0..8, cached, 2);
         assert_eq!(
             shape(&plan),
             vec![

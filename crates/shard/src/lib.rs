@@ -1,7 +1,7 @@
 //! # chunkpoint-shard
 //!
-//! A **scenario-range shard coordinator** over multiple
-//! [`chunkpoint_serve`] instances: take one
+//! A **scenario-range shard coordinator** over one or more `serve`
+//! campaign services: take one
 //! [`CampaignSpec`](chunkpoint_campaign::CampaignSpec), split its
 //! scenario index space into contiguous ranges (the spec wire format's
 //! optional `scenario_range` field), submit one ranged sub-spec per
@@ -12,8 +12,8 @@
 //! The three layers:
 //!
 //! * [`partition`](mod@partition) — splits `0..n` into at most `k`
-//!   contiguous, non-empty, disjoint ranges covering the grid exactly
-//!   (evenly, or proportionally to backend weights);
+//!   contiguous, non-empty, disjoint ranges covering the grid exactly,
+//!   their sizes differing by at most one;
 //! * [`client`] — the coordinator's std-only HTTP client with **typed**
 //!   errors (connect vs. mid-exchange I/O vs. torn response vs.
 //!   oversized body), bounded in time and memory against misbehaving
@@ -27,8 +27,8 @@
 //! grid (the range only restricts execution), so a shard computes
 //! exactly the rows the unsharded campaign would — on any backend, any
 //! number of times. The merge sorts rows by global scenario index, and
-//! the report is the timing-free
-//! [`chunkpoint_campaign::canonical_report_json`]. The result: sharding,
+//! the report is [`chunkpoint_campaign::rows::canonical_report`], the
+//! one report every execution path renders. The result: sharding,
 //! backend failures, and re-dispatches are all invisible in the output,
 //! which `crates/shard/tests/cross_shard.rs` proves by `SIGKILL`ing a
 //! real backend mid-campaign and comparing bytes.
@@ -66,7 +66,7 @@ pub use client::{exchange, ClientError, MAX_RESPONSE_BYTES};
 pub use metrics::cache_evictions;
 
 pub use coordinator::{
-    fetch_journal_rows, merged_report, merged_report_over, run_sharded, run_sharded_ctl, ExecError,
-    PartialCampaign, ShardConfig, ShardRun,
+    fetch_journal_rows, merged_report, run_sharded, run_sharded_ctl, ExecError, PartialCampaign,
+    ShardConfig, ShardRun,
 };
-pub use partition::{partition, partition_weighted, validate_weights};
+pub use partition::partition;

@@ -167,16 +167,16 @@ fn warm_cache_splices_across_restart_and_repartition() {
     let config = cached_config(&cache_dir);
 
     // Cold cache: a normal two-shard run that seals its rows to disk.
-    let cold = run_sharded_ctl(&spec, &backends, None, &config, &CancelToken::new(), |_| {})
-        .expect("cold run");
+    let cold =
+        run_sharded_ctl(&spec, &backends, &config, &CancelToken::new(), |_| {}).expect("cold run");
     assert_eq!(cold.report, expected);
     assert_eq!(cold.dispatches, 2);
     assert_eq!(cold.spliced, 0, "a cold cache cannot splice");
 
     // "Coordinator restart": a fresh run over the same cache dir must
     // splice the whole grid without touching a backend.
-    let warm = run_sharded_ctl(&spec, &backends, None, &config, &CancelToken::new(), |_| {})
-        .expect("warm run");
+    let warm =
+        run_sharded_ctl(&spec, &backends, &config, &CancelToken::new(), |_| {}).expect("warm run");
     assert_eq!(warm.report, expected, "spliced bytes diverged");
     assert_eq!(warm.dispatches, 0, "warm cache still dispatched");
     assert_eq!(warm.spliced, total);
@@ -184,15 +184,9 @@ fn warm_cache_splices_across_restart_and_repartition() {
     // Re-partitioned: one backend instead of two. The cache is keyed
     // by range under the campaign, not by the old partitioning, so the
     // splice still covers everything.
-    let repartitioned = run_sharded_ctl(
-        &spec,
-        &backends[..1],
-        None,
-        &config,
-        &CancelToken::new(),
-        |_| {},
-    )
-    .expect("repartitioned run");
+    let repartitioned =
+        run_sharded_ctl(&spec, &backends[..1], &config, &CancelToken::new(), |_| {})
+            .expect("repartitioned run");
     assert_eq!(repartitioned.report, expected);
     assert_eq!(repartitioned.dispatches, 0);
     assert_eq!(repartitioned.spliced, total);
@@ -212,9 +206,8 @@ fn warm_cache_splices_across_restart_and_repartition() {
     let victim = &files[0];
     let text = std::fs::read_to_string(victim).expect("victim file");
     std::fs::write(victim, &text[..text.len() / 2]).expect("tear victim");
-    let after_corruption =
-        run_sharded_ctl(&spec, &backends, None, &config, &CancelToken::new(), |_| {})
-            .expect("run over torn cache");
+    let after_corruption = run_sharded_ctl(&spec, &backends, &config, &CancelToken::new(), |_| {})
+        .expect("run over torn cache");
     assert_eq!(
         after_corruption.report, expected,
         "corruption leaked into the bytes"
@@ -288,15 +281,8 @@ fn one_axis_edit_executes_only_changed_cells_with_identical_bytes() {
     let config = cached_config(&cache_dir);
 
     // Complete the original campaign with the cache on.
-    let baseline = run_sharded_ctl(
-        &old_spec,
-        &backends,
-        None,
-        &config,
-        &CancelToken::new(),
-        |_| {},
-    )
-    .expect("baseline run");
+    let baseline = run_sharded_ctl(&old_spec, &backends, &config, &CancelToken::new(), |_| {})
+        .expect("baseline run");
     assert_eq!(baseline.spliced, 0);
 
     // The edited spec hashes to its own campaign directory: before
@@ -334,7 +320,6 @@ fn one_axis_edit_executes_only_changed_cells_with_identical_bytes() {
     let incremental = run_sharded_ctl(
         &new_spec,
         &backends,
-        None,
         &config,
         &CancelToken::new(),
         |event| {
@@ -369,15 +354,8 @@ fn one_axis_edit_executes_only_changed_cells_with_identical_bytes() {
 
     // The incremental run sealed what it executed: one more pass over
     // the cache completes without any dispatch at all.
-    let rerun = run_sharded_ctl(
-        &new_spec,
-        &backends,
-        None,
-        &config,
-        &CancelToken::new(),
-        |_| {},
-    )
-    .expect("fully cached rerun");
+    let rerun = run_sharded_ctl(&new_spec, &backends, &config, &CancelToken::new(), |_| {})
+        .expect("fully cached rerun");
     assert_eq!(rerun.report, expected);
     assert_eq!(rerun.dispatches, 0);
     assert_eq!(rerun.spliced, new_grid.len());

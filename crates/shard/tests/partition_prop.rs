@@ -9,7 +9,7 @@ use std::collections::HashSet;
 
 use chunkpoint_campaign::{CampaignSpec, SchemeSpec};
 use chunkpoint_core::{MitigationScheme, SystemConfig};
-use chunkpoint_shard::{partition, partition_weighted};
+use chunkpoint_shard::partition;
 use chunkpoint_workloads::Benchmark;
 use proptest::prelude::*;
 
@@ -36,62 +36,6 @@ proptest! {
             ranges.iter().map(|&(s, e)| e - s).min(),
         ) {
             prop_assert!(max - min <= 1, "unbalanced split: {} vs {}", max, min);
-        }
-    }
-
-    /// Weighted partitioning keeps the tiling invariants with empty
-    /// ranges allowed: exactly one range per weight, contiguous,
-    /// disjoint, covering `0..n`.
-    #[test]
-    fn weighted_ranges_tile_the_grid(
-        n in 0usize..500,
-        weights in proptest::collection::vec(0.01f64..10.0, 1..12),
-    ) {
-        let ranges = partition_weighted(n, &weights);
-        prop_assert_eq!(ranges.len(), weights.len());
-        let mut cursor = 0usize;
-        for &(start, end) in &ranges {
-            prop_assert_eq!(start, cursor, "gap or overlap at {}", start);
-            prop_assert!(end >= start);
-            cursor = end;
-        }
-        prop_assert_eq!(cursor, n, "weighted ranges do not cover the grid");
-    }
-
-    /// Monotonicity: a strictly larger weight never receives a smaller
-    /// range than a smaller weight does.
-    #[test]
-    fn weighted_sizes_are_monotone_in_weight(
-        n in 1usize..400,
-        weights in proptest::collection::vec(0.01f64..10.0, 2..10),
-    ) {
-        let ranges = partition_weighted(n, &weights);
-        let size = |k: usize| ranges[k].1 - ranges[k].0;
-        for i in 0..weights.len() {
-            for j in 0..weights.len() {
-                if weights[i] > weights[j] {
-                    prop_assert!(
-                        size(i) >= size(j),
-                        "weight {} got {} scenarios but weight {} got {}",
-                        weights[i], size(i), weights[j], size(j)
-                    );
-                }
-            }
-        }
-    }
-
-    /// Uniform weights degenerate to `partition`: exactly for grids at
-    /// least as large as the shard count, and up to dropping empty
-    /// ranges for smaller grids.
-    #[test]
-    fn uniform_weights_match_partition(n in 0usize..400, shards in 1usize..12) {
-        let weighted = partition_weighted(n, &vec![1.0; shards]);
-        if n >= shards {
-            prop_assert_eq!(weighted, partition(n, shards));
-        } else {
-            let nonempty: Vec<(usize, usize)> =
-                weighted.into_iter().filter(|&(s, e)| s < e).collect();
-            prop_assert_eq!(nonempty, partition(n, shards));
         }
     }
 

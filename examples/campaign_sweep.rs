@@ -4,9 +4,8 @@
 //!
 //! The grid is benchmark × scheme × λ × replicate, submitted through
 //! the unified executor API ([`chunkpoint::exec`]): the same
-//! submit/observe/wait calls would run this grid on a remote service
-//! (`RemoteExecutor`) or a fleet of them (`ShardedExecutor`) with
-//! byte-identical results. Scenario seeds derive from
+//! submit/observe/wait calls would run this grid on one remote service
+//! or a fleet of them (`ShardedExecutor`) with byte-identical results. Scenario seeds derive from
 //! `(campaign_seed, scenario_index)`, so the numbers below are
 //! bit-identical no matter how many worker threads run the grid.
 //!

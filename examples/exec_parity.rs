@@ -1,6 +1,6 @@
 //! The executor-parity smoke: one tiny grid, two execution paths —
-//! in-process [`LocalExecutor`] and [`RemoteExecutor`] against a
-//! self-hosted `serve` — asserting the two canonical reports are
+//! in-process [`LocalExecutor`] and a one-backend [`ShardedExecutor`]
+//! against a self-hosted `serve` — asserting the two canonical reports are
 //! **byte-identical** and both event streams completed. CI runs this
 //! as the exec smoke (`scripts/ci.sh`); it finishes in about a second.
 //!
@@ -10,7 +10,7 @@
 
 use chunkpoint::campaign::{CampaignSpec, SchemeSpec};
 use chunkpoint::core::{MitigationScheme, SystemConfig};
-use chunkpoint::exec::{CampaignEvent, CampaignExecutor, LocalExecutor, RemoteExecutor};
+use chunkpoint::exec::{CampaignEvent, CampaignExecutor, LocalExecutor, ShardedExecutor};
 use chunkpoint::workloads::Benchmark;
 use chunkpoint_serve::server::{ServeConfig, Server};
 
@@ -46,7 +46,7 @@ fn main() {
     let addr = server.local_addr().expect("addr").to_string();
     std::thread::spawn(move || server.run());
 
-    let remote_handle = RemoteExecutor::new(addr.clone()).submit(&spec);
+    let remote_handle = ShardedExecutor::new(vec![addr.clone()]).submit(&spec);
     let mut remote_events = 0usize;
     let mut completed = false;
     for event in remote_handle.events() {

@@ -13,7 +13,7 @@
 
 use chunkpoint::campaign::{canonical_report_json, run_campaign, CampaignSpec, SchemeSpec};
 use chunkpoint::core::{MitigationScheme, SystemConfig};
-use chunkpoint::exec::{CampaignExecutor, RemoteExecutor};
+use chunkpoint::exec::{CampaignExecutor, ShardedExecutor};
 use chunkpoint::scenario::{
     ExpectField, ExpectOp, ExpectValue, Expectation, ScenarioDef, TimelineEvent,
 };
@@ -92,7 +92,7 @@ fn main() {
     let addr = server.local_addr().expect("addr").to_string();
     std::thread::spawn(move || server.run());
 
-    let remote = RemoteExecutor::new(addr.clone())
+    let remote = ShardedExecutor::new(vec![addr.clone()])
         .submit(&spec)
         .wait()
         .expect("remote run");

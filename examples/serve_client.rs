@@ -1,6 +1,6 @@
 //! Campaign-service walkthrough through the **unified executor API**:
-//! submit a λ-sweep spec to a `serve` instance with
-//! [`chunkpoint::exec::RemoteExecutor`], stream its typed progress
+//! submit a λ-sweep spec to a `serve` instance with a one-backend
+//! [`chunkpoint::exec::ShardedExecutor`], stream its typed progress
 //! events, and print the aggregate table — no hand-rolled HTTP loop;
 //! the executor drives the typed shard client underneath.
 //!
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use chunkpoint::campaign::{Axis, CampaignSpec, SchemeSpec};
 use chunkpoint::core::{MitigationScheme, SystemConfig};
-use chunkpoint::exec::{CampaignEvent, CampaignExecutor, LiveAggregates, RemoteExecutor};
+use chunkpoint::exec::{CampaignEvent, CampaignExecutor, LiveAggregates, ShardedExecutor};
 use chunkpoint::workloads::Benchmark;
 use chunkpoint_bench::report::Table;
 use chunkpoint_serve::server::{ServeConfig, Server};
@@ -82,7 +82,7 @@ fn main() {
 
     // Submit the sweep through the executor API and observe it live.
     let spec = sweep_spec();
-    let executor = RemoteExecutor::new(addr.clone());
+    let executor = ShardedExecutor::new(vec![addr.clone()]);
     let started = Instant::now();
     let handle = executor.submit(&spec);
     let mut live = LiveAggregates::new(&[Axis::Scheme, Axis::ErrorRate]);

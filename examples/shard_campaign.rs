@@ -6,20 +6,20 @@
 //!
 //! By default the example starts two services in-process on ephemeral
 //! ports; point it at running services instead with repeated `--backend`
-//! flags, optionally weighting the split with `--weights W,W`:
+//! flags:
 //!
 //! ```text
 //! cargo run --release --example shard_campaign \
-//!     [-- --backend HOST:PORT --backend HOST:PORT [--weights 3,1]]
+//!     [-- --backend HOST:PORT --backend HOST:PORT]
 //! ```
 
+use chunkpoint::campaign::rows::REPORT_AXES;
 use chunkpoint::campaign::{canonical_report_json, run_campaign, Axis, CampaignSpec, SchemeSpec};
 use chunkpoint::core::{MitigationScheme, SystemConfig};
 use chunkpoint::exec::{CampaignEvent, CampaignExecutor, LiveAggregates, ShardedExecutor};
 use chunkpoint::workloads::Benchmark;
 use chunkpoint_bench::report::Table;
 use chunkpoint_serve::server::{ServeConfig, Server};
-use chunkpoint_serve::REPORT_AXES;
 
 /// The λ sweep: three decades around the paper's worst case.
 const RATES: [f64; 3] = [1e-7, 1e-6, 1e-5];
@@ -43,25 +43,12 @@ fn sweep_spec() -> CampaignSpec {
 
 fn main() {
     let mut backends: Vec<String> = Vec::new();
-    let mut weights: Option<Vec<f64>> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--backend" => backends.push(args.next().expect("--backend requires HOST:PORT")),
-            "--weights" => {
-                weights = Some(
-                    args.next()
-                        .expect("--weights requires W,W,...")
-                        .split(',')
-                        .map(|w| w.trim().parse().expect("numeric weight"))
-                        .collect(),
-                );
-            }
             other => {
-                eprintln!(
-                    "unknown flag {other}; usage: shard_campaign \
-                     [--backend HOST:PORT ...] [--weights W,W,...]"
-                );
+                eprintln!("unknown flag {other}; usage: shard_campaign [--backend HOST:PORT ...]");
                 std::process::exit(2);
             }
         }
@@ -97,11 +84,7 @@ fn main() {
         spec.scenarios().len(),
         backends.len()
     );
-    let mut executor = ShardedExecutor::new(backends);
-    if let Some(weights) = weights {
-        executor = executor.with_weights(weights);
-    }
-    let handle = executor.submit(&spec);
+    let handle = ShardedExecutor::new(backends).submit(&spec);
     let mut live = LiveAggregates::new(&[Axis::Scheme, Axis::ErrorRate]);
     for event in handle.events() {
         // Narrate the coordinator's decisions; fold scenario rows into

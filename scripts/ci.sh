@@ -56,8 +56,16 @@ cargo run --release -p chunkpoint_bench --bin bench_campaign -- --smoke --seeds 
 echo "== ECC bench smoke (codec and SRAM words/second, one round) =="
 cargo run --release -p chunkpoint_bench --bin bench_ecc -- --smoke
 
-echo "== exec smoke (one executor API: local + remote parity on a 1-second grid) =="
+echo "== exec smoke (one executor API: local + one-backend ShardedExecutor parity on a 1-second grid) =="
 cargo run --release --example exec_parity
+
+# Each example starts two in-process services and asserts that the
+# merged report equals a local run of the same spec.
+echo "== sharded example (even split over two in-process services, byte-identical) =="
+cargo run --release --example shard_campaign
+
+echo "== incremental example (cache splice + spec-diffed re-run, byte-identical) =="
+cargo run --release --example incremental_campaign
 
 echo "== scenario smoke (named timeline scenario through a real serve backend) =="
 SCN_DIR="$(mktemp -d)"
