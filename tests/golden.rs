@@ -4,6 +4,7 @@
 //! The parity suites compare execution paths with each other inside one
 //! build, so a change that moves every path the same way passes them all.
 //! These fixtures pin the numbers themselves: Table I's optimizer points,
+//! the optimizer's answers across area, cycle, λ and scale budgets,
 //! a Fig. 5 grid's canonical report, every task under every scheme, JPEG's
 //! ratios against its same-seed Default denominator, and one
 //! timeline-scenario campaign.
@@ -18,7 +19,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use chunkpoint::campaign::{canonical_report_json, run_campaign, CampaignSpec, SchemeSpec};
-use chunkpoint::core::{optimize, suboptimal, DesignPoint, MitigationScheme, SystemConfig};
+use chunkpoint::core::{
+    optimize, suboptimal, DesignPoint, MitigationScheme, SystemConfig, SystemConstraints,
+};
 use chunkpoint::scenario::{ScenarioDef, TimelineEvent};
 use chunkpoint::serve::REPORT_AXES;
 use chunkpoint::workloads::Benchmark;
@@ -88,6 +91,44 @@ fn table1_optimizer_points() {
         design_line(&mut out, "suboptimal", &sub);
     }
     check("table1.txt", &out);
+}
+
+/// The optimum and its sub-optimal point over 945 budgets: every
+/// benchmark × area limit × cycle limit × λ × input scale. No benchmark
+/// fits a 1 % area limit, so those cases pin the infeasible answer.
+#[test]
+fn optimizer_points() {
+    let mut out = String::new();
+    for benchmark in Benchmark::ALL {
+        for area in [0.01, 0.02, 0.05, 0.10, 0.90] {
+            for cycle in [0.02, 0.10, 0.50] {
+                for lambda in [0.0, 1e-6, 1e-4] {
+                    for scale in [0.25, 1.0, 4.0] {
+                        let mut config = SystemConfig::paper(0);
+                        config.constraints = SystemConstraints::new(area, cycle);
+                        config.faults.error_rate = lambda;
+                        config.scale = scale;
+                        writeln!(
+                            out,
+                            "{}  area {area:?}  cycle {cycle:?}  lambda {lambda:?}  scale {scale:?}",
+                            benchmark.name()
+                        )
+                        .expect("writing to a String");
+                        let Some(best) = optimize(benchmark, &config) else {
+                            writeln!(out, "  infeasible").expect("writing to a String");
+                            continue;
+                        };
+                        let sub = best
+                            .suboptimal(&config)
+                            .expect("the optimum itself is feasible");
+                        design_line(&mut out, "optimal", &best);
+                        design_line(&mut out, "suboptimal", &sub);
+                    }
+                }
+            }
+        }
+    }
+    check("optimizer_points.txt", &out);
 }
 
 #[test]
