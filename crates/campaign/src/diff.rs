@@ -121,6 +121,17 @@ pub fn contexts_match(old: &CampaignSpec, new: &CampaignSpec) -> bool {
 pub fn diff_specs(old: &CampaignSpec, new: &CampaignSpec) -> SpecDiff {
     let new_grid = new.clone().without_range().scenarios();
     let old_grid = old.clone().without_range().scenarios();
+    diff_grids(old, &old_grid, new, &new_grid)
+}
+
+/// [`diff_specs`] over the full grids of `old` and `new`, already
+/// enumerated.
+fn diff_grids(
+    old: &CampaignSpec,
+    old_grid: &[Scenario],
+    new: &CampaignSpec,
+    new_grid: &[Scenario],
+) -> SpecDiff {
     if !contexts_match(old, new) {
         return SpecDiff {
             pairs: Vec::new(),
@@ -169,9 +180,9 @@ pub fn translate_rows(
     new: &CampaignSpec,
     old_rows: &[ScenarioResult],
 ) -> Vec<ScenarioResult> {
-    let diff = diff_specs(old, new);
-    let old_grid = old.clone().without_range().scenarios();
     let new_grid = new.clone().without_range().scenarios();
+    let old_grid = old.clone().without_range().scenarios();
+    let diff = diff_grids(old, &old_grid, new, &new_grid);
     let by_old_index: HashMap<usize, &ScenarioResult> = old_rows
         .iter()
         .filter(|row| {

@@ -3,8 +3,13 @@
 //! The paper solves the problem with the MATLAB optimization toolbox; the
 //! decision space here is small and integral (S_CH = K·W_size with K a
 //! few hundred at most, Eq. 6–7), so this module finds the *exact* integer
-//! optimum by exhaustive search over (K, t) and also exposes the
+//! optimum by a pruned search over (K, t) and also exposes the
 //! area-feasibility region of Fig. 4.
+//!
+//! The pruning rests on Fig. 4's monotonicity. At a fixed t, L1′ area
+//! rises with the protected buffer, and the buffer never shrinks as K
+//! grows, so the first K over the area limit (Eq. 4) ends that t's K
+//! loop: no larger K fits either.
 
 use chunkpoint_ecc::{CodeOverhead, EccKind};
 use chunkpoint_sim::Platform;
@@ -96,8 +101,15 @@ pub fn evaluate(
     evaluate_with_model(&model, benchmark, chunk_words, l1_prime_t, config)
 }
 
-/// Finds the energy-optimal feasible design point for a benchmark by
-/// exhaustive search (exact integer optimum of Eq. 3).
+/// Finds the energy-optimal feasible design point for a benchmark (exact
+/// integer optimum of Eq. 3).
+///
+/// The search skips only points it knows to be infeasible. A speech task
+/// protects K + state words and JPEG 16·max(⌊K/16⌋, 1) + 4, neither of
+/// which falls as K grows, and L1′ area rises strictly with stored bits.
+/// So each t's K loop stops at the first K over the area limit. The rest
+/// are visited in (t, K) order under a strict `<`, so the answer, ties
+/// included, is the exhaustive search's.
 ///
 /// Returns `None` when no (K, t) candidate satisfies the constraints.
 #[must_use]
@@ -107,6 +119,10 @@ pub fn optimize(benchmark: Benchmark, config: &SystemConfig) -> Option<DesignPoi
         let model = model_for(benchmark, t, config);
         for k in 1..=MAX_CHUNK_WORDS {
             let point = evaluate_with_model(&model, benchmark, k, t, config);
+            // `>`, not `!(<=)`: a NaN limit never breaks, and never fits.
+            if point.area_fraction > config.constraints.area_overhead {
+                break;
+            }
             if !point.is_feasible(config) {
                 continue;
             }

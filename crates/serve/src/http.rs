@@ -149,7 +149,8 @@ fn remaining(deadline: Instant) -> Option<Duration> {
 ///
 /// Returns `Ok(Err(response))` for protocol violations the caller should
 /// answer with (oversized head/body, missing framing, bad request line,
-/// a head or body dribbled past its deadline — answered with a `408`)
+/// a signed or conflicting `Content-Length`, a head or body dribbled
+/// past its deadline — answered with a `408`)
 /// and `Err(_)` only for socket-level failures.
 ///
 /// The head and body each get a **whole-phase deadline**
@@ -213,17 +214,25 @@ pub fn read_request_within(
         _ => return Ok(Err(Response::error(400, "malformed request line"))),
     };
     let _ = version;
-    let mut content_length: usize = 0;
+    // Only bare digits frame a body, and repeats must agree: a signed
+    // or conflicting length is one a proxy in front may frame otherwise.
+    let mut content_length: Option<usize> = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = match value.trim().parse() {
-                    Ok(n) => n,
-                    Err(_) => return Ok(Err(Response::error(400, "bad Content-Length"))),
+                let value = value.trim();
+                let length = match value.parse() {
+                    Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+                    _ => return Ok(Err(Response::error(400, "bad Content-Length"))),
                 };
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Ok(Err(Response::error(400, "conflicting Content-Length")));
+                }
+                content_length = Some(length);
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Ok(Err(Response::error(413, "request body too large")));
     }

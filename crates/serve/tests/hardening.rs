@@ -243,6 +243,38 @@ fn malformed_inputs_get_typed_errors_and_the_service_survives() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A signed `Content-Length`, and two that disagree, are framing a proxy
+/// in front may read differently: each gets a 400, and the service still
+/// accepts a normal submit afterwards.
+#[test]
+fn signed_and_conflicting_lengths_are_refused() {
+    let (addr, serving, dir) = start_server("lengths", 1024);
+    let body = tiny_spec(0x1E6).to_json().render();
+    for length in [
+        format!("+{}", body.len()),
+        format!("3\r\nContent-Length: {}", body.len()),
+    ] {
+        let request = format!(
+            "POST /campaigns HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {length}\r\n\r\n{body}"
+        );
+        let response = raw_exchange(&addr, request.as_bytes());
+        assert!(
+            response.starts_with("HTTP/1.1 400"),
+            "{length:?}: {response}"
+        );
+        assert!(
+            response.contains("Content-Length"),
+            "{length:?}: {response}"
+        );
+    }
+    let response = post_campaigns(&addr, body.as_bytes());
+    assert!(response.starts_with("HTTP/1.1 202"), "{response}");
+
+    let _ = exchange(&addr, "POST", "/shutdown", None, TIMEOUT);
+    serving.join().expect("server drained");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The shed `Retry-After` is derived from queue depth and the observed
 /// scenario wall-time mean, and always lands inside the documented
 /// `[1, 60]` second clamp — an integral header a client can sleep on.

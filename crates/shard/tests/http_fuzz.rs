@@ -119,11 +119,32 @@ fn the_valid_request_and_its_known_faults_read_as_specified() {
             other => panic!("valid request read as {other:?}"),
         }
     }
+    // A length repeated with the same value frames the same body.
+    let repeated = format!("{}\r\nContent-Length: {}", BODY.len(), BODY.len());
+    match read(&request(&repeated, BODY.as_bytes()), true, LONG_DEADLINE) {
+        Outcome::Request(request) => assert_eq!(request.body, BODY),
+        other => panic!("a repeated length read as {other:?}"),
+    }
     let status = |bytes: &[u8], close: bool, deadline: Duration| match read(bytes, close, deadline)
     {
         Outcome::Answer(status) => status,
         other => panic!("expected an answer, got {other:?}"),
     };
+    // A signed length, and two lengths that disagree: framing a proxy in
+    // front may read differently.
+    assert_eq!(
+        status(
+            &request(&format!("+{}", BODY.len()), BODY.as_bytes()),
+            true,
+            LONG_DEADLINE
+        ),
+        400
+    );
+    let conflicting = format!("3\r\nContent-Length: {}", BODY.len());
+    assert_eq!(
+        status(&request(&conflicting, BODY.as_bytes()), true, LONG_DEADLINE),
+        400
+    );
     // A body past the cap, a bad length, a cut body, a body that is not
     // UTF-8, a head that never ends, and a body that never arrives.
     assert_eq!(status(&request("67108865", b""), true, LONG_DEADLINE), 413);

@@ -19,6 +19,13 @@ cargo fmt --check
 echo "== cargo build --release =="
 cargo build --release
 
+# The bins that call optimize, sweep and feasible_region directly: a
+# panic in any of them fails the gate (about 30 ms together).
+echo "== optimizer bins (Table I, Fig. 4, area-budget and chunk-size ablations) =="
+for bin in table1_optimal_chunks fig4_feasible_region ablation_area_budget ablation_chunk_sweep; do
+    target/release/"$bin" >/dev/null
+done
+
 echo "== cargo test -q =="
 cargo test -q
 

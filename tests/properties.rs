@@ -5,6 +5,9 @@
 //!   bit-identical to the fault-free reference.
 //! * **Optimizer soundness**: every design point the optimizer returns
 //!   satisfies the constraints it was given.
+//! * **Exact pruned search**: the pruned optimizer returns an exhaustive
+//!   oracle's point, bit for bit, and the monotonicity its pruning rests
+//!   on holds.
 //! * **Exact Fig. 5 denominators**: wherever
 //!   `Benchmark::ledger_is_data_independent` holds, a faulty Default run
 //!   charges exactly the golden run's cycles and energy; JPEG, where it
@@ -14,7 +17,8 @@
 use proptest::prelude::*;
 
 use chunkpoint::core::{
-    evaluate, golden, optimize, run, MitigationScheme, SystemConfig, SystemConstraints,
+    buffer_area_um2, evaluate, golden, optimize, run, sweep, DesignPoint, MitigationScheme,
+    SystemConfig, SystemConstraints, MAX_CHUNK_WORDS, MAX_L1_PRIME_T, MIN_L1_PRIME_T,
 };
 use chunkpoint::sim::{Burst, FaultTimeline};
 use chunkpoint::workloads::Benchmark;
@@ -180,4 +184,136 @@ fn jpeg_default_ledger_can_differ_from_the_golden() {
         default.energy_pj().to_bits(),
         reference.energy_pj().to_bits()
     );
+}
+
+/// The (scale, λ, area limit, cycle limit) budgets the pruned search is
+/// checked over, for every benchmark.
+const SCALES: [f64; 5] = [0.05, 0.25, 1.0, 2.0, 4.0];
+const RATES: [f64; 6] = [0.0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3];
+const AREA_LIMITS: [f64; 5] = [0.005, 0.02, 0.05, 0.20, 0.90];
+const CYCLE_LIMITS: [f64; 3] = [0.02, 0.10, 0.50];
+
+/// Every field of a design point, floats as bits.
+fn point_bits(point: &DesignPoint) -> (Benchmark, u32, u8, usize, u32, [u64; 7]) {
+    let cost = &point.cost;
+    (
+        point.benchmark,
+        point.chunk_words,
+        point.l1_prime_t,
+        cost.n_checkpoints,
+        cost.buffer_words,
+        [
+            cost.store_pj,
+            cost.comp_pj,
+            cost.expected_errors,
+            cost.overhead_cycles,
+            cost.base_cycles,
+            point.area_um2,
+            point.area_fraction,
+        ]
+        .map(f64::to_bits),
+    )
+}
+
+/// The exhaustive search: every (t, K) in order, the first strict
+/// minimum among feasible points, and the smallest feasible K at its t.
+fn exhaustive_optimum(
+    benchmark: Benchmark,
+    config: &SystemConfig,
+) -> Option<(DesignPoint, DesignPoint)> {
+    let mut best: Option<(DesignPoint, DesignPoint)> = None;
+    for t in MIN_L1_PRIME_T..=MAX_L1_PRIME_T {
+        let feasible: Vec<DesignPoint> = sweep(benchmark, t, config)
+            .into_iter()
+            .filter(|p| p.is_feasible(config))
+            .collect();
+        for &point in &feasible {
+            let better = best
+                .as_ref()
+                .is_none_or(|(b, _)| point.cost.objective_pj() < b.cost.objective_pj());
+            if better {
+                best = Some((point, feasible[0]));
+            }
+        }
+    }
+    best
+}
+
+/// The pruned `optimize`, and the sub-optimal point of its answer, equal
+/// the exhaustive oracle's bit for bit on 3,150 budgets (a fixed stride
+/// of them in debug builds), `None` wherever nothing is feasible.
+#[test]
+fn pruned_optimizer_matches_the_exhaustive_search() {
+    let stride = if cfg!(debug_assertions) { 7 } else { 1 };
+    let mut cases = Vec::new();
+    for benchmark in Benchmark::ALL {
+        for scale in SCALES {
+            for rate in RATES {
+                for area in AREA_LIMITS {
+                    for cycle in CYCLE_LIMITS {
+                        cases.push((benchmark, scale, rate, area, cycle));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases.len(), 3_150);
+    let (mut feasible, mut infeasible) = (0, 0);
+    for &(benchmark, scale, rate, area, cycle) in cases.iter().step_by(stride) {
+        let mut config = SystemConfig::paper(0);
+        config.scale = scale;
+        config.faults.error_rate = rate;
+        config.constraints = SystemConstraints::new(area, cycle);
+        let case = format!("{benchmark} scale {scale} λ {rate:e} area {area} cycle {cycle}");
+        let pruned = optimize(benchmark, &config).map(|best| {
+            let sub = best.suboptimal(&config).expect("the optimum is feasible");
+            (point_bits(&best), point_bits(&sub))
+        });
+        let oracle = exhaustive_optimum(benchmark, &config)
+            .map(|(best, sub)| (point_bits(&best), point_bits(&sub)));
+        assert_eq!(pruned, oracle, "{case}");
+        if oracle.is_some() {
+            feasible += 1;
+        } else {
+            infeasible += 1;
+        }
+    }
+    assert!(feasible > 0 && infeasible > 0, "{feasible} / {infeasible}");
+}
+
+/// The premise of the pruning: the protected buffer never shrinks as K
+/// grows, and L1′ area rises strictly with buffer words at every t.
+#[test]
+fn buffer_words_and_l1_prime_area_never_fall_with_the_chunk() {
+    let platform = SystemConfig::paper(0).platform;
+    let mut largest = 0;
+    for benchmark in Benchmark::ALL {
+        for scale in SCALES {
+            let words: Vec<u32> = (1..=MAX_CHUNK_WORDS)
+                .map(|k| benchmark.profile_for_chunk(k, scale).protected_words())
+                .collect();
+            for (k, pair) in (1..).zip(words.windows(2)) {
+                assert!(
+                    pair[1] >= pair[0],
+                    "{benchmark} scale {scale}: K={k} protects {} words, K={} {}",
+                    pair[0],
+                    k + 1,
+                    pair[1]
+                );
+            }
+            largest = largest.max(words[words.len() - 1]);
+        }
+    }
+    for t in MIN_L1_PRIME_T..=MAX_L1_PRIME_T {
+        for words in 1..largest {
+            let (small, large) = (
+                buffer_area_um2(&platform, words, t),
+                buffer_area_um2(&platform, words + 1, t),
+            );
+            assert!(
+                large > small,
+                "t={t}: {words} words {small} µm², one more {large} µm²"
+            );
+        }
+    }
 }
