@@ -7,10 +7,9 @@
 //!
 //! Runs on the campaign engine: `--threads/--seeds/--seed/--json`.
 
-use chunkpoint_bench::{fig5_scheme_axis, report, DEFAULT_SEEDS};
-use chunkpoint_campaign::{run_campaign, write_json_report, Axis, CampaignArgs, CampaignSpec};
+use chunkpoint_bench::{fig5_series, fig5_spec, print_fig5_table, DEFAULT_SEEDS};
+use chunkpoint_campaign::{run_campaign, write_json_report, Axis, CampaignArgs};
 use chunkpoint_core::SystemConfig;
-use chunkpoint_workloads::Benchmark;
 
 fn main() {
     let args = CampaignArgs::parse_or_exit(DEFAULT_SEEDS, 0xF165);
@@ -23,39 +22,11 @@ fn main() {
     );
     println!();
 
-    let mut spec = CampaignSpec::new(config, args.seed).replicates(args.seeds);
-    for (label, scheme) in fig5_scheme_axis() {
-        spec = spec.scheme(label, scheme);
-    }
-    let result = run_campaign(&spec, args.threads);
-    let cells = result.aggregate(&[Axis::Benchmark, Axis::Scheme]);
+    let result = run_campaign(&fig5_spec(config, args.seed, args.seeds), args.threads);
+    let series = fig5_series(&result, |cell| cell.energy_ratio.mean());
+    print_fig5_table(&series);
 
-    let labels: Vec<String> = fig5_scheme_axis()
-        .iter()
-        .map(|(l, _)| (*l).to_owned())
-        .collect();
-    report::PAPER.header("benchmark", &labels);
-    let mut sums = vec![0.0f64; labels.len()];
-    for benchmark in Benchmark::ALL {
-        let mut row = Vec::new();
-        for (i, label) in labels.iter().enumerate() {
-            let stats = cells
-                .get(&[benchmark.name(), label])
-                .expect("every grid cell was simulated");
-            let mean = stats.energy_ratio.mean();
-            sums[i] += mean;
-            row.push(report::cell(mean));
-        }
-        report::PAPER.row(benchmark.name(), &row);
-    }
-    report::PAPER.rule(labels.len());
-    let averages: Vec<String> = sums
-        .iter()
-        .map(|s| report::cell(s / Benchmark::ALL.len() as f64))
-        .collect();
-    report::PAPER.row("Average", &averages);
-
-    let avg_opt = sums[3] / Benchmark::ALL.len() as f64;
+    let avg_opt = series[3].1.last().expect("an average");
     println!();
     println!(
         "proposed (optimal) average energy overhead: {:.1}% (paper: 10.1%)",

@@ -2,12 +2,15 @@
 //!
 //! * `fig4_feasible_region.svg` — the area-feasibility staircase;
 //! * `fig5_energy.svg` — normalized energy, grouped bars per benchmark;
-//! * `time_overhead.svg` — normalized execution time;
+//! * `time_overhead.svg` — normalized execution time; both draw one
+//!   campaign, the one `fig5_energy` prints at its default flags (and
+//!   `time_overhead --seed 61797`);
 //! * `fig1_timeline.svg` — a real execution timeline with an injected
 //!   error and its demand-driven rollback.
 
 use chunkpoint_bench::plot::{grouped_bar_chart, step_plot, timeline_svg};
-use chunkpoint_bench::{fig5_schemes, measure, DEFAULT_SEEDS};
+use chunkpoint_bench::{fig5_series, fig5_spec, DEFAULT_SEEDS};
+use chunkpoint_campaign::run_campaign;
 use chunkpoint_core::{feasible_region, run, MitigationScheme, SystemConfig};
 use chunkpoint_workloads::Benchmark;
 
@@ -31,33 +34,15 @@ fn main() -> std::io::Result<()> {
     std::fs::write("figures/fig4_feasible_region.svg", svg)?;
     println!("wrote figures/fig4_feasible_region.svg");
 
-    // Fig. 5 + time overhead share the measurement loop.
-    let labels: Vec<String> = fig5_schemes(Benchmark::AdpcmEncode, &config)
-        .into_iter()
-        .map(|(label, _)| label)
-        .collect();
+    // Fig. 5 and the time overhead.
+    let result = run_campaign(&fig5_spec(config, 0xF165, DEFAULT_SEEDS), 0);
+    let energy_series = fig5_series(&result, |cell| cell.energy_ratio.mean());
+    let time_series = fig5_series(&result, |cell| cell.cycle_ratio.mean());
     let categories: Vec<String> = Benchmark::ALL
         .iter()
         .map(|b| b.name().to_owned())
         .chain(std::iter::once("Average".to_owned()))
         .collect();
-    let mut energy_series: Vec<(String, Vec<f64>)> =
-        labels.iter().map(|l| (l.clone(), Vec::new())).collect();
-    let mut time_series = energy_series.clone();
-    for benchmark in Benchmark::ALL {
-        let schemes = fig5_schemes(benchmark, &config);
-        for (i, (_, scheme)) in schemes.iter().enumerate() {
-            let cell = measure(benchmark, *scheme, &config, DEFAULT_SEEDS);
-            energy_series[i].1.push(cell.energy_ratio);
-            time_series[i].1.push(cell.cycle_ratio);
-        }
-    }
-    for series in [&mut energy_series, &mut time_series] {
-        for (_, values) in series.iter_mut() {
-            let avg = values.iter().sum::<f64>() / values.len() as f64;
-            values.push(avg);
-        }
-    }
     std::fs::write(
         "figures/fig5_energy.svg",
         grouped_bar_chart(

@@ -14,7 +14,8 @@
 //! `--smoke` writes a file only when `--json` is given.
 //!
 //! [`Backends`] starts in-process `serve` instances for the bins that
-//! time the service stack, and cleans them up on drop.
+//! time the service stack and for the examples, and cleans them up on
+//! drop.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};

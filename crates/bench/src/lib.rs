@@ -13,7 +13,7 @@
 //! | `ablation_area_budget`  | OV1 sweep (1 … 10 %) |
 //! | `ablation_chunk_sweep`  | energy vs chunk size (the optimum's interior shape) |
 //! | `ablation_ecc_designs`, `ablation_detector`, `ablation_scrubbing`, `deadline_qos` | design-space ablations |
-//! | `render_figures`        | the figures as text plots, with a Fig. 1-style timeline |
+//! | `render_figures`        | Fig. 4, Fig. 5, §III-B and a Fig. 1-style timeline as SVG |
 //! | `bench_ecc`             | ECC and SRAM words/second (`BENCH_ecc.json`) |
 //! | `bench_campaign`        | campaign-engine scenarios/second per thread count (`BENCH_campaign.json`) |
 //! | `bench_scenario`        | timeline-scenario axis vs a plain grid (`BENCH_scenario.json`) |
@@ -24,10 +24,14 @@
 //!
 //! The Monte Carlo bins all run on the `chunkpoint_campaign` engine and
 //! share its `--threads/--seeds/--seed/--json` flags; per-scenario
-//! results are bit-identical at any thread count. The `bench_*` bins
-//! time through one [`harness`], which adds `--smoke`.
+//! results are bit-identical at any thread count. `fig5_energy`,
+//! `time_overhead` and `render_figures` run one [`fig5_spec`] campaign
+//! each and read it through [`fig5_series`], so the figures draw the
+//! numbers the tables print. The `bench_*` bins time through one
+//! [`harness`], which adds `--smoke`; its [`harness::Backends`] also
+//! hosts the examples' in-process `serve` instances.
 
-use chunkpoint_campaign::{run_cell, SchemeSpec};
+use chunkpoint_campaign::{Axis, CampaignResult, CampaignSpec, GroupStats, SchemeSpec};
 use chunkpoint_core::{MitigationScheme, SystemConfig};
 use chunkpoint_workloads::Benchmark;
 
@@ -35,67 +39,8 @@ pub mod harness;
 pub mod plot;
 pub mod report;
 
-pub use report::print_row;
-
 /// Number of fault-process seeds averaged per reported data point.
 pub const DEFAULT_SEEDS: u64 = 8;
-
-/// Energy and timing of one (benchmark, scheme) cell, averaged over
-/// seeds and normalised to the same-seed *Default* run.
-#[derive(Debug, Clone, Copy)]
-pub struct SchemeCell {
-    /// Mean normalized energy (Default = 1.0).
-    pub energy_ratio: f64,
-    /// Mean normalized execution time (Default = 1.0).
-    pub cycle_ratio: f64,
-    /// Fraction of seeds whose output matched the fault-free reference.
-    pub correct_fraction: f64,
-    /// Fraction of seeds that ran to completion.
-    pub completed_fraction: f64,
-}
-
-/// Runs one scheme over `seeds` seed replicates on the campaign engine
-/// (all cores; results are thread-count-independent) and aggregates
-/// against the Default denominator (the paper normalises Fig. 5 to the
-/// default case).
-pub fn measure(
-    benchmark: Benchmark,
-    scheme: MitigationScheme,
-    base_config: &SystemConfig,
-    seeds: u64,
-) -> SchemeCell {
-    measure_threaded(benchmark, scheme, base_config, seeds, 0)
-}
-
-/// [`measure`] with an explicit worker count (`0` = all cores).
-pub fn measure_threaded(
-    benchmark: Benchmark,
-    scheme: MitigationScheme,
-    base_config: &SystemConfig,
-    seeds: u64,
-    threads: usize,
-) -> SchemeCell {
-    assert!(seeds > 0, "need at least one seed");
-    let result = run_cell(benchmark, scheme, base_config, seeds, threads);
-    let n = result.results.len() as f64;
-    let mut cell = SchemeCell {
-        energy_ratio: 0.0,
-        cycle_ratio: 0.0,
-        correct_fraction: 0.0,
-        completed_fraction: 0.0,
-    };
-    for r in &result.results {
-        cell.energy_ratio += r.energy_ratio.expect("run_cell normalizes") / n;
-        cell.cycle_ratio += r.cycle_ratio.expect("run_cell normalizes") / n;
-        if r.correct == Some(true) {
-            cell.correct_fraction += 1.0 / n;
-        }
-        if r.completed {
-            cell.completed_fraction += 1.0 / n;
-        }
-    }
-    cell
-}
 
 /// The scheme axis of Fig. 5 in paper order, as campaign scheme specs:
 /// Default, SW-based, HW-based, Proposed (optimal), Proposed
@@ -115,69 +60,82 @@ pub fn fig5_scheme_axis() -> Vec<(&'static str, SchemeSpec)> {
     ]
 }
 
-/// The five scheme columns of Fig. 5 for one benchmark, in paper order,
-/// resolved to concrete schemes (the legacy per-benchmark form; new code
-/// should put [`fig5_scheme_axis`] on a campaign grid instead).
-pub fn fig5_schemes(
-    benchmark: Benchmark,
-    config: &SystemConfig,
-) -> Vec<(String, MitigationScheme)> {
+/// The Fig. 5 campaign: every benchmark under the [`fig5_scheme_axis`]
+/// columns, `replicates` fault seeds per cell.
+#[must_use]
+pub fn fig5_spec(config: SystemConfig, seed: u64, replicates: u64) -> CampaignSpec {
+    fig5_scheme_axis().into_iter().fold(
+        CampaignSpec::new(config, seed).replicates(replicates),
+        |spec, (label, scheme)| spec.scheme(label, scheme),
+    )
+}
+
+/// One series per [`fig5_scheme_axis`] column of a [`fig5_spec`] result:
+/// the `metric` of each benchmark's cell in [`Benchmark::ALL`] order,
+/// then their average. The tables print these values and the figures
+/// draw them.
+///
+/// # Panics
+///
+/// Panics if `result` lacks a (benchmark, column) cell.
+#[must_use]
+pub fn fig5_series(
+    result: &CampaignResult,
+    metric: impl Fn(&GroupStats) -> f64,
+) -> Vec<(String, Vec<f64>)> {
+    let cells = result.aggregate(&[Axis::Benchmark, Axis::Scheme]);
     fig5_scheme_axis()
         .into_iter()
-        .map(|(label, spec)| (label.to_owned(), spec.resolve(benchmark, config)))
+        .map(|(label, _)| {
+            let mut values: Vec<f64> = Benchmark::ALL
+                .iter()
+                .map(|b| metric(cells.get(&[b.name(), label]).expect("a Fig. 5 cell")))
+                .collect();
+            values.push(values.iter().sum::<f64>() / values.len() as f64);
+            (label.to_owned(), values)
+        })
         .collect()
+}
+
+/// Prints [`fig5_series`] as the paper's table: one row per benchmark,
+/// a rule, and the average row.
+pub fn print_fig5_table(series: &[(String, Vec<f64>)]) {
+    let labels: Vec<String> = series.iter().map(|(label, _)| label.clone()).collect();
+    report::PAPER.header("benchmark", &labels);
+    let row = |label: &str, i: usize| {
+        let cells: Vec<String> = series.iter().map(|(_, v)| report::cell(v[i])).collect();
+        report::PAPER.row(label, &cells);
+    };
+    for (i, benchmark) in Benchmark::ALL.iter().enumerate() {
+        row(benchmark.name(), i);
+    }
+    report::PAPER.rule(labels.len());
+    row("Average", Benchmark::ALL.len());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chunkpoint_campaign::run_campaign;
 
     #[test]
-    fn fig5_scheme_list_has_paper_columns() {
-        let config = SystemConfig::paper(0);
-        let schemes = fig5_schemes(Benchmark::AdpcmEncode, &config);
-        assert_eq!(schemes.len(), 5);
-        assert_eq!(schemes[0].0, "Default");
-        assert!(matches!(schemes[3].1, MitigationScheme::Hybrid { .. }));
-    }
-
-    #[test]
-    fn measure_default_is_unity() {
-        let mut config = SystemConfig::paper(3);
-        config.scale = 0.25;
-        let cell = measure(
-            Benchmark::AdpcmEncode,
-            MitigationScheme::Default,
-            &config,
-            2,
-        );
-        assert!((cell.energy_ratio - 1.0).abs() < 1e-9);
-        assert!((cell.cycle_ratio - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn measure_is_thread_count_independent() {
-        let mut config = SystemConfig::paper(5);
-        config.scale = 0.25;
-        config.faults.error_rate = 1e-5;
-        let serial = measure_threaded(
-            Benchmark::AdpcmEncode,
-            MitigationScheme::SwRestart,
-            &config,
-            3,
-            1,
-        );
-        let parallel = measure_threaded(
-            Benchmark::AdpcmEncode,
-            MitigationScheme::SwRestart,
-            &config,
-            3,
-            4,
-        );
-        assert_eq!(
-            serial.energy_ratio.to_bits(),
-            parallel.energy_ratio.to_bits()
-        );
-        assert_eq!(serial.cycle_ratio.to_bits(), parallel.cycle_ratio.to_bits());
+    fn fig5_series_reads_the_grid_in_paper_order() {
+        let mut config = SystemConfig::paper(0);
+        config.scale = 0.1;
+        let result = run_campaign(&fig5_spec(config, 0xF165, 1), 0);
+        let cells = result.aggregate(&[Axis::Benchmark, Axis::Scheme]);
+        let series = fig5_series(&result, |s| s.energy_ratio.mean());
+        assert_eq!(series.len(), fig5_scheme_axis().len());
+        for ((label, values), (column, _)) in series.iter().zip(fig5_scheme_axis()) {
+            assert_eq!(label, column);
+            let (means, average) = values.split_at(Benchmark::ALL.len());
+            for (b, value) in Benchmark::ALL.iter().zip(means) {
+                let stats = cells.get(&[b.name(), label]).unwrap();
+                let mean = stats.energy_ratio.mean();
+                assert_eq!(value.to_bits(), mean.to_bits(), "{label} {}", b.name());
+            }
+            assert_eq!(average, [means.iter().sum::<f64>() / means.len() as f64]);
+            assert!(label != "Default" || values.iter().all(|&v| v == 1.0));
+        }
     }
 }

@@ -1,11 +1,9 @@
 //! Shared table rendering for the experiment binaries.
 //!
-//! Every bin used to carry its own `print_row` / `"-".repeat(...)`
-//! boilerplate with hand-synchronised widths; [`Table`] is the one copy.
-//! A table has a left-aligned label column and N right-aligned data
+//! A [`Table`] has a left-aligned label column and N right-aligned data
 //! columns of uniform width, separated by `" | "`; the rule under the
-//! header is derived from the same widths, so label/column/rule can
-//! never drift apart again.
+//! header is derived from the same widths, so label, columns and rule
+//! cannot drift apart.
 
 /// A fixed-geometry console table.
 #[derive(Debug, Clone, Copy)]
@@ -55,11 +53,6 @@ impl Table {
 #[must_use]
 pub fn cell(x: f64) -> String {
     format!("{x:.3}")
-}
-
-/// Backwards-compatible free function over [`PAPER`] geometry.
-pub fn print_row(label: &str, cells: &[String]) {
-    PAPER.row(label, cells);
 }
 
 #[cfg(test)]

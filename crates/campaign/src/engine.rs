@@ -616,24 +616,6 @@ pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> CampaignResult {
     }
 }
 
-/// Convenience wrapper: the campaign-engine equivalent of the old serial
-/// "run this scheme over N seeds" loop. Returns the per-scenario results
-/// for one `(benchmark, scheme)` cell.
-#[must_use]
-pub fn run_cell(
-    benchmark: Benchmark,
-    scheme: MitigationScheme,
-    config: &SystemConfig,
-    seeds: u64,
-    threads: usize,
-) -> CampaignResult {
-    let spec = CampaignSpec::new(config.clone(), config.faults.seed)
-        .benchmarks(&[benchmark])
-        .scheme(&scheme.label(), crate::spec::SchemeSpec::Fixed(scheme))
-        .replicates(seeds);
-    run_campaign(&spec, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -80,7 +80,7 @@ pub mod telemetry;
 pub use cli::{write_json_report, CampaignArgs};
 pub use diff::{contexts_match, diff_specs, translate_rows, SpecDiff};
 pub use engine::{
-    canonical_report_json, run_campaign, run_campaign_streaming, run_cell, run_grid_streaming,
+    canonical_report_json, run_campaign, run_campaign_streaming, run_grid_streaming,
     CampaignResult, ScenarioResult,
 };
 pub use event::CampaignEvent;

@@ -43,22 +43,11 @@ pub enum SchemeSpec {
 }
 
 impl SchemeSpec {
-    /// Resolves to a concrete scheme for `benchmark` under `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the optimizer finds no feasible design point for a
-    /// benchmark (the paper's constraints always admit one).
-    #[must_use]
-    pub fn resolve(&self, benchmark: Benchmark, config: &SystemConfig) -> MitigationScheme {
-        self.resolve_with(&mut None, benchmark, config)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`SchemeSpec::resolve`] sharing one optimizer search across a
-    /// benchmark's scheme axis: the first entry that needs the optimum
-    /// stores it in `optimum`, and later entries derive from it. An
-    /// infeasible optimizer point is an `Err`, not a panic.
+    /// Resolves to a concrete scheme for `benchmark` under `config`,
+    /// sharing one optimizer search across a benchmark's scheme axis:
+    /// the first entry that needs the optimum stores it in `optimum`,
+    /// and later entries derive from it. An infeasible optimizer point
+    /// is an `Err`, not a panic.
     fn resolve_with(
         &self,
         optimum: &mut Option<DesignPoint>,
@@ -1032,10 +1021,14 @@ mod tests {
 
     #[test]
     fn optimal_scheme_resolves_to_feasible_hybrid() {
-        let config = SystemConfig::paper(0);
-        let scheme = SchemeSpec::Optimal.resolve(Benchmark::AdpcmDecode, &config);
-        assert!(matches!(scheme, MitigationScheme::Hybrid { chunk_words, .. } if chunk_words > 0));
-        let single = SchemeSpec::OptimalSingleParity.resolve(Benchmark::AdpcmDecode, &config);
+        let grid = CampaignSpec::new(SystemConfig::paper(0), 0)
+            .benchmarks(&[Benchmark::AdpcmDecode])
+            .scheme("optimal", SchemeSpec::Optimal)
+            .scheme("single", SchemeSpec::OptimalSingleParity)
+            .try_scenarios()
+            .expect("the paper's constraints admit a design point");
+        let (optimal, single) = (grid[0].scheme, grid[1].scheme);
+        assert!(matches!(optimal, MitigationScheme::Hybrid { chunk_words, .. } if chunk_words > 0));
         assert!(matches!(
             single,
             MitigationScheme::HybridSingleParity { .. }

@@ -304,9 +304,9 @@ fn head_end(message: &[u8]) -> Option<usize> {
 
 /// Reads one `Content-Length`-framed HTTP message (request or response)
 /// from `stream`: head through `\r\n\r\n`, then exactly the declared
-/// body. Returns `None` on any tear, timeout, or cap overflow — the
-/// caller drops the connection, which for a proxy is the right answer
-/// to every malformed input.
+/// body. Returns `None` on any tear, timeout, cap overflow, or a length
+/// `serve` refuses — the caller drops the connection, which for a proxy
+/// is the right answer to every malformed input.
 fn read_http_message(stream: &mut TcpStream) -> Option<Vec<u8>> {
     let mut message = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -322,17 +322,21 @@ fn read_http_message(stream: &mut TcpStream) -> Option<Vec<u8>> {
             Ok(n) => message.extend_from_slice(&chunk[..n]),
         }
     };
+    // serve's framing rule: only bare digits, and repeats must agree.
     let head = String::from_utf8_lossy(&message[..body_start]);
-    let content_length = head
-        .lines()
-        .find_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse::<usize>())
-        })
-        .transpose()
-        .ok()?
-        .unwrap_or(0);
+    let mut content_length = None;
+    for (name, value) in head.lines().filter_map(|line| line.split_once(':')) {
+        if name.eq_ignore_ascii_case("content-length") {
+            let value = value.trim();
+            let length: usize = value.parse().ok()?;
+            let signed = !value.bytes().all(|b| b.is_ascii_digit());
+            if signed || content_length.is_some_and(|seen| seen != length) {
+                return None;
+            }
+            content_length = Some(length);
+        }
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_MESSAGE_BYTES {
         return None;
     }
@@ -356,6 +360,24 @@ mod tests {
         assert_eq!(head_end(b"HTTP/1.1 200 OK\r\n\r\nbody"), Some(19));
         assert_eq!(head_end(b"HTTP/1.1 200 OK\r\n"), None);
         assert_eq!(head_end(b""), None);
+    }
+
+    #[test]
+    fn only_lengths_serve_accepts_frame_a_message() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        for (lengths, frames) in [
+            ("+2", false),
+            ("1\r\nContent-Length: 2", false),
+            ("2\r\nContent-Length: 2", true),
+        ] {
+            let mut peer = TcpStream::connect(addr).expect("connect");
+            let message = format!("HTTP/1.1 200 OK\r\nContent-Length: {lengths}\r\n\r\nok");
+            peer.write_all(message.as_bytes()).expect("send");
+            let (mut stream, _) = listener.accept().expect("accept");
+            let framed = read_http_message(&mut stream).is_some();
+            assert_eq!(framed, frames, "{lengths:?}");
+        }
     }
 
     /// A tiny upstream echoing a fixed JSON body, plus a faithful proxy:

@@ -215,12 +215,6 @@ impl BchCode {
         self.field.m()
     }
 
-    /// Natural (unshortened) code length 2^m - 1.
-    #[must_use]
-    pub fn natural_length(&self) -> usize {
-        self.n
-    }
-
     /// Generator polynomial coefficients over GF(2) (index = degree).
     #[must_use]
     pub fn generator(&self) -> &[u8] {

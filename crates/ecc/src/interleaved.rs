@@ -66,12 +66,6 @@ impl InterleavedSecded {
         self.ways
     }
 
-    /// Guaranteed correctable width of an *adjacent* burst, in bits.
-    #[must_use]
-    pub fn burst_correctable_bits(&self) -> usize {
-        self.ways
-    }
-
     fn split_payload(&self, data: u32) -> [u32; 4] {
         let mut parts = [0u32; 4];
         for i in 0..32 {

@@ -197,11 +197,17 @@ pub fn exchange(
         if trimmed.is_empty() {
             break;
         }
+        // serve's framing rule: only bare digits, and repeats must agree.
         if let Some((name, value)) = trimmed.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                match value.trim().parse::<usize>() {
-                    Ok(n) => content_length = Some(n),
-                    Err(_) => return torn(format!("unparseable Content-Length {value:?}")),
+                let value = value.trim();
+                match value.parse::<usize>() {
+                    Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => {
+                        if content_length.replace(n).is_some_and(|seen| seen != n) {
+                            return torn(format!("conflicting Content-Length {value:?}"));
+                        }
+                    }
+                    _ => return torn(format!("unparseable Content-Length {value:?}")),
                 }
             }
         }

@@ -82,9 +82,29 @@ fn body_shorter_than_content_length_is_torn() {
 
 #[test]
 fn unparseable_content_length_is_torn() {
-    let addr = spawn_raw(b"HTTP/1.1 200 OK\r\nContent-Length: banana\r\n\r\n{}");
-    let err = exchange(&addr, "GET", "/", None, TIMEOUT).expect_err("bad length");
+    // As at serve, only bare digits frame a body: a sign is no length.
+    for response in [
+        &b"HTTP/1.1 200 OK\r\nContent-Length: banana\r\n\r\n{}"[..],
+        b"HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\n{}",
+    ] {
+        let addr = spawn_raw(response);
+        let err = exchange(&addr, "GET", "/", None, TIMEOUT).expect_err("bad length");
+        assert!(matches!(err, ClientError::TornResponse(_)), "{err}");
+    }
+}
+
+#[test]
+fn conflicting_content_lengths_are_torn() {
+    let addr = spawn_raw(b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nhello");
+    let err = exchange(&addr, "GET", "/", None, TIMEOUT).expect_err("conflicting lengths");
     assert!(matches!(err, ClientError::TornResponse(_)), "{err}");
+}
+
+#[test]
+fn repeated_agreeing_content_length_reads_normally() {
+    let addr = spawn_raw(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello");
+    let reply = exchange(&addr, "GET", "/", None, TIMEOUT).expect("agreeing lengths");
+    assert_eq!(reply, (200, "hello".to_owned()));
 }
 
 #[test]

@@ -18,28 +18,7 @@ use chunkpoint::campaign::{CampaignSpec, SchemeSpec};
 use chunkpoint::core::{MitigationScheme, SystemConfig};
 use chunkpoint::exec::{LocalExecutor, ShardedExecutor};
 use chunkpoint::workloads::Benchmark;
-use chunkpoint_serve::server::{ServeConfig, Server};
-
-/// Boots an in-process `serve` on an ephemeral port; returns its addr.
-fn spawn_shard(tag: &str) -> String {
-    let data_dir = std::env::temp_dir().join(format!(
-        "chunkpoint_adaptive_example_{}_{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&data_dir);
-    let server = Server::bind(&ServeConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        data_dir,
-        max_jobs: 1,
-        campaign_threads: 1,
-        max_queued: 0,
-        trace_out: None,
-    })
-    .expect("bind in-process shard");
-    let addr = server.local_addr().expect("addr").to_string();
-    std::thread::spawn(move || server.run());
-    addr
-}
+use chunkpoint_bench::harness::Backends;
 
 fn main() {
     let mut config = SystemConfig::paper(0);
@@ -64,9 +43,8 @@ fn main() {
         .expect("local adaptive oracle");
 
     // The same (spec, policy) over two serve shards.
-    let shard_a = spawn_shard("a");
-    let shard_b = spawn_shard("b");
-    let executor = ShardedExecutor::new(vec![shard_a, shard_b]);
+    let shards = Backends::start(2, 1, 1);
+    let executor = ShardedExecutor::new(shards.addrs.clone());
     let run = AdaptiveController::new(executor, policy)
         .run(&spec)
         .expect("sharded adaptive run");

@@ -12,7 +12,7 @@ use chunkpoint::campaign::{CampaignSpec, SchemeSpec};
 use chunkpoint::core::{MitigationScheme, SystemConfig};
 use chunkpoint::exec::{CampaignEvent, CampaignExecutor, LocalExecutor, ShardedExecutor};
 use chunkpoint::workloads::Benchmark;
-use chunkpoint_serve::server::{ServeConfig, Server};
+use chunkpoint_bench::harness::Backends;
 
 fn main() {
     let mut config = SystemConfig::paper(0);
@@ -31,22 +31,8 @@ fn main() {
     println!("local:  {total} scenarios, {local_events} events");
 
     // Path two: a self-hosted serve on an ephemeral port.
-    let data_dir =
-        std::env::temp_dir().join(format!("chunkpoint_exec_parity_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&data_dir);
-    let server = Server::bind(&ServeConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        data_dir: data_dir.clone(),
-        max_jobs: 1,
-        campaign_threads: 0,
-        max_queued: 0,
-        trace_out: None,
-    })
-    .expect("bind in-process service");
-    let addr = server.local_addr().expect("addr").to_string();
-    std::thread::spawn(move || server.run());
-
-    let remote_handle = ShardedExecutor::new(vec![addr.clone()]).submit(&spec);
+    let backends = Backends::start(1, 1, 0);
+    let remote_handle = ShardedExecutor::new(backends.addrs.clone()).submit(&spec);
     let mut remote_events = 0usize;
     let mut completed = false;
     for event in remote_handle.events() {
@@ -54,7 +40,10 @@ fn main() {
         completed |= matches!(event, CampaignEvent::Complete);
     }
     let remote = remote_handle.wait().expect("remote run");
-    println!("remote: {total} scenarios, {remote_events} events via {addr}");
+    println!(
+        "remote: {total} scenarios, {remote_events} events via {}",
+        backends.addrs[0]
+    );
 
     assert!(completed, "remote stream never emitted Complete");
     assert_eq!(local.scenarios, total);
@@ -64,13 +53,4 @@ fn main() {
         "local and remote reports diverged"
     );
     println!("byte-identical local vs remote reports ✓ ({total} scenarios)");
-
-    let _ = chunkpoint::shard::exchange(
-        &addr,
-        "POST",
-        "/shutdown",
-        None,
-        std::time::Duration::from_secs(5),
-    );
-    let _ = std::fs::remove_dir_all(data_dir);
 }

@@ -11,8 +11,8 @@
 //! ```
 //!
 //! Two campaign services start in-process on ephemeral ports; the
-//! cache lives in a temp directory printed at startup (the same layout
-//! `shard --cache-dir` uses).
+//! cache lives in their temp directory, printed at startup (the same
+//! layout `shard --cache-dir` uses).
 
 use chunkpoint::campaign::{
     canonical_report_json, diff_specs, run_campaign, translate_rows, CampaignSpec, SchemeSpec,
@@ -20,7 +20,7 @@ use chunkpoint::campaign::{
 use chunkpoint::core::{MitigationScheme, SystemConfig};
 use chunkpoint::shard::{run_sharded, RangeCache, ShardConfig};
 use chunkpoint::workloads::Benchmark;
-use chunkpoint_serve::server::{ServeConfig, Server};
+use chunkpoint_bench::harness::Backends;
 use chunkpoint_serve::REPORT_AXES;
 
 fn sweep_spec(rates: &[f64]) -> CampaignSpec {
@@ -41,36 +41,14 @@ fn sweep_spec(rates: &[f64]) -> CampaignSpec {
 }
 
 fn main() {
-    // Two in-process services, exactly like the shard_campaign example.
-    let mut backends = Vec::new();
-    let mut data_dirs = Vec::new();
-    for k in 0..2 {
-        let data_dir = std::env::temp_dir().join(format!(
-            "chunkpoint_incremental_example_{}_{k}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&data_dir);
-        let server = Server::bind(&ServeConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            data_dir: data_dir.clone(),
-            max_jobs: 1,
-            campaign_threads: 1,
-            max_queued: 0,
-            trace_out: None,
-        })
-        .expect("bind in-process service");
-        let addr = server.local_addr().expect("addr").to_string();
-        std::thread::spawn(move || server.run());
+    // Two in-process services, exactly like the shard_campaign example;
+    // dropping them also removes the cache.
+    let local = Backends::start(2, 1, 1);
+    let backends = &local.addrs;
+    for addr in backends {
         println!("started in-process service on {addr}");
-        backends.push(addr);
-        data_dirs.push(data_dir);
     }
-
-    let cache_root = std::env::temp_dir().join(format!(
-        "chunkpoint_incremental_example_cache_{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&cache_root);
+    let cache_root = local.scratch("cache");
     println!("result cache at {}", cache_root.display());
     let config = ShardConfig {
         cache_dir: Some(cache_root.clone()),
@@ -84,7 +62,7 @@ fn main() {
         "\npass 1: {} scenarios, cold cache…",
         old_spec.scenarios().len()
     );
-    let first = run_sharded(&old_spec, &backends, &config).expect("first run");
+    let first = run_sharded(&old_spec, backends, &config).expect("first run");
     println!(
         "  {} dispatches, {} rows spliced (cold)",
         first.dispatches, first.spliced
@@ -116,7 +94,7 @@ fn main() {
 
     // Pass 2: only the changed cells execute; the rest splice.
     println!("\npass 2: incremental re-run…");
-    let second = run_sharded(&new_spec, &backends, &config).expect("incremental run");
+    let second = run_sharded(&new_spec, backends, &config).expect("incremental run");
     println!(
         "  {} dispatches, {} rows spliced from cache",
         second.dispatches, second.spliced
@@ -128,18 +106,4 @@ fn main() {
         canonical_report_json(new_spec.campaign_seed, &reference.results, &REPORT_AXES).render();
     assert_eq!(second.report, expected, "incremental bytes diverged");
     println!("\nincremental report is byte-identical to a clean full run ✓");
-
-    for addr in &backends {
-        let _ = chunkpoint::shard::exchange(
-            addr,
-            "POST",
-            "/shutdown",
-            None,
-            std::time::Duration::from_secs(5),
-        );
-    }
-    for dir in &data_dirs {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-    let _ = std::fs::remove_dir_all(&cache_root);
 }

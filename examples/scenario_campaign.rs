@@ -17,9 +17,9 @@ use chunkpoint::exec::{CampaignExecutor, ShardedExecutor};
 use chunkpoint::scenario::{
     ExpectField, ExpectOp, ExpectValue, Expectation, ScenarioDef, TimelineEvent,
 };
-use chunkpoint::serve::server::{ServeConfig, Server};
 use chunkpoint::serve::REPORT_AXES;
 use chunkpoint::workloads::Benchmark;
+use chunkpoint_bench::harness::Backends;
 
 /// Three regimes the static grid cannot express: a saturating burst in
 /// the decode task's output-drain exposure window, a quiet shift to a
@@ -77,26 +77,12 @@ fn main() {
     // The real backend: a serve instance on an ephemeral TCP port; the
     // scenario axis crosses the wire as spec JSON and the verdicts come
     // back as journal rows.
-    let data_dir =
-        std::env::temp_dir().join(format!("chunkpoint_scenario_smoke_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&data_dir);
-    let server = Server::bind(&ServeConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        data_dir: data_dir.clone(),
-        max_jobs: 1,
-        campaign_threads: 0,
-        max_queued: 0,
-        trace_out: None,
-    })
-    .expect("bind in-process service");
-    let addr = server.local_addr().expect("addr").to_string();
-    std::thread::spawn(move || server.run());
-
-    let remote = ShardedExecutor::new(vec![addr.clone()])
+    let backends = Backends::start(1, 1, 0);
+    let remote = ShardedExecutor::new(backends.addrs.clone())
         .submit(&spec)
         .wait()
         .expect("remote run");
-    println!("remote: {total} scenario rows via {addr}");
+    println!("remote: {total} scenario rows via {}", backends.addrs[0]);
 
     // Expect verdicts are typed outcomes on exactly the calm rows.
     let mut verdicts = 0usize;
@@ -125,13 +111,4 @@ fn main() {
             .expect("write remote.json");
         println!("wrote {}/local.json and remote.json", dir.display());
     }
-
-    let _ = chunkpoint::shard::exchange(
-        &addr,
-        "POST",
-        "/shutdown",
-        None,
-        std::time::Duration::from_secs(5),
-    );
-    let _ = std::fs::remove_dir_all(data_dir);
 }

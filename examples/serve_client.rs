@@ -16,14 +16,14 @@
 //! result cache: the second run answers from the backend's cache
 //! without simulating anything — through the very same executor calls.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use chunkpoint::campaign::{Axis, CampaignSpec, SchemeSpec};
 use chunkpoint::core::{MitigationScheme, SystemConfig};
 use chunkpoint::exec::{CampaignEvent, CampaignExecutor, LiveAggregates, ShardedExecutor};
 use chunkpoint::workloads::Benchmark;
+use chunkpoint_bench::harness::Backends;
 use chunkpoint_bench::report::Table;
-use chunkpoint_serve::server::{ServeConfig, Server};
 
 /// The λ sweep: three decades around the paper's worst case.
 const RATES: [f64; 3] = [1e-7, 1e-6, 1e-5];
@@ -59,24 +59,13 @@ fn main() {
             }
         }
     }
-    let (addr, local_data_dir) = match external {
+    // The in-process service shuts down and removes its data on drop.
+    let (addr, _local) = match external {
         Some(addr) => (addr, None),
         None => {
-            let data_dir =
-                std::env::temp_dir().join(format!("chunkpoint_client_{}", std::process::id()));
-            let server = Server::bind(&ServeConfig {
-                addr: "127.0.0.1:0".to_owned(),
-                data_dir: data_dir.clone(),
-                max_jobs: 1,
-                campaign_threads: 0,
-                max_queued: 0,
-                trace_out: None,
-            })
-            .expect("bind in-process service");
-            let addr = server.local_addr().expect("addr").to_string();
-            std::thread::spawn(move || server.run());
-            println!("started in-process service on {addr}");
-            (addr, Some(data_dir))
+            let local = Backends::start(1, 1, 0);
+            println!("started in-process service on {}", local.addrs[0]);
+            (local.addrs[0].clone(), Some(local))
         }
     };
 
@@ -140,16 +129,10 @@ fn main() {
     // time.
     let resubmit = Instant::now();
     let cached = executor.submit(&spec).wait().expect("cached campaign");
+    assert_eq!(cached.report, run.report, "the cached resubmit diverged");
     println!();
     println!(
-        "resubmit of the identical spec: byte-identical: {}, {:.2?}",
-        cached.report == run.report,
+        "resubmit of the identical spec: byte-identical ✓, {:.2?}",
         resubmit.elapsed()
     );
-
-    if let Some(data_dir) = local_data_dir {
-        let _ =
-            chunkpoint::shard::exchange(&addr, "POST", "/shutdown", None, Duration::from_secs(5));
-        let _ = std::fs::remove_dir_all(data_dir);
-    }
 }

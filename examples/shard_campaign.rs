@@ -18,8 +18,8 @@ use chunkpoint::campaign::{canonical_report_json, run_campaign, Axis, CampaignSp
 use chunkpoint::core::{MitigationScheme, SystemConfig};
 use chunkpoint::exec::{CampaignEvent, CampaignExecutor, LiveAggregates, ShardedExecutor};
 use chunkpoint::workloads::Benchmark;
+use chunkpoint_bench::harness::Backends;
 use chunkpoint_bench::report::Table;
-use chunkpoint_serve::server::{ServeConfig, Server};
 
 /// The λ sweep: three decades around the paper's worst case.
 const RATES: [f64; 3] = [1e-7, 1e-6, 1e-5];
@@ -53,29 +53,13 @@ fn main() {
             }
         }
     }
-    let mut data_dirs = Vec::new();
-    if backends.is_empty() {
-        for k in 0..2 {
-            let data_dir = std::env::temp_dir().join(format!(
-                "chunkpoint_shard_example_{}_{k}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&data_dir);
-            let server = Server::bind(&ServeConfig {
-                addr: "127.0.0.1:0".to_owned(),
-                data_dir: data_dir.clone(),
-                max_jobs: 1,
-                campaign_threads: 1,
-                max_queued: 0,
-                trace_out: None,
-            })
-            .expect("bind in-process service");
-            let addr = server.local_addr().expect("addr").to_string();
-            std::thread::spawn(move || server.run());
+    // In-process services shut down and remove their data on drop.
+    let local = backends.is_empty().then(|| Backends::start(2, 1, 1));
+    if let Some(local) = &local {
+        for addr in &local.addrs {
             println!("started in-process service on {addr}");
-            backends.push(addr);
-            data_dirs.push(data_dir);
         }
+        backends.clone_from(&local.addrs);
     }
 
     let spec = sweep_spec();
@@ -138,9 +122,5 @@ fn main() {
                 stats.n.to_string(),
             ],
         );
-    }
-
-    for dir in &data_dirs {
-        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -13,6 +13,44 @@ if [ -n "${CHUNKPOINT_BLESS_GOLDEN+set}" ]; then
     exit 1
 fi
 
+# Every stage keeps its files under one temp dir, and every background
+# process joins PIDS: one EXIT trap stops them all and removes the dir,
+# whichever stage fails.
+CI_TMP="$(mktemp -d)"
+PIDS=()
+trap 'kill "${PIDS[@]}" 2>/dev/null || true; rm -rf "$CI_TMP"' EXIT
+
+# wait_for_port FILE: waits up to 10 s for a server to write its port.
+wait_for_port() {
+    for _ in $(seq 1 200); do [ -s "$1" ] && return; sleep 0.05; done
+    echo "$1 was never written"
+    exit 1
+}
+
+# start_serve DIR [FLAGS...]: starts a release serve in the background,
+# its data and port file under DIR, and waits until it listens; sets
+# SERVE_ADDR (127.0.0.1:PORT).
+declare -A SERVE_PID
+start_serve() {
+    local dir="$1"
+    shift
+    mkdir -p "$dir"
+    target/release/serve --addr 127.0.0.1:0 --data-dir "$dir/data" \
+        --port-file "$dir/port" "$@" &
+    local pid=$!
+    PIDS+=("$pid")
+    wait_for_port "$dir/port"
+    SERVE_ADDR="127.0.0.1:$(cat "$dir/port")"
+    SERVE_PID[$SERVE_ADDR]=$pid
+}
+
+# stop_serves ADDR...: shuts each serve down over HTTP and waits until
+# it has exited cleanly.
+stop_serves() {
+    for addr in "$@"; do curl -sf -X POST "http://$addr/shutdown" >/dev/null; done
+    for addr in "$@"; do wait "${SERVE_PID[$addr]}"; done
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -25,6 +63,22 @@ echo "== optimizer bins (Table I, Fig. 4, area-budget and chunk-size ablations) 
 for bin in table1_optimal_chunks fig4_feasible_region ablation_area_budget ablation_chunk_sweep; do
     target/release/"$bin" >/dev/null
 done
+
+# The Fig. 5 bins, and the figures drawn from the very campaign the
+# tables print: each bar title ("benchmark: value", in drawing order)
+# is the matching table cell. render_figures writes figures/ under its
+# working directory.
+echo "== Fig. 5 bins (energy and time tables, the figures that draw them) =="
+target/release/fig5_energy --seeds 2 >/dev/null
+target/release/time_overhead --seeds 2 >/dev/null
+BIN="$PWD/target/release"
+(cd "$CI_TMP" && "$BIN/render_figures" >/dev/null)
+cells() { awk -F' *[|] *' 'NF == 6 && $1 != "benchmark" { for (i = 2; i <= 6; i++) print $1 ": " $i }'; }
+bars() { grep -o '<title>[^<]*</title>' "$1" | sed 's/<[^>]*>//g'; }
+cmp <(target/release/fig5_energy | cells) <(bars "$CI_TMP/figures/fig5_energy.svg") \
+    || { echo "fig5_energy.svg does not draw fig5_energy's table"; exit 1; }
+cmp <(target/release/time_overhead --seed 61797 | cells) <(bars "$CI_TMP/figures/time_overhead.svg") \
+    || { echo "time_overhead.svg does not draw time_overhead's table at its seed"; exit 1; }
 
 echo "== cargo test -q =="
 cargo test -q
@@ -66,6 +120,9 @@ cargo run --release -p chunkpoint_bench --bin bench_ecc -- --smoke
 echo "== exec smoke (one executor API: local + one-backend ShardedExecutor parity on a 1-second grid) =="
 cargo run --release --example exec_parity
 
+echo "== service client example (one-backend executor, progress events, cached resubmit) =="
+cargo run --release --example serve_client
+
 # Each example starts two in-process services and asserts that the
 # merged report equals a local run of the same spec.
 echo "== sharded example (even split over two in-process services, byte-identical) =="
@@ -75,8 +132,7 @@ echo "== incremental example (cache splice + spec-diffed re-run, byte-identical)
 cargo run --release --example incremental_campaign
 
 echo "== scenario smoke (named timeline scenario through a real serve backend) =="
-SCN_DIR="$(mktemp -d)"
-trap 'rm -rf "$SCN_DIR"' EXIT
+SCN_DIR="$CI_TMP/scenario"
 # The example submits a 3-scenario timeline axis (burst, quiet shift
 # with expect blocks, scrub schedule) to a real serve over TCP, asserts
 # every expect verdict, and writes both reports for the byte check.
@@ -84,20 +140,11 @@ cargo run --release --example scenario_campaign "$SCN_DIR"
 cmp "$SCN_DIR/local.json" "$SCN_DIR/remote.json" \
     || { echo "scenario remote report diverged from the local oracle"; exit 1; }
 echo "scenario smoke OK (expect verdicts typed, local and remote bytes identical)"
-# Later stages install their own EXIT traps, so clean up eagerly here.
-rm -rf "$SCN_DIR"
 
 echo "== service smoke (submit, waiting status, cached resubmit, clean shutdown) =="
-SERVE_DIR="$(mktemp -d)"
-# Failure paths exit mid-test: take the background server down with us
-# (no-op after the success path's wait) before removing its data dir.
-trap 'kill "${SERVE_PID:-0}" 2>/dev/null || true; rm -rf "$SERVE_DIR"' EXIT
-target/release/serve --addr 127.0.0.1:0 --data-dir "$SERVE_DIR/data" \
-    --port-file "$SERVE_DIR/port" --jobs 1 &
-SERVE_PID=$!
-for _ in $(seq 1 200); do [ -s "$SERVE_DIR/port" ] && break; sleep 0.05; done
-[ -s "$SERVE_DIR/port" ] || { echo "serve never wrote its port"; exit 1; }
-BASE="http://127.0.0.1:$(cat "$SERVE_DIR/port")"
+start_serve "$CI_TMP/service" --jobs 1
+SERVICE="$SERVE_ADDR"
+BASE="http://$SERVICE"
 # Scrape /metrics before the submit/cache-hit sequence; the counters
 # must advance by exactly the work done below.
 METRICS_BEFORE="$(curl -sf "$BASE/metrics")"
@@ -150,25 +197,18 @@ HITS1="$(mval "$METRICS_AFTER" 'serve_result_cache_hits_total')"
 SUBCOUNT1="$(mval "$METRICS_AFTER" 'serve_request_seconds_count{endpoint="submit"}')"
 [ "$SUBCOUNT1" = "$SUB1" ] \
     || { echo "submit latency count $SUBCOUNT1 != request counter $SUB1"; exit 1; }
-curl -sf -X POST "$BASE/shutdown" >/dev/null
-wait "$SERVE_PID"
+stop_serves "$SERVICE"
 echo "service smoke OK (job $ID, cached resubmit in ${ELAPSED_MS}ms, metrics counters advanced)"
 
 echo "== serve bench smoke (healthz, cache hit and submission request rates) =="
 cargo run --release -p chunkpoint_bench --bin bench_serve -- --smoke
 
 echo "== shard smoke (two serves + coordinator on a 1-second grid) =="
-SHARD_DIR="$(mktemp -d)"
-trap 'kill "${SERVE_PID:-0}" "${SHARD_A_PID:-0}" "${SHARD_B_PID:-0}" 2>/dev/null || true; rm -rf "$SERVE_DIR" "$SHARD_DIR"' EXIT
-target/release/serve --addr 127.0.0.1:0 --data-dir "$SHARD_DIR/a" \
-    --port-file "$SHARD_DIR/port_a" --jobs 1 --threads 1 &
-SHARD_A_PID=$!
-target/release/serve --addr 127.0.0.1:0 --data-dir "$SHARD_DIR/b" \
-    --port-file "$SHARD_DIR/port_b" --jobs 1 --threads 1 &
-SHARD_B_PID=$!
-for _ in $(seq 1 200); do [ -s "$SHARD_DIR/port_a" ] && [ -s "$SHARD_DIR/port_b" ] && break; sleep 0.05; done
-[ -s "$SHARD_DIR/port_a" ] && [ -s "$SHARD_DIR/port_b" ] \
-    || { echo "shard-smoke serves never wrote their ports"; exit 1; }
+SHARD_DIR="$CI_TMP/shard"
+start_serve "$SHARD_DIR/a" --jobs 1 --threads 1
+SHARD_A="$SERVE_ADDR"
+start_serve "$SHARD_DIR/b" --jobs 1 --threads 1
+SHARD_B="$SERVE_ADDR"
 # 2 benchmarks x 1 scheme x 2 replicates = 4 scenarios, ~1 s of work.
 cat > "$SHARD_DIR/spec.json" <<'SPEC'
 {"version":1,"campaign_seed":11,"benchmarks":["ADPCM encode","ADPCM decode"],
@@ -176,40 +216,30 @@ cat > "$SHARD_DIR/spec.json" <<'SPEC'
  "error_rates":[0.000001],"replicates":2,"normalize":false,"golden_check":false}
 SPEC
 target/release/shard \
-    --backends "127.0.0.1:$(cat "$SHARD_DIR/port_a"),127.0.0.1:$(cat "$SHARD_DIR/port_b")" \
+    --backends "$SHARD_A,$SHARD_B" \
     --spec "$SHARD_DIR/spec.json" --json "$SHARD_DIR/report.json" --poll-ms 10
 grep -q '"campaign_seed":11' "$SHARD_DIR/report.json" \
     || { echo "merged shard report did not parse"; exit 1; }
 grep -q '"scenarios":4' "$SHARD_DIR/report.json" \
     || { echo "merged shard report has the wrong scenario count"; exit 1; }
-curl -sf -X POST "http://127.0.0.1:$(cat "$SHARD_DIR/port_a")/shutdown" >/dev/null
-curl -sf -X POST "http://127.0.0.1:$(cat "$SHARD_DIR/port_b")/shutdown" >/dev/null
-wait "$SHARD_A_PID" "$SHARD_B_PID"
+stop_serves "$SHARD_A" "$SHARD_B"
 echo "shard smoke OK (merged report covers 4 scenarios)"
 
 echo "== chaos smoke (faulted proxy vs clean backend, byte-identical report) =="
-CHAOS_DIR="$(mktemp -d)"
-trap 'kill "${SERVE_PID:-0}" "${SHARD_A_PID:-0}" "${SHARD_B_PID:-0}" \
-         "${CHAOS_A_PID:-0}" "${CHAOS_B_PID:-0}" "${CHAOS_PROXY_PID:-0}" 2>/dev/null || true; \
-      rm -rf "$SERVE_DIR" "$SHARD_DIR" "$CHAOS_DIR"' EXIT
-target/release/serve --addr 127.0.0.1:0 --data-dir "$CHAOS_DIR/faulted" \
-    --port-file "$CHAOS_DIR/port_a" --jobs 1 --threads 1 &
-CHAOS_A_PID=$!
-target/release/serve --addr 127.0.0.1:0 --data-dir "$CHAOS_DIR/clean" \
-    --port-file "$CHAOS_DIR/port_b" --jobs 1 --threads 1 &
-CHAOS_B_PID=$!
-for _ in $(seq 1 200); do [ -s "$CHAOS_DIR/port_a" ] && [ -s "$CHAOS_DIR/port_b" ] && break; sleep 0.05; done
-[ -s "$CHAOS_DIR/port_a" ] && [ -s "$CHAOS_DIR/port_b" ] \
-    || { echo "chaos-smoke serves never wrote their ports"; exit 1; }
+CHAOS_DIR="$CI_TMP/chaos"
+start_serve "$CHAOS_DIR/faulted" --jobs 1 --threads 1
+CHAOS_A="$SERVE_ADDR"
+start_serve "$CHAOS_DIR/clean" --jobs 1 --threads 1
+CHAOS_B="$SERVE_ADDR"
 # A seeded truncate+stall fault plan in front of backend A: the fault
 # sequence is a pure function of (seed, connection index), so this smoke
 # either always passes or always fails — no flaky middle ground.
-target/release/chaos --upstream "127.0.0.1:$(cat "$CHAOS_DIR/port_a")" \
+target/release/chaos --upstream "$CHAOS_A" \
     --seed 3 --rate 0.3 --kinds truncate-head,truncate-body,stall,inject-500 \
     --stall-ms 20 --port-file "$CHAOS_DIR/port_chaos" &
 CHAOS_PROXY_PID=$!
-for _ in $(seq 1 200); do [ -s "$CHAOS_DIR/port_chaos" ] && break; sleep 0.05; done
-[ -s "$CHAOS_DIR/port_chaos" ] || { echo "chaos proxy never wrote its port"; exit 1; }
+PIDS+=("$CHAOS_PROXY_PID")
+wait_for_port "$CHAOS_DIR/port_chaos"
 cat > "$CHAOS_DIR/spec.json" <<'SPEC'
 {"version":1,"campaign_seed":13,"benchmarks":["ADPCM encode","ADPCM decode"],
  "schemes":[{"label":"Default","spec":{"kind":"fixed","scheme":{"kind":"default"}}}],
@@ -223,32 +253,21 @@ timeout 120 target/release/shard \
     --poll-ms 10 --strikes 12 \
     || { echo "faulted run did not survive the chaos proxy"; exit 1; }
 timeout 120 target/release/shard \
-    --backends "127.0.0.1:$(cat "$CHAOS_DIR/port_b")" \
+    --backends "$CHAOS_B" \
     --spec "$CHAOS_DIR/spec.json" --json "$CHAOS_DIR/clean.json" --poll-ms 10
 cmp "$CHAOS_DIR/faulted.json" "$CHAOS_DIR/clean.json" \
     || { echo "faulted report diverged from the clean report"; exit 1; }
 kill "$CHAOS_PROXY_PID" 2>/dev/null || true
-curl -sf -X POST "http://127.0.0.1:$(cat "$CHAOS_DIR/port_a")/shutdown" >/dev/null
-curl -sf -X POST "http://127.0.0.1:$(cat "$CHAOS_DIR/port_b")/shutdown" >/dev/null
-wait "$CHAOS_A_PID" "$CHAOS_B_PID"
+stop_serves "$CHAOS_A" "$CHAOS_B"
 echo "chaos smoke OK (faulted and clean reports byte-identical)"
 
 echo "== incremental smoke (result cache + spec-diffed re-run, byte-identical) =="
-CACHE_DIR="$(mktemp -d)"
-trap 'kill "${SERVE_PID:-0}" "${SHARD_A_PID:-0}" "${SHARD_B_PID:-0}" \
-         "${CHAOS_A_PID:-0}" "${CHAOS_B_PID:-0}" "${CHAOS_PROXY_PID:-0}" \
-         "${CACHE_A_PID:-0}" "${CACHE_B_PID:-0}" 2>/dev/null || true; \
-      rm -rf "$SERVE_DIR" "$SHARD_DIR" "$CHAOS_DIR" "$CACHE_DIR"' EXIT
-target/release/serve --addr 127.0.0.1:0 --data-dir "$CACHE_DIR/a" \
-    --port-file "$CACHE_DIR/port_a" --jobs 1 --threads 1 &
-CACHE_A_PID=$!
-target/release/serve --addr 127.0.0.1:0 --data-dir "$CACHE_DIR/b" \
-    --port-file "$CACHE_DIR/port_b" --jobs 1 --threads 1 &
-CACHE_B_PID=$!
-for _ in $(seq 1 200); do [ -s "$CACHE_DIR/port_a" ] && [ -s "$CACHE_DIR/port_b" ] && break; sleep 0.05; done
-[ -s "$CACHE_DIR/port_a" ] && [ -s "$CACHE_DIR/port_b" ] \
-    || { echo "cache-smoke serves never wrote their ports"; exit 1; }
-CACHE_BACKENDS="127.0.0.1:$(cat "$CACHE_DIR/port_a"),127.0.0.1:$(cat "$CACHE_DIR/port_b")"
+CACHE_DIR="$CI_TMP/cache"
+start_serve "$CACHE_DIR/a" --jobs 1 --threads 1
+CACHE_A="$SERVE_ADDR"
+start_serve "$CACHE_DIR/b" --jobs 1 --threads 1
+CACHE_B="$SERVE_ADDR"
+CACHE_BACKENDS="$CACHE_A,$CACHE_B"
 # The baseline grid, run once with the cache sealing every shard.
 cat > "$CACHE_DIR/spec_v1.json" <<'SPEC'
 {"version":1,"campaign_seed":17,"benchmarks":["ADPCM encode","ADPCM decode"],
@@ -287,27 +306,15 @@ timeout 120 target/release/shard --backends "$CACHE_BACKENDS" \
     --json "$CACHE_DIR/v2_warm.json" --poll-ms 10 --quiet
 cmp "$CACHE_DIR/v2_warm.json" "$CACHE_DIR/v2_clean.json" \
     || { echo "warm-splice report diverged"; exit 1; }
-curl -sf -X POST "http://127.0.0.1:$(cat "$CACHE_DIR/port_a")/shutdown" >/dev/null
-curl -sf -X POST "http://127.0.0.1:$(cat "$CACHE_DIR/port_b")/shutdown" >/dev/null
-wait "$CACHE_A_PID" "$CACHE_B_PID"
+stop_serves "$CACHE_A" "$CACHE_B"
 echo "incremental smoke OK (${CACHE_HITS} cache hits, ${SPLICED} rows spliced, bytes identical)"
 
 echo "== denominator smoke (normalized campaign, warm vs cold serve, byte-identical) =="
-GOLD_DIR="$(mktemp -d)"
-trap 'kill "${SERVE_PID:-0}" "${SHARD_A_PID:-0}" "${SHARD_B_PID:-0}" \
-         "${CHAOS_A_PID:-0}" "${CHAOS_B_PID:-0}" "${CHAOS_PROXY_PID:-0}" \
-         "${CACHE_A_PID:-0}" "${CACHE_B_PID:-0}" \
-         "${GOLD_A_PID:-0}" "${GOLD_B_PID:-0}" 2>/dev/null || true; \
-      rm -rf "$SERVE_DIR" "$SHARD_DIR" "$CHAOS_DIR" "$CACHE_DIR" "$GOLD_DIR"' EXIT
-target/release/serve --addr 127.0.0.1:0 --data-dir "$GOLD_DIR/a" \
-    --port-file "$GOLD_DIR/port_a" --jobs 1 --threads 1 &
-GOLD_A_PID=$!
-target/release/serve --addr 127.0.0.1:0 --data-dir "$GOLD_DIR/b" \
-    --port-file "$GOLD_DIR/port_b" --jobs 1 --threads 1 &
-GOLD_B_PID=$!
-for _ in $(seq 1 200); do [ -s "$GOLD_DIR/port_a" ] && [ -s "$GOLD_DIR/port_b" ] && break; sleep 0.05; done
-[ -s "$GOLD_DIR/port_a" ] && [ -s "$GOLD_DIR/port_b" ] \
-    || { echo "denominator-smoke serves never wrote their ports"; exit 1; }
+GOLD_DIR="$CI_TMP/denominator"
+start_serve "$GOLD_DIR/a" --jobs 1 --threads 1
+GOLD_A="$SERVE_ADDR"
+start_serve "$GOLD_DIR/b" --jobs 1 --threads 1
+GOLD_B="$SERVE_ADDR"
 # serve keeps golden references and benchmark inputs across jobs.
 # Backend A first runs a warm-up at another scale, so a memo keyed too
 # loosely would hand the target campaign the warm-up's references or
@@ -328,8 +335,6 @@ cat > "$GOLD_DIR/target.json" <<SPEC
  "benchmarks":["ADPCM decode","JPG decode","G722 encode"],$GOLD_SCHEMES,
  "error_rates":[0.000001,0.001],"replicates":2,"normalize":true,"golden_check":true}
 SPEC
-GOLD_A="127.0.0.1:$(cat "$GOLD_DIR/port_a")"
-GOLD_B="127.0.0.1:$(cat "$GOLD_DIR/port_b")"
 timeout 120 target/release/shard --backends "$GOLD_A" --spec "$GOLD_DIR/warmup.json" \
     --json "$GOLD_DIR/warmup_report.json" --poll-ms 10 --quiet
 timeout 120 target/release/shard --backends "$GOLD_A" --spec "$GOLD_DIR/target.json" \
@@ -340,9 +345,7 @@ grep -q '"energy_ratio":[0-9]' "$GOLD_DIR/cold.json" && grep -q '"correct":true'
     || { echo "target report carries no ratios or golden verdicts"; exit 1; }
 cmp "$GOLD_DIR/warm.json" "$GOLD_DIR/cold.json" \
     || { echo "warm backend's normalized report diverged from the cold backend's"; exit 1; }
-curl -sf -X POST "http://$GOLD_A/shutdown" >/dev/null
-curl -sf -X POST "http://$GOLD_B/shutdown" >/dev/null
-wait "$GOLD_A_PID" "$GOLD_B_PID"
+stop_serves "$GOLD_A" "$GOLD_B"
 echo "denominator smoke OK (warm and cold normalized reports byte-identical)"
 
 echo "== cache bench smoke (cold seal vs warm splice vs incremental) =="

@@ -25,7 +25,7 @@ use chunkpoint::core::{
 use chunkpoint::scenario::{ScenarioDef, TimelineEvent};
 use chunkpoint::serve::REPORT_AXES;
 use chunkpoint::workloads::Benchmark;
-use chunkpoint_bench::fig5_scheme_axis;
+use chunkpoint_bench::fig5_spec;
 
 /// Set to rewrite the fixtures from this build instead of checking them.
 const BLESS: &str = "CHUNKPOINT_BLESS_GOLDEN";
@@ -135,12 +135,8 @@ fn optimizer_points() {
 fn fig5_grid_report() {
     let mut config = SystemConfig::paper(0);
     config.scale = 0.25;
-    let mut spec = CampaignSpec::new(config, 0xF165)
-        .benchmarks(&[Benchmark::AdpcmEncode, Benchmark::G721Decode])
-        .replicates(2);
-    for (label, scheme) in fig5_scheme_axis() {
-        spec = spec.scheme(label, scheme);
-    }
+    let spec =
+        fig5_spec(config, 0xF165, 2).benchmarks(&[Benchmark::AdpcmEncode, Benchmark::G721Decode]);
     let rows = run_campaign(&spec, 2).results;
     check(
         "fig5_grid.json",
